@@ -30,8 +30,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 def _time_kernel_solves(repeats: int, num_rows: int, nb: int, profiler) -> float:
     """Total seconds for ``repeats`` fused-CG solves; profiler=None => off."""
+    from repro.instruments import use
     from repro.kernels import run_batch_cg_on_device
-    from repro.profile import use_profiler
     from repro.sycl.device import pvc_stack_device
     from repro.sycl.queue import Queue
     from repro.workloads.stencil import stencil_rhs, three_point_stencil
@@ -52,7 +52,7 @@ def _time_kernel_solves(repeats: int, num_rows: int, nb: int, profiler) -> float
             solve_once()
         return time.perf_counter() - start
 
-    with use_profiler(profiler):
+    with use(profiler=profiler):
         solve_once()  # warmup of the counted path
         start = time.perf_counter()
         for _ in range(repeats):

@@ -123,8 +123,9 @@ def bench_micro(repeats: int, rounds: int, num_rows: int, nb: int) -> dict:
     """The gated A/B: bare solve loop vs solve loop + recorder plumbing."""
     import numpy as np
 
+    from repro.instruments import use
     from repro.observability.metrics import MetricsRegistry
-    from repro.recorder import FlightRecorder, use_recorder
+    from repro.recorder import FlightRecorder
 
     factory, matrix, rhs = _make_workload(num_rows, nb)
 
@@ -153,7 +154,7 @@ def bench_micro(repeats: int, rounds: int, num_rows: int, nb: int) -> dict:
         _record_one_flush(recorder, registry, curves, converged, iterations, nb)
 
     def recorded_round() -> float:
-        with use_recorder(recorder):
+        with use(recorder=recorder):
             return _solve_loop(repeats, factory, matrix, rhs, per_solve=recorded_solve)
 
     baseline_round()  # warmups (imports, caches) before any timing
@@ -194,7 +195,8 @@ def bench_serve(num_requests: int, size: int) -> dict:
     """End-to-end serve A/B: recorder off vs recorder on (informational)."""
     import numpy as np
 
-    from repro.recorder import FlightRecorder, use_recorder
+    from repro.instruments import use
+    from repro.recorder import FlightRecorder
     from repro.serve import ServeConfig, SolveRequest, SolverService
     from repro.workloads.stencil import three_point_stencil
 
@@ -203,7 +205,7 @@ def bench_serve(num_requests: int, size: int) -> dict:
     def run(recorder) -> float:
         config = ServeConfig(max_batch_size=16, max_wait_ms=1.0, num_workers=2)
         rng = np.random.default_rng(11)
-        with use_recorder(recorder):
+        with use(recorder=recorder):
             with SolverService(config) as service:
                 start = time.perf_counter()
                 tickets = []
@@ -243,14 +245,15 @@ def bench_attribution(tmp_dir: Path, num_requests: int, seed: int) -> dict:
     attributed to their class with the right victim traces?"""
     from repro.chaos import ChaosInjector, FaultPlan
     from repro.chaos.replay import build_trace, run_replay
-    from repro.recorder import FlightRecorder, analyze_bundles, load_bundles, use_recorder
+    from repro.instruments import use
+    from repro.recorder import FlightRecorder, analyze_bundles, load_bundles
     from repro.serve import ServeConfig, SolverService
 
     chaos = ChaosInjector(FaultPlan.battery(seed=seed))
     items = build_trace(seed=seed, num_requests=num_requests, rate_rps=400.0)
     config = ServeConfig(max_batch_size=8, max_wait_ms=2.0, num_workers=2)
     recorder = FlightRecorder(capacity=8192, solve_capacity=2048, shard="bench-attr")
-    with use_recorder(recorder):
+    with use(recorder=recorder):
         report = run_replay(
             items,
             lambda: SolverService(config, chaos=chaos),

@@ -2,7 +2,7 @@
 """Measure sanitizer-off vs sanitizer-on fused-kernel solve time.
 
 The sanitizer is opt-in: production simulator runs pay only a single
-``current_sanitizer()`` contextvar lookup per launch, so the *off* path
+installed-observers contextvar lookup per launch, so the *off* path
 must stay within noise of the pre-sanitizer baseline. The *on* path routes
 every SLM element access through shadow state and every sync through the
 epoch bookkeeping — it is allowed to cost a multiple, and this benchmark
@@ -27,8 +27,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 def _time_kernel_solves(repeats: int, num_rows: int, nb: int, config) -> tuple[float, dict]:
     """Total seconds for ``repeats`` fused-CG solves; config=None => unchecked."""
+    from repro.instruments import use
     from repro.kernels import run_batch_cg_on_device
-    from repro.sanitize import Sanitizer, use_sanitizer
+    from repro.sanitize import Sanitizer
     from repro.sycl.device import pvc_stack_device
     from repro.sycl.queue import Queue
     from repro.workloads.stencil import stencil_rhs, three_point_stencil
@@ -50,7 +51,7 @@ def _time_kernel_solves(repeats: int, num_rows: int, nb: int, config) -> tuple[f
         return time.perf_counter() - start, {}
 
     sanitizer = Sanitizer(config)
-    with use_sanitizer(sanitizer):
+    with use(sanitizer=sanitizer):
         solve_once()  # warmup of the checked path
         start = time.perf_counter()
         for _ in range(repeats):

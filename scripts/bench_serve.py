@@ -5,8 +5,10 @@ Drives ``repro.serve.SolverService`` with a paced synthetic workload (same
 3-point-stencil pattern per request, perturbed values) and records:
 
 * a sweep over ``max_batch_size`` at a fixed arrival rate — throughput and
-  p50/p99 latency with batching off (``max_batch_size=1``) vs on (>= 64),
-  the acceptance measurement for the micro-batcher;
+  p50/p99 latency (read from the service's streaming ``serve.latency_hdr_ms``
+  histogram, so within one bucket, about 19 %) with batching off
+  (``max_batch_size=1``) vs on (>= 64), the acceptance measurement for the
+  micro-batcher;
 * plan-cache hit rate on a repeated-configuration workload;
 * the degradation path: one forced non-convergent system co-batched with
   healthy ones must finish via the direct-LU fallback without failing its
@@ -76,8 +78,8 @@ def run_sweep_point(
         outcomes = [t.result(timeout=120.0) for t in tickets]
         makespan_s = time.perf_counter() - start
 
-        latency = service.metrics.histogram("serve.latency_ms")
-        batch_sizes = service.metrics.histogram("serve.batch_size")
+        latency = service.metrics.log_histogram("serve.latency_hdr_ms")
+        batch_sizes = service.metrics.log_histogram("serve.batch_size")
         flushes = service.metrics.counter("serve.flushes").value
         fallbacks = service.metrics.counter("serve.fallbacks").value
         hit_rate = service.plan_cache.hit_rate

@@ -121,8 +121,9 @@ def _emit_request_lifecycle(events, ctx) -> None:
 
 def bench_micro(repeats: int, rounds: int, num_rows: int, nb: int) -> dict:
     """The gated A/B/C: baseline vs disabled plumbing vs fully enabled."""
-    from repro.observability import Tracer, use_tracer
-    from repro.telemetry import EventLog, mint_context, use_event_log, use_trace_context
+    from repro.instruments import use
+    from repro.observability import Tracer
+    from repro.telemetry import EventLog, mint_context, use_trace_context
 
     make_factory, matrix, rhs = _make_workload(num_rows, nb)
 
@@ -145,7 +146,7 @@ def bench_micro(repeats: int, rounds: int, num_rows: int, nb: int) -> dict:
             _emit_request_lifecycle(events_off, ctx)
 
     def disabled_round() -> float:
-        with use_event_log(events_off):
+        with use(events=events_off):
             return _solve_loop(repeats, plain, matrix, rhs, per_solve=disabled_solve)
 
     # enabled path: sampled context, retained events, a live tracer span
@@ -158,7 +159,7 @@ def bench_micro(repeats: int, rounds: int, num_rows: int, nb: int) -> dict:
 
     def enabled_round() -> float:
         tracer.reset()
-        with use_event_log(events_on), use_tracer(tracer):
+        with use(events=events_on, tracer=tracer):
             return _solve_loop(repeats, traced, matrix, rhs, per_solve=enabled_solve)
 
     # warmups (imports, caches) before any timing
@@ -177,7 +178,7 @@ def bench_micro(repeats: int, rounds: int, num_rows: int, nb: int) -> dict:
     # adds) and expressed as a fraction of the baseline solve.
     plumb_iters = 20000
     ctx_warm = mint_context(sampled=False)
-    with use_event_log(events_off), use_trace_context(ctx_warm):
+    with use(events=events_off), use_trace_context(ctx_warm):
         _emit_request_lifecycle(events_off, ctx_warm)  # warmup
         start = time.perf_counter()
         for _ in range(plumb_iters):
@@ -209,7 +210,8 @@ def bench_serve(num_requests: int, size: int) -> dict:
     """End-to-end serve comparison: sampling off vs everything on."""
     import numpy as np
 
-    from repro.observability import Tracer, use_tracer
+    from repro.instruments import use
+    from repro.observability import Tracer
     from repro.serve import ServeConfig, SolveRequest, SolverService
     from repro.workloads.stencil import three_point_stencil
 
@@ -223,7 +225,7 @@ def bench_serve(num_requests: int, size: int) -> dict:
             telemetry_sample_rate=sample_rate,
         )
         rng = np.random.default_rng(11)
-        with use_tracer(tracer) if tracer is not None else _null_cm():
+        with use(tracer=tracer):
             with SolverService(config) as service:
                 start = time.perf_counter()
                 tickets = []
@@ -254,16 +256,6 @@ def bench_serve(num_requests: int, size: int) -> dict:
         "on_per_request_ms": on_s / num_requests * 1e3,
         "enabled_overhead_pct": 100.0 * (on_s - off_s) / off_s,
     }
-
-
-class _null_cm:
-    """``with`` no-op for the tracer-less serve run."""
-
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        return None
 
 
 def main(argv: list[str] | None = None) -> int:

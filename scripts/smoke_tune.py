@@ -155,8 +155,9 @@ def main(argv: list[str] | None = None) -> int:
 
     from repro.core.launch import LaunchConfigurator
     from repro.hw.specs import gpu
+    from repro.instruments import use
     from repro.kernels.cg_kernel import batch_cg_kernel
-    from repro.sanitize import Sanitizer, format_summary, use_sanitizer
+    from repro.sanitize import Sanitizer, format_summary
     from repro.sycl.memory import LocalSpec
     from repro.sycl.queue import Queue
     from repro.tune import RANDOM, Autotuner, TuningDB, stencil_workload
@@ -218,7 +219,7 @@ def main(argv: list[str] | None = None) -> int:
 
     print("\ntune smoke: fused kernel at the tuned geometry, sanitized")
     sanitizer = Sanitizer()
-    with use_sanitizer(sanitizer):
+    with use(sanitizer=sanitizer):
         tuned_launch(queue, x, iters)
     check(sanitizer.stats.launches == 1, "sanitizer observed the launch", failures)
     check(sanitizer.clean, "tuned-geometry launch is violation-free", failures)

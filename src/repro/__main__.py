@@ -607,10 +607,10 @@ def _cmd_trace(argv: list[str]) -> int:
     """
     import traceback
 
+    from repro.instruments import use
     from repro.observability import (
         Tracer,
         format_summary,
-        use_tracer,
         write_chrome_trace,
         write_jsonl,
     )
@@ -624,7 +624,7 @@ def _cmd_trace(argv: list[str]) -> int:
 
     tracer = Tracer()
     try:
-        with use_tracer(tracer):
+        with use(tracer=tracer):
             code = main(rest)
     except SystemExit as exc:  # argparse errors, explicit exits in wrapped cmds
         if exc.code is None:
@@ -749,13 +749,14 @@ def _sanitize_diff(argv: list[str]) -> int:
 def _cmd_sanitize(argv: list[str]) -> int:
     """The ``sanitize`` command: selftest / check / diff / wrapped command.
 
-    Wrapping installs a process-wide sanitizer, runs the inner command, and
+    Wrapping installs a sanitizer, runs the inner command, and
     prints the checking summary; a violation prints its structured report
     and exits 1 (the report still reaches any enclosing ``trace`` wrapper,
     which writes the trace collected up to the failure).
     """
     from repro.exceptions import BarrierDivergenceError, SanitizerError
-    from repro.sanitize import Sanitizer, format_summary, use_sanitizer
+    from repro.instruments import use
+    from repro.sanitize import Sanitizer, format_summary
 
     if not argv or argv[0] == "sanitize":
         raise SystemExit(
@@ -773,7 +774,7 @@ def _cmd_sanitize(argv: list[str]) -> int:
 
     sanitizer = Sanitizer()
     try:
-        with use_sanitizer(sanitizer):
+        with use(sanitizer=sanitizer):
             code = main(argv)
     except (SanitizerError, BarrierDivergenceError) as exc:
         print(str(exc), file=sys.stderr)
@@ -929,12 +930,13 @@ def _profile_export(argv: list[str]) -> int:
 def _cmd_profile(argv: list[str]) -> int:
     """The ``profile`` command: report / roofline / export / wrapped command.
 
-    Wrapping installs a process-wide profiler, runs the inner command, and
+    Wrapping installs a profiler, runs the inner command, and
     prints the measured-counter attribution for every kernel it launched —
     composing with ``trace`` and ``sanitize`` the same way they compose
     with each other.
     """
-    from repro.profile import Profiler, set_profiler
+    from repro.instruments import use
+    from repro.profile import Profiler
     from repro.profile.report import format_report
 
     if not argv or argv[0] == "profile":
@@ -955,11 +957,8 @@ def _cmd_profile(argv: list[str]) -> int:
             return 2
 
     profiler = Profiler()
-    set_profiler(profiler)
-    try:
+    with use(profiler=profiler):
         code = main(argv)
-    finally:
-        set_profiler(None)
     print()
     if profiler.kernel_names():
         print(format_report(profiler, "measured kernel counters"))
@@ -1146,7 +1145,8 @@ def _slo_wrap(argv: list[str]) -> int:
 
     from repro.bench.report import print_table
     from repro.observability.metrics import MetricsRegistry
-    from repro.telemetry import SloMonitor, TelemetryHub, use_event_log, use_hub
+    from repro.instruments import use
+    from repro.telemetry import SloMonitor, TelemetryHub
 
     options = {"threshold_ms": 500.0, "specs": None, "events_out": None}
     rest: list[str] = []
@@ -1175,7 +1175,7 @@ def _slo_wrap(argv: list[str]) -> int:
 
     hub = TelemetryHub()
     try:
-        with use_hub(hub), use_event_log(hub.event_log):
+        with use(hub=hub, events=hub.event_log):
             code = main(rest)
     except SystemExit as exc:
         if exc.code is None:
@@ -1532,7 +1532,8 @@ def _chaos_battery(argv: list[str]) -> int:
     from repro.chaos import ChaosInjector, FaultPlan
     from repro.chaos.plan import FAULT_KINDS
     from repro.chaos.replay import run_replay
-    from repro.recorder import FlightRecorder, use_recorder
+    from repro.instruments import use
+    from repro.recorder import FlightRecorder
 
     chaos = ChaosInjector(FaultPlan.battery(seed=args.fault_seed))
     items, factory = _chaos_trace_and_factory(args, chaos)
@@ -1543,7 +1544,7 @@ def _chaos_battery(argv: list[str]) -> int:
     recorder = FlightRecorder(
         capacity=4096, solve_capacity=1024, shard="chaos-battery"
     )
-    with use_recorder(recorder):
+    with use(recorder=recorder):
         report = run_replay(
             items,
             factory,
@@ -1612,11 +1613,12 @@ def _chaos_wrap(argv: list[str]) -> int:
         )
         return 2
 
-    from repro.chaos import ChaosInjector, FaultPlan, use_chaos
+    from repro.chaos import ChaosInjector, FaultPlan
+    from repro.instruments import use
 
     injector = ChaosInjector(FaultPlan.battery(seed=fault_seed))
     print(f"chaos: fault battery (seed {fault_seed}) installed for: {' '.join(rest)}")
-    with use_chaos(injector):
+    with use(chaos=injector):
         code = main(rest)
     counts = injector.injected_by_kind()
     summary = ", ".join(f"{k}={n}" for k, n in sorted(counts.items())) or "none"

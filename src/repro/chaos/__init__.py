@@ -17,15 +17,10 @@ scored — rather than merely working on clean benches.
   (diurnal/bursty/poisson, mixed mechanisms), paced open-loop into a
   service or fleet and scored through the PR-6 SLO monitor. Imported
   explicitly (``import repro.chaos.replay``) because it pulls in the
-  serving layer, which itself consults :func:`current_chaos` from here.
+  serving layer, which itself imports the injector from here.
 """
 
-from repro.chaos.injector import (
-    ChaosInjector,
-    current_chaos,
-    set_chaos,
-    use_chaos,
-)
+from repro.chaos.injector import ChaosInjector
 from repro.chaos.plan import (
     DEVICE_DELAY,
     FAULT_KINDS,
@@ -47,7 +42,4 @@ __all__ = [
     "SANITIZER_TRIP_FAULT",
     "SINGULAR_BATCH",
     "WORKER_DIE",
-    "current_chaos",
-    "set_chaos",
-    "use_chaos",
 ]

@@ -26,9 +26,9 @@ Every firing is counted on the service's ``chaos.injected`` metric
 chaos shows up in the same telemetry the SLO monitor scores.
 
 Injectors install either directly (``SolverService(..., chaos=inj)``)
-or ambiently for a scope (:func:`use_chaos` — the ``repro chaos``
-wrapper's mechanism): services pick up :func:`current_chaos` at
-construction.
+or ambiently for a scope (``repro.instruments.use(chaos=inj)`` — the
+``repro chaos`` wrapper's mechanism): services pick up the installed one
+at construction.
 """
 
 from __future__ import annotations
@@ -56,9 +56,6 @@ from repro.exceptions import (
 __all__ = [
     "ChaosInjector",
     "ChaosSanitizerReport",
-    "current_chaos",
-    "set_chaos",
-    "use_chaos",
 ]
 
 
@@ -136,7 +133,7 @@ class ChaosInjector:
             self._realize(spec, flush, matrix, b)
 
     def _record(self, service: Any, spec: FaultSpec, flush: Any, worker: Any, index: int) -> None:
-        from repro.recorder.recorder import TRIGGER_CHAOS_FAULT, current_recorder
+        from repro.recorder.recorder import TRIGGER_CHAOS_FAULT
         from repro.telemetry.events import CHAOS_INJECTED
 
         service.metrics.counter("chaos.injected").labels(kind=spec.kind).inc()
@@ -149,7 +146,7 @@ class ChaosInjector:
             batch_size=getattr(flush, "size", 0),
             worker=getattr(worker, "name", ""),
         )
-        recorder = getattr(service, "recorder", None) or current_recorder()
+        recorder = service.recorder
         if recorder is not None:
             # the authoritative victim list: every ticket co-batched into
             # the faulted flush, joined by trace id in the postmortem
@@ -200,42 +197,3 @@ class ChaosInjector:
             f"ChaosInjector(plan={self.plan!r}, flushes={self.flushes_seen}, "
             f"injected={self.total_injected})"
         )
-
-
-# -- ambient installation ------------------------------------------------------
-
-_install_lock = threading.Lock()
-_installed: ChaosInjector | None = None
-
-
-def current_chaos() -> ChaosInjector | None:
-    """The ambiently installed injector (None outside a chaos scope)."""
-    return _installed
-
-
-def set_chaos(injector: ChaosInjector | None) -> ChaosInjector | None:
-    """Install ``injector`` process-wide; returns the previous one."""
-    global _installed
-    with _install_lock:
-        previous = _installed
-        _installed = injector
-    return previous
-
-
-class use_chaos:
-    """Install an injector for a ``with`` scope, restoring the previous one.
-
-    Services constructed inside the scope pick it up automatically —
-    the mechanism behind ``repro chaos <command>``-style wrapping.
-    """
-
-    def __init__(self, injector: ChaosInjector | None) -> None:
-        self._injector = injector
-        self._previous: ChaosInjector | None = None
-
-    def __enter__(self) -> ChaosInjector | None:
-        self._previous = set_chaos(self._injector)
-        return self._injector
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        set_chaos(self._previous)

@@ -362,22 +362,24 @@ def run_replay(
 ) -> ReplayReport:
     """Replay ``items`` against a freshly built service and score the run.
 
-    ``make_service`` is called *inside* a :func:`~repro.telemetry.hub.use_hub`
-    scope so every service it constructs (a single :class:`SolverService`
-    or a whole fleet of shards) registers with one hub; the report's SLO
-    rows are :func:`default_slos` evaluated across all of them. Install
-    chaos by building the factory inside :func:`~repro.chaos.injector.use_chaos`
-    or by passing ``chaos=`` to the factory's service — the report picks
-    up firing counts from whatever injector the service carries.
+    ``make_service`` is called with a fresh hub (and its event log)
+    installed (:func:`repro.instruments.use`), so every service it
+    constructs (a single :class:`SolverService` or a whole fleet of
+    shards) registers with one hub; the report's SLO rows are
+    :func:`default_slos` evaluated across all of them. Install chaos by
+    calling this inside ``use(chaos=...)`` or by passing ``chaos=`` to the
+    factory's service — the report picks up firing counts from whatever
+    injector the service carries.
     """
     import time
 
-    from repro.telemetry.hub import TelemetryHub, use_hub
+    from repro.instruments import use
+    from repro.telemetry.hub import TelemetryHub
     from repro.telemetry.slo import default_slos
 
     report = ReplayReport(total=len(items))
     hub = TelemetryHub() if hub is None else hub
-    with use_hub(hub):
+    with use(hub=hub, events=hub.event_log):
         service = make_service()
     requests = trace_requests(
         items, seed, size=size, base_max_iterations=base_max_iterations
@@ -446,7 +448,7 @@ def run_replay(
                 "budget_consumed": status.budget_consumed,
             }
         )
-    chaos = getattr(service, "chaos", None) or getattr(service, "_chaos", None)
+    chaos = getattr(service, "chaos", None)
     if chaos is not None:
         report.injected = chaos.injected_by_kind()
     return report

@@ -14,6 +14,7 @@ BatchCsr format).
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -44,7 +45,8 @@ from repro.core.solver import (
 )
 from repro.core.stop import AbsoluteResidual, RelativeResidual
 from repro.exceptions import UnsupportedCombinationError
-from repro.observability.tracer import Tracer, current_tracer, use_tracer
+from repro.instruments import use
+from repro.observability.tracer import Tracer, current_tracer
 
 #: Registered batched matrix formats.
 FORMATS: dict[str, type] = {
@@ -319,7 +321,7 @@ class BatchSolverFactory:
         whole call, so the dispatch span encloses the solver and
         fused-kernel spans the lower layers emit.
         """
-        with use_tracer(self.tracer):
+        with nullcontext() if self.tracer is None else use(tracer=self.tracer):
             tracer = current_tracer()
             with tracer.span(
                 "dispatch.solve",

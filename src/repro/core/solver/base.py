@@ -12,6 +12,7 @@ their state exactly as a work-group that broke out of its loop would.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +24,8 @@ from repro.core.preconditioner.base import BatchPreconditioner
 from repro.core.preconditioner.identity import BatchIdentity
 from repro.core.stop import RelativeResidual, StoppingCriterion
 from repro.exceptions import DimensionMismatchError
-from repro.observability.tracer import NULL_TRACER, Tracer, current_tracer, use_tracer
+from repro.instruments import use
+from repro.observability.tracer import NULL_TRACER, Tracer, current_tracer
 
 
 @dataclass
@@ -262,7 +264,7 @@ class BatchIterativeSolver(ABC):
         else:
             x = matrix.check_vector("x0", x0).copy()
 
-        with use_tracer(tracer):
+        with nullcontext() if tracer is None else use(tracer=tracer):
             tr = current_tracer()
             ledger = TrafficLedger(fp_bytes=matrix.value_bytes)
             logger = ConvergenceLogger(matrix.num_batch, self.settings.keep_history)

@@ -29,6 +29,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro.instruments import current, use
 from repro.telemetry.slo import SloMonitor, default_slos
 
 #: Decision verdicts returned by :meth:`Autoscaler.evaluate`.
@@ -88,6 +89,9 @@ class Autoscaler:
         self.decisions: list[str] = []
         self._thread: threading.Thread | None = None
         self._stop = threading.Event()
+        # the loop thread runs under the observers installed here, so an
+        # SLO burn it detects reaches the installed flight recorder
+        self._instruments = current()
 
     # -- signal collection ----------------------------------------------------
 
@@ -219,11 +223,12 @@ class Autoscaler:
         self._stop.clear()
 
         def loop() -> None:
-            while not self._stop.wait(interval_s):
-                try:
-                    self.evaluate()
-                except Exception:  # the fleet may be closing under us
-                    return
+            with use(**vars(self._instruments)):
+                while not self._stop.wait(interval_s):
+                    try:
+                        self.evaluate()
+                    except Exception:  # the fleet may be closing under us
+                        return
 
         self._thread = threading.Thread(
             target=loop, name="fleet-autoscaler", daemon=True

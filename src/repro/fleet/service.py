@@ -35,9 +35,9 @@ from dataclasses import replace as dc_replace
 from repro.exceptions import ServiceClosedError, ServiceSaturatedError
 from repro.fleet.config import FleetConfig
 from repro.fleet.ring import HashRing, ring_token
+from repro.instruments import current, use
 from repro.observability.metrics import LogHistogram, MetricsRegistry
-from repro.observability.tracer import Tracer, current_tracer, use_tracer
-from repro.recorder.recorder import current_recorder
+from repro.observability.tracer import NULL_TRACER, Tracer
 from repro.serve.request import SolveOutcome, SolveRequest, SolveTicket
 from repro.serve.service import SolverService
 from repro.telemetry.events import (
@@ -45,9 +45,7 @@ from repro.telemetry.events import (
     REQUEST_REJECTED,
     REQUEST_REROUTED,
     EventLog,
-    current_event_log,
 )
-from repro.telemetry.hub import current_hub
 
 #: Shard lifecycle states.
 ACTIVE = "active"
@@ -83,9 +81,13 @@ class FleetService:
             fleet.scale_up()        # adds shard-2, remaps ~1/3 of keys
             fleet.scale_down()      # drains the least-loaded shard
 
-    A ``tracer`` passed here is threaded into every shard service, so a
-    request's journey — ``fleet.route`` span → shard flush span (linked
-    via the request's trace context) — renders on one timeline.
+    The fleet captures the installed observers
+    (:func:`repro.instruments.current`) when it is built, explicit
+    ``tracer`` and ``chaos`` arguments overriding them, and builds every
+    shard under that record, so a request's journey — ``fleet.route`` span
+    → shard flush span (linked via the request's trace context) — renders
+    on one timeline. An installed flight recorder becomes one sibling
+    recorder per shard.
     """
 
     def __init__(
@@ -95,25 +97,21 @@ class FleetService:
         chaos: object | None = None,
     ) -> None:
         self.config = config if config is not None else FleetConfig()
-        self._tracer = tracer
         # one injector is shared by every shard: the fault plan's flush
         # sequence is fleet-global, so a seeded battery hits the same
         # schedule whether it runs against 1 shard or 8
-        self._chaos = chaos
+        explicit = {"tracer": tracer, "chaos": chaos}
+        self._instruments = dc_replace(
+            current(), **{k: v for k, v in explicit.items() if v is not None}
+        )
+        self.chaos = self._instruments.chaos
         self.metrics = MetricsRegistry()
-        # same event-log fallback chain as SolverService: a wrapper hub
-        # wins, then a process-installed log, then a private bounded ring
-        hub = current_hub()
-        if hub is not None:
-            hub.register(self.metrics)
-            self.events: EventLog = hub.event_log
-        else:
-            installed = current_event_log()
-            self.events = (
-                installed
-                if installed is not None
-                else EventLog(capacity=self.config.serve.event_log_capacity)
-            )
+        if self._instruments.hub is not None:
+            self._instruments.hub.register(self.metrics)
+        self.events = self._instruments.events
+        if self.events is None:
+            self.events = EventLog(capacity=self.config.serve.event_log_capacity)
+            self.events.recorder = self._instruments.recorder
         self.ring = HashRing(self.config.virtual_nodes)
         self._shards: dict[str, ShardReplica] = {}
         self._owners: OrderedDict[str, str] = OrderedDict()  # ring token -> shard
@@ -134,17 +132,15 @@ class FleetService:
                 self.config.serve,
                 tuning_db_path=self.config.shard_tuning_path(name),
             )
-            # per-shard black box: an ambient flight recorder becomes one
+            # per-shard black box: an installed flight recorder becomes one
             # sibling recorder per replica, stamped with the shard name,
             # so each shard's bundles merge in the cross-shard postmortem
-            ambient = current_recorder()
-            recorder = None if ambient is None else ambient.for_shard(name)
-            service = SolverService(
-                serve_config,
-                tracer=self._tracer,
-                chaos=self._chaos,
-                recorder=recorder,
-            )
+            recorder = self._instruments.recorder
+            with use(**vars(self._instruments)):
+                service = SolverService(
+                    serve_config,
+                    recorder=None if recorder is None else recorder.for_shard(name),
+                )
             shard = ShardReplica(name, service)
             self._shards[name] = shard
             self.ring.add(name)
@@ -215,19 +211,19 @@ class FleetService:
             self._note_owner(key, owner, request)
             self.metrics.counter("fleet.requests").inc()
             self.metrics.counter("fleet.routed").labels(shard=owner).inc()
-        with use_tracer(self._tracer):
-            # the router's leg of the journey: pinned to the request's
-            # trace, so it links up with the shard's flush span (which
-            # `span.link`s the same context at flush time)
-            with current_tracer().span(
-                "fleet.route",
-                category="fleet",
-                context=request.trace_context,
-                shard=owner,
-                solver=request.solver,
-                num_rows=request.num_rows,
-            ):
-                return shard.service.submit(request)
+        tracer = self._instruments.tracer or NULL_TRACER
+        # the router's leg of the journey: pinned to the request's trace,
+        # so it links up with the shard's flush span (which `span.link`s
+        # the same context at flush time)
+        with tracer.span(
+            "fleet.route",
+            category="fleet",
+            context=request.trace_context,
+            shard=owner,
+            solver=request.solver,
+            num_rows=request.num_rows,
+        ):
+            return shard.service.submit(request)
 
     def _note_owner(self, key, owner: str, request: SolveRequest) -> None:
         """Track key ownership; emit ``request.rerouted`` on a change.
@@ -388,7 +384,8 @@ class FleetService:
 
         Returns the bundle paths — feed them (or the parent directory)
         to ``repro postmortem analyze`` for the cross-shard story. Shards
-        without a recorder (no ambient one at start) are skipped.
+        without a recorder (none installed when the fleet was built) are
+        skipped.
         """
         bundles = []
         for shard in self.shards():

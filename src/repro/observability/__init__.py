@@ -26,10 +26,11 @@ Instrumented layers: :mod:`repro.sycl.queue` / :mod:`repro.sycl.executor`
 
 Usage::
 
-    from repro.observability import Tracer, use_tracer, write_chrome_trace
+    from repro.instruments import use
+    from repro.observability import Tracer, write_chrome_trace
 
     tracer = Tracer()
-    with use_tracer(tracer):
+    with use(tracer=tracer):
         factory.solve(matrix, b)          # all layers feed the tracer
     write_chrome_trace(tracer, "trace.json")
 
@@ -62,9 +63,7 @@ from repro.observability.tracer import (
     TraceEvent,
     Tracer,
     current_tracer,
-    set_tracer,
     traced,
-    use_tracer,
 )
 from repro.observability.export import (
     chrome_trace,
@@ -98,10 +97,8 @@ __all__ = [
     "new_span_id",
     "new_trace_id",
     "set_trace_context",
-    "set_tracer",
     "summary_rows",
     "traced",
-    "use_tracer",
     "use_trace_context",
     "validate_chrome_trace",
     "write_chrome_trace",

@@ -12,8 +12,8 @@ Instrumented library code never takes a tracer parameter explicitly; it
 asks :func:`current_tracer` for the installed tracer and gets
 :data:`NULL_TRACER` — whose every method is a no-op returning shared
 singletons — when tracing is off. Public solve APIs additionally accept an
-opt-in ``tracer=`` argument which they install via :func:`use_tracer` for
-the duration of the call.
+opt-in ``tracer=`` argument which they install with
+:func:`repro.instruments.use` for the duration of the call.
 
 Thread safety: finished records append under a lock; the *open-span stack*
 lives in a :class:`contextvars.ContextVar`, so concurrent solves on
@@ -34,6 +34,7 @@ import threading
 import time
 from typing import Any, Callable
 
+from repro.instruments import current
 from repro.observability.context import (
     TraceContext,
     current_trace_context,
@@ -48,14 +49,12 @@ __all__ = [
     "NullTracer",
     "NULL_TRACER",
     "current_tracer",
-    "set_tracer",
-    "use_tracer",
     "traced",
 ]
 
 #: Open spans of the calling execution context, innermost last. One stack
 #: is shared by all tracers; parentage and ``current_span`` filter by the
-#: owning tracer so nested ``use_tracer`` scopes stay independent.
+#: owning tracer so nested tracer installations stay independent.
 _SPAN_STACK: contextvars.ContextVar[tuple] = contextvars.ContextVar(
     "repro_span_stack", default=()
 )
@@ -464,56 +463,11 @@ _NULL_SPAN = _NullSpan()
 #: when nothing is installed).
 NULL_TRACER = NullTracer()
 
-_install_lock = threading.Lock()
-_installed: Tracer = NULL_TRACER
-
 
 def current_tracer() -> Tracer:
     """The installed tracer, or :data:`NULL_TRACER` when tracing is off."""
-    return _installed
-
-
-def set_tracer(tracer: Tracer | None) -> Tracer:
-    """Install ``tracer`` process-wide; returns the previously installed one.
-
-    ``None`` uninstalls (equivalent to installing :data:`NULL_TRACER`).
-    """
-    global _installed
-    with _install_lock:
-        previous = _installed
-        _installed = tracer if tracer is not None else NULL_TRACER
-    return previous
-
-
-class _UseTracer:
-    """Context manager installing a tracer for a scope (re-entrant)."""
-
-    __slots__ = ("tracer", "_previous")
-
-    def __init__(self, tracer: Tracer | None) -> None:
-        self.tracer = tracer
-        self._previous: Tracer | None = None
-
-    def __enter__(self) -> Tracer:
-        if self.tracer is None:  # "no change" — keep whatever is installed
-            self._previous = None
-            return current_tracer()
-        self._previous = set_tracer(self.tracer)
-        return self.tracer
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self.tracer is not None and self._previous is not None:
-            set_tracer(self._previous)
-
-
-def use_tracer(tracer: Tracer | None) -> _UseTracer:
-    """Install ``tracer`` for a ``with`` scope, restoring the previous one.
-
-    ``use_tracer(None)`` is a cheap no-op scope (keeps the current tracer)
-    so call sites can unconditionally write
-    ``with use_tracer(maybe_tracer): ...``.
-    """
-    return _UseTracer(tracer)
+    tracer = current().tracer
+    return NULL_TRACER if tracer is None else tracer
 
 
 def traced(name: str | None = None, category: str = "function", **static_args: Any):

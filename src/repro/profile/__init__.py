@@ -2,7 +2,7 @@
 
 Layer 8 of the stack: a hardware-counter-style profiler for the simulated
 execution model. While a :class:`~repro.profile.profiler.Profiler` is
-installed (:func:`use_profiler` / :func:`set_profiler`), every kernel
+installed (``repro.instruments.use(profiler=...)``), every kernel
 launch on either backend counts FLOPs, global-memory and SLM bytes,
 barriers, group/sub-group collectives and divergence events, attributed
 to solver phases (``spmv``, ``precond``, ``blas1``, ``reduction``) via
@@ -16,13 +16,7 @@ On top of the raw counters sit the attribution report
 drift detection (:mod:`repro.profile.roofline`).
 """
 
-from repro.profile.context import (
-    current_profiler,
-    kernel_phase,
-    profiling,
-    set_profiler,
-    use_profiler,
-)
+from repro.profile.context import kernel_phase
 from repro.profile.counters import PHASES, KernelProfile, PhaseCounters
 from repro.profile.profiler import LaunchProfile, Profiler
 
@@ -32,9 +26,5 @@ __all__ = [
     "LaunchProfile",
     "PhaseCounters",
     "Profiler",
-    "current_profiler",
     "kernel_phase",
-    "profiling",
-    "set_profiler",
-    "use_profiler",
 ]

@@ -1,19 +1,17 @@
-"""Installation of the active profiler (mirrors the sanitizer's pattern).
+"""The launch in flight, for the kernels' phase markers.
 
 The execution-model simulators never take a profiler parameter: the
-executor asks :func:`current_profiler` at launch time and gets ``None``
-when counter collection is off, so unprofiled launches pay a single
-contextvar lookup. Profiled regions install a
-:class:`~repro.profile.Profiler` with :func:`use_profiler` (a context
-manager, safely nestable) or process-wide with :func:`set_profiler`
-(what the ``python -m repro profile <cmd>`` CLI does).
+executor reads ``repro.instruments.current().profiler`` at launch time and
+gets ``None`` when counter collection is off, so unprofiled launches pay
+a single contextvar lookup. Profiled regions install a
+:class:`~repro.profile.Profiler` with ``repro.instruments.use(profiler=...)``.
 
-A second contextvar holds the *launch in flight*: while the executor is
-advancing a kernel's work-items it installs the launch's
-:class:`~repro.profile.profiler.LaunchProfile` so the lightweight phase
-markers in :mod:`repro.kernels` (:func:`kernel_phase`) can find it
-without any parameter threading. When no profiler is installed the
-marker costs one contextvar lookup returning ``None``.
+While the executor is advancing a kernel's work-items it installs the
+launch's :class:`~repro.profile.profiler.LaunchProfile` in a contextvar of
+its own so the lightweight phase markers in :mod:`repro.kernels`
+(:func:`kernel_phase`) can find it without any parameter threading. When
+no profiler is installed the marker costs one contextvar lookup
+returning ``None``.
 """
 
 from __future__ import annotations
@@ -22,61 +20,11 @@ import contextvars
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
-    from repro.profile.profiler import LaunchProfile, Profiler
-
-_PROFILER: contextvars.ContextVar["Profiler | None"] = contextvars.ContextVar(
-    "repro_profiler", default=None
-)
+    from repro.profile.profiler import LaunchProfile
 
 _ACTIVE_LAUNCH: contextvars.ContextVar["LaunchProfile | None"] = contextvars.ContextVar(
     "repro_profile_active_launch", default=None
 )
-
-
-def current_profiler() -> "Profiler | None":
-    """The profiler installed for the current context (``None`` = off)."""
-    return _PROFILER.get()
-
-
-def set_profiler(profiler: "Profiler | None") -> "Profiler | None":
-    """Install ``profiler`` process-wide; returns the previous one."""
-    previous = _PROFILER.get()
-    _PROFILER.set(profiler)
-    return previous
-
-
-def profiling() -> bool:
-    """True when a profiler is installed in the current context."""
-    return _PROFILER.get() is not None
-
-
-class _UseProfiler:
-    """Context manager installing a profiler for a dynamic extent."""
-
-    def __init__(self, profiler: "Profiler | None") -> None:
-        self._profiler = profiler
-        self._token: contextvars.Token | None = None
-
-    def __enter__(self) -> "Profiler | None":
-        self._token = _PROFILER.set(self._profiler)
-        return self._profiler
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self._token is not None:
-            _PROFILER.reset(self._token)
-            self._token = None
-
-
-def use_profiler(profiler: "Profiler | None") -> _UseProfiler:
-    """``with use_profiler(Profiler()): ...`` — scoped installation.
-
-    Passing ``None`` disables collection inside the block (carves an
-    unprofiled region out of a profiled run).
-    """
-    return _UseProfiler(profiler)
-
-
-# -- the launch in flight (set by the executor, read by phase markers) --------
 
 
 def set_active_launch(launch: "LaunchProfile | None") -> contextvars.Token:

@@ -2,8 +2,8 @@
 
 A :class:`Profiler` collects :class:`~repro.profile.counters.KernelProfile`
 records keyed by kernel name. The executor (shared by the SYCL queue and
-the CUDA stream — :func:`repro.sycl.executor.launch`) asks
-:func:`~repro.profile.context.current_profiler` once per launch; when one
+the CUDA stream — :func:`repro.sycl.executor.launch`) reads
+``repro.instruments.current().profiler`` once per launch; when one
 is installed it opens a :class:`LaunchProfile`, wraps the launch's global
 arrays and every work-group's SLM in counting proxies, and reports each
 completed collective and divergence event. The launch's counters merge

@@ -16,12 +16,12 @@ import numpy as np
 
 from repro.core.matrix.batch_csr import BatchCsr
 from repro.cudasim.device import a100_device
+from repro.instruments import use
 from repro.kernels import (
     run_batch_bicgstab_on_device,
     run_batch_cg_on_device,
     run_batch_richardson_on_device,
 )
-from repro.profile.context import use_profiler
 from repro.profile.profiler import Profiler
 from repro.sycl.device import pvc_stack_device
 from repro.workloads.pele import MECHANISMS, pele_batch, pele_rhs
@@ -69,7 +69,7 @@ def run_profiled(
     if preconditioner == "jacobi":
         inv_diag = 1.0 / matrix.diagonal()
     prof = profiler if profiler is not None else Profiler()
-    with use_profiler(prof):
+    with use(profiler=prof):
         if solver == "cg":
             run_batch_cg_on_device(
                 device,

@@ -56,16 +56,10 @@ from repro.recorder.recorder import (
     TRIGGER_SANITIZER_TRIP,
     TRIGGER_SLO_BURN,
     FlightRecorder,
-    current_recorder,
-    set_recorder,
-    use_recorder,
 )
 
 __all__ = [
     "FlightRecorder",
-    "current_recorder",
-    "set_recorder",
-    "use_recorder",
     "TRIGGER_ERROR_5XX",
     "TRIGGER_SANITIZER_TRIP",
     "TRIGGER_BREAKER_OPEN",

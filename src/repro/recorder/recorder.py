@@ -45,9 +45,6 @@ __all__ = [
     "TRIGGER_CHAOS_FAULT",
     "TRIGGER_MANUAL",
     "TRIGGER_REASONS",
-    "current_recorder",
-    "set_recorder",
-    "use_recorder",
 ]
 
 # -- the trigger vocabulary ---------------------------------------------------
@@ -315,45 +312,3 @@ class FlightRecorder:
             f"FlightRecorder(events={self.events_seen}, "
             f"solves={self.solves_seen}, dumps={self.dumps_written})"
         )
-
-
-# -- ambient installation (mirrors tracer/event-log/chaos) --------------------
-
-_install_lock = threading.Lock()
-_installed: FlightRecorder | None = None
-
-
-def current_recorder() -> FlightRecorder | None:
-    """The installed recorder, or ``None`` when the black box is off."""
-    return _installed
-
-
-def set_recorder(recorder: FlightRecorder | None) -> FlightRecorder | None:
-    """Install ``recorder`` process-wide; returns the previous one."""
-    global _installed
-    with _install_lock:
-        previous = _installed
-        _installed = recorder
-    return previous
-
-
-class use_recorder:
-    """Install a recorder for a ``with`` scope, restoring the previous one."""
-
-    __slots__ = ("recorder", "_previous", "_installed_here")
-
-    def __init__(self, recorder: FlightRecorder | None) -> None:
-        self.recorder = recorder
-        self._previous: FlightRecorder | None = None
-        self._installed_here = False
-
-    def __enter__(self) -> FlightRecorder | None:
-        if self.recorder is None:  # "no change" scope, like use_tracer(None)
-            return current_recorder()
-        self._previous = set_recorder(self.recorder)
-        self._installed_here = True
-        return self.recorder
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self._installed_here:
-            set_recorder(self._previous)

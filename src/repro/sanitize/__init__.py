@@ -1,10 +1,11 @@
 """Kernel sanitizer for the simulated SYCL/CUDA execution model.
 
 An opt-in checking layer over :mod:`repro.sycl` and :mod:`repro.cudasim`:
-install a :class:`Sanitizer` with :func:`use_sanitizer` (or ``python -m
-repro sanitize <cmd>``) and every kernel launch is executed under shadow
-state detecting SLM data races, uninitialized and out-of-bounds SLM
-accesses, barrier divergence, and group/sub-group collective misuse.
+install a :class:`Sanitizer` with ``repro.instruments.use(sanitizer=...)``
+(or ``python -m repro sanitize <cmd>``) and every kernel launch is executed
+under shadow state detecting SLM data races, uninitialized and
+out-of-bounds SLM accesses, barrier divergence, and group/sub-group
+collective misuse.
 Violations raise subclasses of :class:`~repro.exceptions.SanitizerError`
 carrying a structured :class:`SanitizerReport`.
 
@@ -21,12 +22,6 @@ from repro.exceptions import (
     SlmOutOfBoundsError,
     SlmRaceError,
     UninitializedSlmReadError,
-)
-from repro.sanitize.context import (
-    current_sanitizer,
-    sanitizing,
-    set_sanitizer,
-    use_sanitizer,
 )
 from repro.sanitize.report import (
     ALL_KINDS,
@@ -57,10 +52,6 @@ __all__ = [
     "ShadowArray",
     "ShadowLocal",
     "format_summary",
-    "current_sanitizer",
-    "set_sanitizer",
-    "use_sanitizer",
-    "sanitizing",
     "SanitizerError",
     "SlmRaceError",
     "UninitializedSlmReadError",

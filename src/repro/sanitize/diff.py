@@ -41,12 +41,12 @@ import numpy as np
 from repro.core.dispatch import BatchSolverFactory
 from repro.core.matrix.batch_csr import BatchCsr
 from repro.cudasim.device import a100_device
+from repro.instruments import use
 from repro.kernels import (
     run_batch_bicgstab_on_device,
     run_batch_cg_on_device,
     run_batch_richardson_on_device,
 )
-from repro.sanitize.context import use_sanitizer
 from repro.sanitize.sanitizer import Sanitizer, SanitizerConfig
 from repro.sycl.device import pvc_stack_device
 
@@ -228,7 +228,7 @@ def run_backend(
         return BackendRun(x, iters, history, summary)
 
     sanitizer = Sanitizer(config)
-    with use_sanitizer(sanitizer):
+    with use(sanitizer=sanitizer):
         x, iters, _ = dispatch()
     return BackendRun(x, iters, history, sanitizer.summary())
 

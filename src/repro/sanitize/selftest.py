@@ -19,12 +19,12 @@ from typing import Callable
 import numpy as np
 
 from repro.exceptions import BarrierDivergenceError, SanitizerError
+from repro.instruments import use
 
 #: Everything the sanitizer raises: BarrierDivergenceError predates the
 #: sanitizer (the bare executor raises it too) so it is not a SanitizerError.
 SANITIZER_EXCEPTIONS = (SanitizerError, BarrierDivergenceError)
 from repro.sanitize import report as _report
-from repro.sanitize.context import use_sanitizer
 from repro.sanitize.sanitizer import Sanitizer, SanitizerConfig
 from repro.sycl.memory import LocalSpec
 from repro.sycl.ndrange import NDRange
@@ -228,7 +228,7 @@ def run_case(case: SelftestCase, config: SanitizerConfig | None = None) -> Selft
     got: str | None = None
     message = "no violation"
     try:
-        with use_sanitizer(sanitizer):
+        with use(sanitizer=sanitizer):
             queue.parallel_for(
                 NDRange(_WG * _GROUPS, _WG, _SG),
                 case.kernel,

@@ -65,11 +65,6 @@ class ServeConfig:
         When true, systems that fail or do not converge in a flushed batch
         are retried *individually* with the direct-LU fallback solver, so
         one pathological system never fails its co-batched neighbours.
-    shards_per_flush:
-        When > 1, each flushed batch is block-partitioned across this many
-        simulated device lanes (:func:`repro.multi.partition_batch`) and
-        solved shard-by-shard with per-lane trace spans — the paper's
-        multi-GPU distribution applied to a single flush.
     plan_cache_capacity:
         Maximum number of resolved execution plans kept (LRU).
     tuning_db_path:
@@ -136,7 +131,6 @@ class ServeConfig:
     execution: str = "vectorized"
     request_timeout_ms: float | None = None
     fallback: bool = True
-    shards_per_flush: int = 1
     plan_cache_capacity: int = 256
     tuning_db_path: str | None = None
     telemetry_sample_rate: float = 1.0
@@ -173,10 +167,6 @@ class ServeConfig:
         if self.request_timeout_ms is not None and self.request_timeout_ms <= 0:
             raise ValueError(
                 f"request_timeout_ms must be positive or None, got {self.request_timeout_ms}"
-            )
-        if self.shards_per_flush <= 0:
-            raise ValueError(
-                f"shards_per_flush must be positive, got {self.shards_per_flush}"
             )
         if self.plan_cache_capacity <= 0:
             raise ValueError(

@@ -31,7 +31,7 @@ from dataclasses import replace as dc_replace
 
 import numpy as np
 
-from repro.chaos.injector import ChaosInjector, current_chaos
+from repro.chaos.injector import ChaosInjector
 from repro.core.solver.base import BatchSolveResult
 from repro.exceptions import (
     CircuitOpenError,
@@ -40,16 +40,15 @@ from repro.exceptions import (
     ServiceClosedError,
     ServiceSaturatedError,
 )
-from repro.multi.distributed import partition_batch
+from repro.instruments import current, use
 from repro.observability.metrics import MetricsRegistry
-from repro.observability.tracer import Tracer, current_tracer, use_tracer
+from repro.observability.tracer import Tracer, current_tracer
 from repro.recorder.classify import solve_summary
 from repro.recorder.recorder import (
     TRIGGER_BREAKER_OPEN,
     TRIGGER_ERROR_5XX,
     TRIGGER_SANITIZER_TRIP,
     FlightRecorder,
-    current_recorder,
 )
 from repro.telemetry.events import (
     BREAKER_CLOSE,
@@ -64,9 +63,7 @@ from repro.telemetry.events import (
     REQUEST_TIMED_OUT,
     SANITIZER_TRIP,
     EventLog,
-    current_event_log,
 )
-from repro.telemetry.hub import current_hub
 from repro.serve.batcher import FlushBatch, MicroBatcher
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.config import ServeConfig
@@ -82,9 +79,6 @@ from repro.serve.request import (
 from repro.serve.workers import Worker, WorkerPool
 from repro.sycl.device import SyclDevice, pvc_stack_device
 
-#: Chrome-trace lane base for intra-flush shards (matches repro.multi).
-_SHARD_LANE_BASE = 100
-
 
 class SolverService:
     """Serve individual solve requests through the batched solvers.
@@ -95,9 +89,11 @@ class SolverService:
             tickets = [service.submit(req) for req in requests]
             outcomes = [t.result(timeout=5.0) for t in tickets]
 
-    A ``tracer`` passed here is installed for the duration of every flush
-    execution, so traces show queue-wait, assembly, solve and scatter
-    spans on per-worker lanes.
+    The service captures the installed observers
+    (:func:`repro.instruments.current`) when it is built; explicit
+    ``tracer``, ``chaos`` and ``recorder`` arguments override them. Every
+    flush runs under that record, whichever thread issued it, so traces
+    show queue-wait, assembly, solve and scatter spans on per-worker lanes.
     """
 
     def __init__(
@@ -110,31 +106,22 @@ class SolverService:
         recorder: FlightRecorder | None = None,
     ) -> None:
         self.config = config if config is not None else ServeConfig()
-        # fault injection: an explicit injector wins, else whatever a
-        # surrounding `use_chaos` scope (the `repro chaos` wrapper) installed
-        self.chaos = chaos if chaos is not None else current_chaos()
-        # black-box flight recorder: explicit wins, else the ambient
-        # `use_recorder` scope; None keeps the serving hot path untouched
-        self.recorder = recorder if recorder is not None else current_recorder()
+        explicit = {"tracer": tracer, "chaos": chaos, "recorder": recorder}
+        self._instruments = dc_replace(
+            current(), **{k: v for k, v in explicit.items() if v is not None}
+        )
+        self.chaos = self._instruments.chaos
+        self.recorder = self._instruments.recorder
         self.device = device if device is not None else self._default_device()
         self.metrics = MetricsRegistry()
-        # structured event log: a `repro slo <command>` wrapper hub wins,
-        # then a process-installed log, then a private bounded ring
-        hub = current_hub()
-        if hub is not None:
-            hub.register(self.metrics)
-            self.events: EventLog = hub.event_log
-        else:
-            installed = current_event_log()
-            self.events = (
-                installed
-                if installed is not None
-                else EventLog(capacity=self.config.event_log_capacity)
-            )
-            if installed is None and self.recorder is not None:
-                # a private log taps this service's own recorder, so a
-                # fleet shard's events land in its per-shard black box
-                self.events.recorder = self.recorder
+        if self._instruments.hub is not None:
+            self._instruments.hub.register(self.metrics)
+        self.events = self._instruments.events
+        if self.events is None:
+            # a private bounded ring, tapping this service's own recorder
+            # so a fleet shard's events land in its per-shard black box
+            self.events = EventLog(capacity=self.config.event_log_capacity)
+            self.events.recorder = self.recorder
         if tuning_db is None and self.config.tuning_db_path is not None:
             from repro.tune.db import TuningDB
 
@@ -171,7 +158,6 @@ class SolverService:
             if self.config.breaker_enabled
             else None
         )
-        self._tracer = tracer
         self._pending = 0
         self._tenant_pending: dict[str, int] = {}
         self._closed = False
@@ -340,7 +326,7 @@ class SolverService:
                 return
         self.metrics.counter("serve.flushes").inc()
         self.metrics.counter(f"serve.flushes.{flush.reason}").inc()
-        self.metrics.histogram("serve.batch_size").observe(flush.size)
+        self.metrics.log_histogram("serve.batch_size").observe(flush.size)
         self.pool.submit(lambda worker: self._execute_flush(flush, worker))
 
     def _fail_parked(self) -> None:
@@ -354,7 +340,7 @@ class SolverService:
     # -- flush execution ------------------------------------------------------------
 
     def _execute_flush(self, flush: FlushBatch, worker: Worker) -> None:
-        with use_tracer(self._tracer):
+        with use(**vars(self._instruments)):
             tracer = current_tracer()
             now = monotonic_ns()
             key = flush.key
@@ -386,7 +372,6 @@ class SolverService:
                         )
                     else:
                         wait_ms = (now - ticket.submitted_ns) / 1e6
-                        self.metrics.histogram("serve.queue_wait_ms").observe(wait_ms)
                         self.metrics.log_histogram("serve.queue_wait_hdr_ms").observe(
                             wait_ms
                         )
@@ -516,21 +501,10 @@ class SolverService:
                 cache_hit=cache_hit,
                 trace_ids=trace_ids,
             )
-            logger = result.logger
-            curves = logger.residual_curves()
-            frozen = logger.frozen
-            if len(curves) != result.num_batch:
-                # sharded flush: the logger covers shard 0 only; degrade
-                # to single-point curves so classes still line up 1:1
-                curves = [
-                    np.asarray([result.residual_norms[i]])
-                    for i in range(result.num_batch)
-                ]
-                frozen = np.zeros(result.num_batch, dtype=bool)
             summary = solve_summary(
-                curves,
+                result.logger.residual_curves(),
                 converged=result.converged,
-                frozen=frozen,
+                frozen=result.logger.frozen,
                 iterations=result.iterations,
                 max_iterations=getattr(plan.resolved, "max_iterations", 0),
                 solver=result.solver_name,
@@ -593,12 +567,10 @@ class SolverService:
     ) -> BatchSolveResult:
         """Solve one assembled flush on the worker's device context.
 
-        The solve runs as a host task on the worker's queue/stream (so it
-        lands in the device event log); large flushes are optionally
-        block-partitioned across simulated device lanes, the paper's
-        multi-GPU distribution applied within a flush.
+        The solve runs as a host task on the worker's queue/stream, on
+        the fused device kernels when ``execution="kernel"`` covers the
+        dispatch and on the vectorized solvers otherwise.
         """
-        shards = self.config.shards_per_flush
         key = plan.resolved
 
         if self.config.execution == "kernel":
@@ -621,33 +593,7 @@ class SolverService:
             ).inc()
 
         def run() -> BatchSolveResult:
-            if shards <= 1 or matrix.num_batch < shards:
-                solver = plan.build_solver(matrix)
-                return solver.solve(b, x0=x0)
-            tracer = current_tracer()
-            parts = partition_batch(matrix.num_batch, shards)
-            results = []
-            for rank, sl in enumerate(parts):
-                with tracer.span(
-                    f"serve.shard{rank}",
-                    category="serve.lane",
-                    tid=_SHARD_LANE_BASE + rank,
-                    rank=rank,
-                    batch_items=sl.stop - sl.start,
-                ):
-                    solver = plan.build_solver(matrix.take_batch(sl))
-                    results.append(
-                        solver.solve(b[sl], x0=None if x0 is None else x0[sl])
-                    )
-            return BatchSolveResult(
-                x=np.vstack([r.x for r in results]),
-                iterations=np.concatenate([r.iterations for r in results]),
-                residual_norms=np.concatenate([r.residual_norms for r in results]),
-                converged=np.concatenate([r.converged for r in results]),
-                logger=results[0].logger,
-                ledger=results[0].ledger,
-                solver_name=results[0].solver_name,
-            )
+            return plan.build_solver(matrix).solve(b, x0=x0)
 
         result, _event = worker.context.submit_host_task(
             run,
@@ -679,7 +625,7 @@ class SolverService:
 
         Returns ``None`` when the resolved dispatch falls outside what the
         fused kernels cover (solver, preconditioner, criterion, format,
-        warm starts, sharding) or the worker context speaks the CUDA
+        warm starts) or the worker context speaks the CUDA
         dialect — the caller then falls back to the vectorized path and
         counts the miss on ``serve.kernel_fallbacks``.
         """
@@ -701,7 +647,6 @@ class SolverService:
             or resolved.matrix_format != "csr"
             or resolved.criterion_cls is not RelativeResidual
             or resolved.preconditioner_cls not in (None, BatchIdentity, BatchJacobi)
-            or self.config.shards_per_flush > 1
             or not isinstance(worker.context, Queue)
         ):
             return None
@@ -933,10 +878,9 @@ class SolverService:
         # tail-based sampling: judge against the p99 *before* folding this
         # sample in, once enough history exists to make p99 meaningful
         tail = hdr.count >= 64 and latency_ms >= hdr.percentile(99.0)
-        self.metrics.histogram("serve.latency_ms").observe(latency_ms)
-        # HDR-style streaming twin: bounded memory, mergeable, and what the
-        # Prometheus exposition renders as a classic histogram — with the
-        # trace id as the bucket's exemplar, so p99 names a real request
+        # bounded memory, mergeable, and what the Prometheus exposition
+        # renders as a classic histogram — with the trace id as the
+        # bucket's exemplar, so p99 names a real request
         hdr.observe(latency_ms, trace_id=ctx.trace_id)
         self.events.emit(
             REQUEST_SOLVED,

@@ -5,10 +5,11 @@ a lockstep :class:`repro.wide.queue.WideQueue` on a PVC stack device, or
 a :class:`repro.cudasim.stream.Stream` on an A100 — and drains its own
 job queue. Flushed batches are submitted to the
 least-loaded worker and executed as *host tasks* on that worker's
-queue/stream, so every flush lands in the device's in-order event log and
-on its own trace lane (``tid`` = :data:`WORKER_LANE_BASE` + index), the
-same one-row-per-device picture :mod:`repro.multi` paints for
-distributed solves.
+queue/stream, in order, each on the worker's own trace lane (``tid`` =
+:data:`WORKER_LANE_BASE` + index), the same one-row-per-device picture
+:mod:`repro.multi` paints for distributed solves. The worker clears its
+context's event log after every job, so a long-running service holds no
+per-flush events.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ class Worker(threading.Thread):
             except Exception:  # the job owns error delivery; never kill the thread
                 traceback.print_exc()
             finally:
+                self.context.reset_events()
                 self.completed += 1
                 self.jobs.task_done()
 

@@ -21,13 +21,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
 from repro.exceptions import BarrierDivergenceError, KernelFaultError
+from repro.instruments import current
 from repro.observability.tracer import current_tracer
-from repro.profile.context import (
-    current_profiler,
-    reset_active_launch,
-    set_active_launch,
-)
-from repro.sanitize.context import current_sanitizer
+from repro.profile.context import reset_active_launch, set_active_launch
 from repro.sanitize.report import AccessSite
 from repro.sycl.device import SyclDevice
 from repro.sycl.group import GROUP, SUB_GROUP, NDItem, SyncOp, evaluate_collective
@@ -301,9 +297,9 @@ def launch(
     Raises the same classes of errors a strict SYCL runtime would: invalid
     sub-group/work-group sizes, SLM over-subscription, and (beyond real
     runtimes) deterministic barrier-divergence detection. When a sanitizer
-    is installed (:func:`repro.sanitize.use_sanitizer`) every work-group
+    is installed (:mod:`repro.instruments`) every work-group
     additionally runs under shadow-memory and convergence checking; when a
-    profiler is installed (:func:`repro.profile.use_profiler`) every
+    profiler is installed every
     global/SLM access, collective and divergence event is counted into
     per-phase hardware counters. The two compose: the profiler wraps
     *outside* the sanitizer's shadow views so both observe every access.
@@ -321,8 +317,8 @@ def launch(
         sub_group_size=ndrange.sub_group_size,
         slm_bytes_per_group=total_local_bytes(specs),
     )
-    sanitizer = current_sanitizer()
-    profiler = current_profiler()
+    instruments = current()
+    sanitizer, profiler = instruments.sanitizer, instruments.profiler
     kernel_name = name or getattr(kernel, "__name__", "kernel")
     if sanitizer is not None:
         sanitizer.begin_launch(kernel_name, ndrange.num_groups)

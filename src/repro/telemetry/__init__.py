@@ -15,7 +15,7 @@ behaviour to *individual requests* and judges it against *objectives*:
   instruments, evaluated with Google-SRE multi-window burn-rate alerts.
 * :mod:`repro.telemetry.dashboard` — the ``python -m repro top`` frame
   renderer.
-* :mod:`repro.telemetry.hub` — the process-wide collection point behind
+* :mod:`repro.telemetry.hub` — the command-wide collection point behind
   the ``python -m repro slo <command>`` wrapper.
 
 Quickstart::
@@ -59,12 +59,9 @@ from repro.telemetry.events import (
     TUNING_GENERATION_BUMP,
     EventLog,
     TelemetryEvent,
-    current_event_log,
     emit_event,
-    set_event_log,
-    use_event_log,
 )
-from repro.telemetry.hub import TelemetryHub, current_hub, set_hub, use_hub
+from repro.telemetry.hub import TelemetryHub
 from repro.telemetry.slo import (
     DEFAULT_WINDOWS,
     BurnAlert,
@@ -107,8 +104,6 @@ __all__ = [
     "TraceContext",
     "counts_from_prometheus",
     "counts_from_registry",
-    "current_event_log",
-    "current_hub",
     "current_trace_context",
     "dashboard_text",
     "default_slos",
@@ -121,11 +116,7 @@ __all__ = [
     "new_span_id",
     "new_trace_id",
     "ratio_slo",
-    "set_event_log",
-    "set_hub",
     "set_trace_context",
     "sparkline",
-    "use_event_log",
-    "use_hub",
     "use_trace_context",
 ]

@@ -30,17 +30,14 @@ from collections import deque
 from pathlib import Path
 from typing import Any, Iterable
 
+from repro.instruments import current
 from repro.observability.context import TraceContext, current_trace_context
-from repro.recorder.recorder import current_recorder
 
 __all__ = [
     "SCHEMA_VERSION",
     "EVENT_TYPES",
     "TelemetryEvent",
     "EventLog",
-    "current_event_log",
-    "set_event_log",
-    "use_event_log",
     "emit_event",
     "REQUEST_ADMITTED",
     "REQUEST_REJECTED",
@@ -222,7 +219,7 @@ class EventLog:
         # black-box tap: the flight recorder (this log's own if set, else
         # the ambient one) rings every retained event, so a later trigger
         # dump carries the recent event stream
-        recorder = self.recorder if self.recorder is not None else current_recorder()
+        recorder = self.recorder if self.recorder is not None else current().recorder
         if recorder is not None:
             recorder.record_event(event.to_record())
         return event
@@ -271,48 +268,6 @@ class EventLog:
         return iter(self.events())
 
 
-# -- ambient installation (mirrors tracer.set_tracer/use_tracer) -------------
-
-_install_lock = threading.Lock()
-_installed: EventLog | None = None
-
-
-def current_event_log() -> EventLog | None:
-    """The installed event log, or ``None`` when structured logging is off."""
-    return _installed
-
-
-def set_event_log(log: EventLog | None) -> EventLog | None:
-    """Install ``log`` process-wide; returns the previously installed one."""
-    global _installed
-    with _install_lock:
-        previous = _installed
-        _installed = log
-    return previous
-
-
-class use_event_log:
-    """Install an event log for a ``with`` scope, restoring the previous one."""
-
-    __slots__ = ("log", "_previous", "_installed_here")
-
-    def __init__(self, log: EventLog | None) -> None:
-        self.log = log
-        self._previous: EventLog | None = None
-        self._installed_here = False
-
-    def __enter__(self) -> EventLog | None:
-        if self.log is None:  # "no change" scope, like use_tracer(None)
-            return current_event_log()
-        self._previous = set_event_log(self.log)
-        self._installed_here = True
-        return self.log
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self._installed_here:
-            set_event_log(self._previous)
-
-
 def emit_event(
     type: str,
     ctx: TraceContext | None = None,
@@ -322,9 +277,9 @@ def emit_event(
     """Emit into the installed log, if any (the library-code entry point).
 
     Deep layers (sanitizer, tuning database) call this so they cost one
-    global read when no event log is installed.
+    context-variable read when no event log is installed.
     """
-    log = _installed
+    log = current().events
     if log is None:
         return None
     return log.emit(type, ctx=ctx, critical=critical, **fields)

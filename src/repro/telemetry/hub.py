@@ -3,10 +3,11 @@
 A :class:`SolverService` owns its metrics registry; the wrapper form of
 ``python -m repro slo`` needs to evaluate objectives over *whatever
 services the wrapped command created*. When a hub is installed
-(:func:`use_hub`), every service registers its registry on construction,
-and services pick up the hub's shared event log — so one wrapper
-invocation sees the combined telemetry of the whole command, the same way
-``repro trace <command>`` sees its spans.
+(``use(hub=hub, events=hub.event_log)`` from :mod:`repro.instruments`),
+every service registers its registry on construction and logs to the
+hub's shared event log — so one wrapper invocation sees the combined
+telemetry of the whole command, the same way ``repro trace <command>``
+sees its spans.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from repro.observability.metrics import MetricsRegistry
 from repro.telemetry.events import EventLog
 from repro.telemetry.slo import SloSpec, SloStatus, counts_from_registry
 
-__all__ = ["TelemetryHub", "current_hub", "set_hub", "use_hub"]
+__all__ = ["TelemetryHub"]
 
 
 class TelemetryHub:
@@ -55,38 +56,3 @@ class TelemetryHub:
                 total += t
             statuses.append(SloStatus(spec=spec, bad=bad, total=total))
         return statuses
-
-
-_install_lock = threading.Lock()
-_installed: TelemetryHub | None = None
-
-
-def current_hub() -> TelemetryHub | None:
-    """The installed hub, or ``None`` outside a wrapper invocation."""
-    return _installed
-
-
-def set_hub(hub: TelemetryHub | None) -> TelemetryHub | None:
-    """Install ``hub`` process-wide; returns the previously installed one."""
-    global _installed
-    with _install_lock:
-        previous = _installed
-        _installed = hub
-    return previous
-
-
-class use_hub:
-    """Install a hub for a ``with`` scope, restoring the previous one."""
-
-    __slots__ = ("hub", "_previous")
-
-    def __init__(self, hub: TelemetryHub) -> None:
-        self.hub = hub
-        self._previous: TelemetryHub | None = None
-
-    def __enter__(self) -> TelemetryHub:
-        self._previous = set_hub(self.hub)
-        return self.hub
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        set_hub(self._previous)

@@ -36,6 +36,7 @@ from collections import deque
 from pathlib import Path
 from typing import Callable
 
+from repro.instruments import current
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.prometheus import sanitize_name
 
@@ -466,9 +467,9 @@ class SloMonitor:
         if any(status.burning for status in statuses):
             # black-box trigger: a burning SLO snapshots the flight
             # recorder (the recorder itself rate-limits repeat dumps)
-            from repro.recorder.recorder import TRIGGER_SLO_BURN, current_recorder
+            from repro.recorder.recorder import TRIGGER_SLO_BURN
 
-            recorder = current_recorder()
+            recorder = current().recorder
             if recorder is not None:
                 burning = [s.spec.name for s in statuses if s.burning]
                 recorder.trigger(TRIGGER_SLO_BURN, slos=burning)

@@ -36,6 +36,7 @@ from pathlib import Path
 
 from repro.core.launch import LaunchGeometry
 from repro.exceptions import TuningDBError
+from repro.instruments import current
 from repro.observability.metrics import MetricsRegistry
 from repro.sycl.device import SyclDevice
 from repro.tune.space import TuneCandidate, space_signature
@@ -305,11 +306,7 @@ class TuningDB:
         dependent plan cache — exactly the control-plane change an SLO
         investigation wants on the timeline.
         """
-        log = self.event_log
-        if log is None:
-            from repro.telemetry.events import current_event_log
-
-            log = current_event_log()
+        log = self.event_log if self.event_log is not None else current().events
         if log is not None:
             from repro.telemetry.events import TUNING_GENERATION_BUMP
 

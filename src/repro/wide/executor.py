@@ -39,9 +39,8 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.exceptions import KernelFaultError
+from repro.instruments import current
 from repro.observability.tracer import current_tracer
-from repro.profile.context import current_profiler
-from repro.sanitize.context import current_sanitizer
 from repro.sycl.device import SyclDevice
 from repro.sycl.executor import LaunchStats, launch
 from repro.sycl.group import GROUP, SUB_GROUP, NDItem, SyncOp
@@ -227,7 +226,8 @@ def wide_launch(
     With a sanitizer or profiler installed, falls back to the faithful
     executor so per-item checking semantics are preserved.
     """
-    if current_sanitizer() is not None or current_profiler() is not None:
+    instruments = current()
+    if instruments.sanitizer is not None or instruments.profiler is not None:
         return launch(
             device,
             ndrange,

@@ -21,6 +21,7 @@ matrix — and match the properties the solver actually sees:
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,7 +143,8 @@ def pele_batch(
     if nb <= 0:
         raise ValueError(f"num_batch must be positive, got {nb}")
 
-    rng = np.random.default_rng(seed + hash(name) % 100003)
+    # a stable digest: str hashes are salted per process (PYTHONHASHSEED)
+    rng = np.random.default_rng(seed + zlib.crc32(name.encode()) % 100003)
     row_ptrs, col_idxs, row_of = _mechanism_pattern(mech, rng)
     n, nnz = mech.num_rows, mech.nnz
 

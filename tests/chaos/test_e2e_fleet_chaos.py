@@ -14,6 +14,7 @@ from repro.chaos import ChaosInjector, FaultPlan, FaultSpec
 from repro.chaos.plan import POISON_BATCH, WORKER_DIE
 from repro.exceptions import ReproError
 from repro.fleet import FleetConfig, FleetService
+from repro.instruments import use
 from repro.serve import ServeConfig, SolveRequest
 from repro.telemetry.events import (
     CHAOS_INJECTED,
@@ -22,7 +23,7 @@ from repro.telemetry.events import (
     REQUEST_FALLBACK,
     REQUEST_SOLVED,
 )
-from repro.telemetry.hub import TelemetryHub, use_hub
+from repro.telemetry.hub import TelemetryHub
 
 TERMINAL = {REQUEST_SOLVED, REQUEST_FALLBACK, REQUEST_FAILED}
 
@@ -56,7 +57,7 @@ def _run_fleet(plan, num_requests=64, num_keys=8, fallback=True):
         max_replicas=8,
     )
     rng = np.random.default_rng(0)
-    with use_hub(hub):
+    with use(hub=hub, events=hub.event_log):
         fleet = FleetService(config, chaos=injector)
     requests = [_request(rng, key=i % num_keys) for i in range(num_requests)]
     with fleet:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.chaos import ChaosInjector, FaultPlan, FaultSpec, use_chaos
+from repro.chaos import ChaosInjector, FaultPlan, FaultSpec
 from repro.chaos.plan import (
     DEVICE_DELAY,
     POISON_BATCH,
@@ -24,6 +24,7 @@ from repro.exceptions import (
     ReproError,
     WorkerDiedError,
 )
+from repro.instruments import use
 from repro.serve import ServeConfig, SolveRequest, SolverService
 from repro.telemetry.events import CHAOS_INJECTED
 
@@ -163,7 +164,7 @@ class TestAmbientInstallation:
         rng = np.random.default_rng(2)
         injector = ChaosInjector(FaultPlan(0, (FaultSpec(DEVICE_DELAY, at=(0,)),)))
         config = ServeConfig(max_batch_size=2, max_wait_ms=60_000.0, num_workers=1)
-        with use_chaos(injector):
+        with use(chaos=injector):
             service = SolverService(config)
         assert service.chaos is injector
         with service:
@@ -179,7 +180,7 @@ class TestAmbientInstallation:
         ambient = ChaosInjector(FaultPlan(0, (FaultSpec(DEVICE_DELAY, at=(0,)),)))
         explicit = ChaosInjector(FaultPlan(1, (FaultSpec(DEVICE_DELAY, at=(0,)),)))
         config = ServeConfig(max_batch_size=2, max_wait_ms=60_000.0, num_workers=1)
-        with use_chaos(ambient):
+        with use(chaos=ambient):
             service = SolverService(config, chaos=explicit)
         assert service.chaos is explicit
         service.close(drain=False)

@@ -61,10 +61,11 @@ def _suite_sanitizer(request):
     ):
         yield None
         return
-    from repro.sanitize import Sanitizer, use_sanitizer
+    from repro.instruments import use
+    from repro.sanitize import Sanitizer
 
     sanitizer = Sanitizer()
-    with use_sanitizer(sanitizer):
+    with use(sanitizer=sanitizer):
         yield sanitizer
 
 

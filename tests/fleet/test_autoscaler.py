@@ -7,7 +7,9 @@ import pytest
 
 from repro.fleet import Autoscaler, FleetConfig, FleetSignals
 from repro.fleet.autoscaler import COOLDOWN, HOLD, SCALE_DOWN, SCALE_UP
+from repro.instruments import current, use
 from repro.observability.metrics import MetricsRegistry
+from repro.recorder import FlightRecorder
 from repro.serve import ServeConfig
 
 
@@ -200,3 +202,19 @@ class TestBackgroundLoop:
         scaler.stop()
         assert scaler.decisions
         scaler.stop()  # idempotent
+
+    def test_loop_runs_under_observers_installed_at_construction(self):
+        """The loop thread sees the recorder installed where the scaler was
+        built, so an SLO burn it detects can trigger that recorder."""
+        fleet = _FakeFleet(replicas=1, target_p99_ms=100.0)
+        recorder = FlightRecorder()
+        with use(recorder=recorder):
+            scaler = _scaler(fleet)
+        seen = []
+        scaler.evaluate = lambda: seen.append(current().recorder)
+        scaler.start(interval_s=0.01)
+        deadline = time.monotonic() + 5.0
+        while not seen and time.monotonic() < deadline:
+            time.sleep(0.01)
+        scaler.stop()
+        assert seen and seen[0] is recorder

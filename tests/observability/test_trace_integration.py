@@ -7,10 +7,11 @@ import pytest
 from repro.core.dispatch import BatchSolverFactory, dispatch_solve
 from repro.hw.specs import gpu
 from repro.hw.timing import estimate_solve
+from repro.instruments import use
 from repro.kernels import run_batch_cg_on_device
 from repro.multi.comm import SimWorld
 from repro.multi.distributed import solve_distributed
-from repro.observability import Tracer, use_tracer, validate_chrome_trace, write_chrome_trace
+from repro.observability import Tracer, validate_chrome_trace, write_chrome_trace
 from repro.sycl.device import pvc_stack_device
 from repro.sycl.queue import Queue
 
@@ -105,7 +106,7 @@ class TestSimulatorPath:
         device = pvc_stack_device(1)
         queue = Queue(device)
         tracer = Tracer()
-        with use_tracer(tracer):
+        with use(tracer=tracer):
             _, _, event = run_batch_cg_on_device(
                 device, stencil16, stencil16_rhs, tolerance=1e-10, queue=queue
             )
@@ -151,7 +152,7 @@ class TestHwPath:
         solver = factory.create(stencil16)
         result = solver.solve(stencil16_rhs)
         tracer = Tracer()
-        with use_tracer(tracer):
+        with use(tracer=tracer):
             timing = estimate_solve(gpu("pvc1"), solver, result)
         span = next(s for s in tracer.spans if s.name == "hw.estimate_solve")
         assert span.args["platform"] == "pvc1"
@@ -170,7 +171,7 @@ class TestMultiPath:
         world = SimWorld(2)
         factory = BatchSolverFactory(solver="cg", tolerance=1e-10)
         tracer = Tracer()
-        with use_tracer(tracer):
+        with use(tracer=tracer):
             result = solve_distributed(world, factory, stencil16, stencil16_rhs)
         assert result.all_converged
         lanes = [s for s in tracer.spans if s.category == "multi.lane"]

@@ -6,14 +6,13 @@ import threading
 
 import pytest
 
+from repro.instruments import use
 from repro.observability import (
     NULL_TRACER,
     NullTracer,
     Tracer,
     current_tracer,
-    set_tracer,
     traced,
-    use_tracer,
 )
 
 
@@ -118,7 +117,7 @@ class TestDecorator:
 
         assert work() == 7  # no tracer installed: plain call
         tracer = Tracer()
-        with use_tracer(tracer):
+        with use(tracer=tracer):
             assert work() == 7
         assert len(calls) == 2
         assert [s.name for s in tracer.spans] == ["labelled"]
@@ -131,30 +130,20 @@ class TestInstallation:
 
     def test_use_tracer_installs_and_restores(self):
         tracer = Tracer()
-        with use_tracer(tracer):
+        with use(tracer=tracer):
             assert current_tracer() is tracer
             inner = Tracer()
-            with use_tracer(inner):
+            with use(tracer=inner):
                 assert current_tracer() is inner
             assert current_tracer() is tracer
         assert current_tracer() is NULL_TRACER
 
-    def test_use_tracer_none_keeps_current(self):
+    def test_use_tracer_none_turns_tracing_off(self):
         tracer = Tracer()
-        with use_tracer(tracer):
-            with use_tracer(None):
-                assert current_tracer() is tracer
+        with use(tracer=tracer):
+            with use(tracer=None):
+                assert current_tracer() is NULL_TRACER
             assert current_tracer() is tracer
-
-    def test_set_tracer_returns_previous(self):
-        tracer = Tracer()
-        previous = set_tracer(tracer)
-        try:
-            assert previous is NULL_TRACER
-            assert current_tracer() is tracer
-        finally:
-            set_tracer(previous)
-        assert current_tracer() is NULL_TRACER
 
 
 class TestNullTracer:

@@ -4,15 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.instruments import current, use
 from repro.kernels import run_batch_cg_on_device
 from repro.profile import (
     PHASES,
     PhaseCounters,
     Profiler,
-    current_profiler,
     kernel_phase,
-    profiling,
-    use_profiler,
 )
 from repro.profile.counters import phase_order
 from repro.profile.runner import build_workload, run_profiled
@@ -21,8 +19,7 @@ from repro.sycl.device import pvc_stack_device
 
 class TestOptInContract:
     def test_no_profiler_by_default(self):
-        assert current_profiler() is None
-        assert not profiling()
+        assert current().profiler is None
         # markers are inert without an installed profiler + active launch
         assert kernel_phase("spmv") is None
 
@@ -33,18 +30,18 @@ class TestOptInContract:
         x, iters, _ = run_batch_cg_on_device(
             device, matrix, b, tolerance=0.0, max_iterations=3
         )
-        assert current_profiler() is None
+        assert current().profiler is None
         assert x.shape == (2, 8)
 
     def test_use_profiler_restores_previous(self):
         outer = Profiler()
         inner = Profiler()
-        with use_profiler(outer):
-            assert current_profiler() is outer
-            with use_profiler(inner):
-                assert current_profiler() is inner
-            assert current_profiler() is outer
-        assert current_profiler() is None
+        with use(profiler=outer):
+            assert current().profiler is outer
+            with use(profiler=inner):
+                assert current().profiler is inner
+            assert current().profiler is outer
+        assert current().profiler is None
 
     def test_profiled_and_unprofiled_solves_agree(self):
         """Counting proxies must not perturb the numerics."""
@@ -53,7 +50,7 @@ class TestOptInContract:
         x_plain, iters_plain, _ = run_batch_cg_on_device(
             device, matrix, b, tolerance=1e-10, max_iterations=50
         )
-        with use_profiler(Profiler()):
+        with use(profiler=Profiler()):
             x_prof, iters_prof, _ = run_batch_cg_on_device(
                 device, matrix, b, tolerance=1e-10, max_iterations=50
             )
@@ -104,7 +101,7 @@ class TestDivergence:
         matrix, b = build_workload(f"stencil:{n}", num_batch=nb)
         prof = Profiler()
         device = pvc_stack_device(1)
-        with use_profiler(prof):
+        with use(profiler=prof):
             run_batch_cg_on_device(
                 device,
                 matrix,

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import re
 
+from repro.instruments import use
 from repro.kernels import run_batch_cg_on_device
-from repro.observability import Tracer, use_tracer
-from repro.profile import Profiler, use_profiler
+from repro.observability import Tracer
+from repro.profile import Profiler
 from repro.profile.folded import folded_from_trace, folded_lines, write_folded
 from repro.profile.report import attribution_rows, format_report
 from repro.profile.runner import build_workload, run_profiled
@@ -83,7 +84,7 @@ class TestFoldedFromTrace:
         tracer = Tracer()
         profiler = Profiler()
         device = pvc_stack_device(1)
-        with use_tracer(tracer), use_profiler(profiler):
+        with use(tracer=tracer, profiler=profiler):
             run_batch_cg_on_device(
                 device, matrix, b, tolerance=0.0, max_iterations=3
             )

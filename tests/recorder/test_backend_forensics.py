@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.instruments import use
 from repro.recorder.classify import CONVERGED, SEVERITY
-from repro.recorder.recorder import FlightRecorder, use_recorder
+from repro.recorder.recorder import FlightRecorder
 from repro.serve import ServeConfig, SolveRequest, SolverService
 
 #: faithful / cudasim / wide, in the serve config's spelling.
@@ -44,7 +45,7 @@ class TestSolveRecordsPerBackend:
             max_batch_size=len(requests), max_wait_ms=1000.0, num_workers=1,
             backend=backend,
         )
-        with use_recorder(recorder):
+        with use(recorder=recorder):
             with SolverService(config) as service:
                 tickets = [service.submit(r) for r in requests]
                 service.flush()
@@ -108,7 +109,7 @@ class TestSolveRecordsPerBackend:
         config = ServeConfig(
             max_batch_size=2, max_wait_ms=1000.0, num_workers=1, backend=backend
         )
-        with use_recorder(recorder):
+        with use(recorder=recorder):
             with SolverService(config) as service:
                 tickets = [service.submit(r) for r in requests]
                 for t in tickets:

@@ -6,12 +6,15 @@ private event log taps its own recorder, and ``dump_recorders`` writes
 one bundle per shard that the postmortem analyzer merges.
 """
 
+import threading
+
 import numpy as np
 import scipy.sparse as sp
 
 from repro.fleet.config import FleetConfig
 from repro.fleet.service import FleetService
-from repro.recorder.recorder import FlightRecorder, use_recorder
+from repro.instruments import use
+from repro.recorder.recorder import FlightRecorder
 from repro.recorder.postmortem import analyze_bundles, load_bundles
 from repro.serve import ServeConfig, SolveRequest
 
@@ -48,7 +51,7 @@ def _requests(count, sizes=(8, 9)):
 class TestFleetRecorders:
     def test_each_shard_gets_its_own_recorder(self):
         ambient = FlightRecorder(capacity=512, solve_capacity=128, shard="fleet")
-        with use_recorder(ambient):
+        with use(recorder=ambient):
             with FleetService(_fleet_config()) as fleet:
                 shards = fleet.shards()
                 names = {s.name for s in shards}
@@ -63,13 +66,33 @@ class TestFleetRecorders:
                     assert shard.service.events.recorder is recorder
                 assert len(names) == len(shards)
 
+    def test_scaled_up_shard_gets_a_sibling_recorder(self):
+        """A shard started later, on another thread, still gets a sibling
+        of the recorder installed when the fleet was built."""
+        ambient = FlightRecorder(capacity=256, shard="fleet")
+        with use(recorder=ambient):
+            fleet = FleetService(_fleet_config(replicas=1))
+        with fleet:
+            added = []
+            scaler = threading.Thread(target=lambda: added.extend(fleet.scale_up()))
+            scaler.start()
+            scaler.join(timeout=30.0)
+            assert not scaler.is_alive()
+            (name,) = added
+            (shard,) = [s for s in fleet.shards() if s.name == name]
+            recorder = shard.service.recorder
+            assert recorder is not None and recorder is not ambient
+            assert recorder.shard == name
+            assert recorder.capacity == 256
+            assert shard.service.events.recorder is recorder
+
     def test_no_ambient_recorder_means_none(self):
         with FleetService(_fleet_config()) as fleet:
             assert all(s.service.recorder is None for s in fleet.shards())
 
     def test_solves_and_events_land_in_the_owning_shard(self):
         ambient = FlightRecorder(shard="fleet")
-        with use_recorder(ambient):
+        with use(recorder=ambient):
             with FleetService(_fleet_config()) as fleet:
                 tickets = [fleet.submit(r) for r in _requests(8)]
                 fleet.flush()
@@ -88,7 +111,7 @@ class TestFleetRecorders:
 
     def test_dump_recorders_feeds_cross_shard_postmortem(self, tmp_path):
         ambient = FlightRecorder(shard="fleet")
-        with use_recorder(ambient):
+        with use(recorder=ambient):
             with FleetService(_fleet_config()) as fleet:
                 tickets = [fleet.submit(r) for r in _requests(6)]
                 fleet.flush()

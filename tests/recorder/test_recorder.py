@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.instruments import current, use
 from repro.observability.metrics import MetricsRegistry
 from repro.recorder.bundle import (
     BUNDLE_KIND,
@@ -17,9 +18,6 @@ from repro.recorder.recorder import (
     TRIGGER_MANUAL,
     TRIGGER_SLO_BURN,
     FlightRecorder,
-    current_recorder,
-    set_recorder,
-    use_recorder,
 )
 
 
@@ -185,24 +183,19 @@ class TestAmbientInstall:
     def test_use_recorder_scopes_and_restores(self):
         outer = FlightRecorder()
         inner = FlightRecorder()
-        previous = set_recorder(outer)
-        try:
-            with use_recorder(inner) as active:
-                assert active is inner
-                assert current_recorder() is inner
-                # None means "no change", like use_tracer(None)
-                with use_recorder(None) as unchanged:
-                    assert unchanged is inner
-            assert current_recorder() is outer
-        finally:
-            set_recorder(previous)
+        with use(recorder=outer):
+            with use(recorder=inner) as active:
+                assert active.recorder is inner
+                assert current().recorder is inner
+            assert current().recorder is outer
+        assert current().recorder is None
 
     def test_event_log_taps_ambient_recorder(self):
         from repro.telemetry.events import REQUEST_SOLVED, EventLog
 
         rec = FlightRecorder()
         log = EventLog()
-        with use_recorder(rec):
+        with use(recorder=rec):
             log.emit(REQUEST_SOLVED, latency_ms=1.5)
         assert rec.events_seen == 1
         record = rec.snapshot()["events"][0]

@@ -22,7 +22,7 @@ from repro.exceptions import (
     SlmRaceError,
     UninitializedSlmReadError,
 )
-from repro.sanitize.context import current_sanitizer, use_sanitizer
+from repro.instruments import current, use
 from repro.sanitize.report import (
     BARRIER_DIVERGENCE,
     COLLECTIVE_MISUSE,
@@ -60,7 +60,7 @@ def _launch(kernel, sanitizer=None, specs=(("buf", (_WG,)),), name="detector_tes
             name=name,
         )
     else:
-        with use_sanitizer(sanitizer):
+        with use(sanitizer=sanitizer):
             queue.parallel_for(
                 NDRange(_WG * _GROUPS, _WG, _SG),
                 kernel,
@@ -249,7 +249,7 @@ def test_sites_can_be_disabled_for_speed():
 @pytest.mark.no_sanitize
 def test_without_sanitizer_buggy_kernels_run_unchecked():
     """No sanitizer installed: the simulator stays permissive (opt-in)."""
-    assert current_sanitizer() is None
+    assert current().sanitizer is None
     racy = case_by_name("racy-write").kernel
     out = _launch(racy, sanitizer=None)
     assert np.all(out == out[0])  # last write wins deterministically

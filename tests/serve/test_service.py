@@ -1,5 +1,6 @@
 """SolverService end-to-end: correctness, backpressure, timeouts, fallback."""
 
+import threading
 import time
 
 import numpy as np
@@ -11,8 +12,10 @@ from repro.exceptions import (
     ServiceClosedError,
     ServiceSaturatedError,
 )
-from repro.observability.tracer import Tracer
+from repro.instruments import use
+from repro.observability.tracer import NULL_TRACER, Tracer, current_tracer
 from repro.serve import ServeConfig, SolveRequest, SolverService
+from repro.serve.plan_cache import ExecutionPlan
 from repro.serve.request import TIMED_OUT
 
 
@@ -254,3 +257,73 @@ class TestLifecycle:
         service = SolverService(ServeConfig(num_workers=1))
         service.close()
         service.close()
+
+
+def _ancestors(span):
+    chain = []
+    while span.parent is not None:
+        span = span.parent
+        chain.append(span)
+    return chain
+
+
+def _kernel_span_under(tracer, flush):
+    return any(s.category == "kernel" and flush in _ancestors(s) for s in tracer.spans)
+
+
+class TestInstrumentCapture:
+    """Flushes run under the observers captured when the service was built."""
+
+    def test_concurrent_flushes_keep_their_tracer(self, monkeypatch):
+        """The first flush to enter finishes while the second is mid-solve.
+
+        Neither flush may take the other's tracer away, and nothing stays
+        installed once the service is closed.
+        """
+        entered = {8: threading.Event(), 9: threading.Event()}
+        release = {8: threading.Event(), 9: threading.Event()}
+        build_solver = ExecutionPlan.build_solver
+
+        def gated_build_solver(plan, matrix):
+            entered[matrix.num_rows].set()
+            assert release[matrix.num_rows].wait(30.0)
+            return build_solver(plan, matrix)
+
+        monkeypatch.setattr(ExecutionPlan, "build_solver", gated_build_solver)
+        tracer = Tracer()
+        config = ServeConfig(max_batch_size=1, max_wait_ms=60_000.0, num_workers=2)
+        service = SolverService(config, tracer=tracer)
+        try:
+            first = service.submit(SolveRequest(_tridiag(8), np.ones(8)))
+            assert entered[8].wait(30.0)
+            second = service.submit(SolveRequest(_tridiag(9), np.ones(9)))
+            assert entered[9].wait(30.0)  # both flushes are open now
+            release[8].set()
+            assert first.result(timeout=30.0).converged
+            deadline = time.monotonic() + 30.0
+            while sum(w.completed for w in service.pool.workers) < 1:
+                assert time.monotonic() < deadline, "first flush never finished"
+                time.sleep(0.001)
+            release[9].set()  # the second flush solves after the first left
+            assert second.result(timeout=30.0).converged
+        finally:
+            for event in release.values():
+                event.set()
+            service.close()
+        flushes = [s for s in tracer.spans if s.name == "serve.flush"]
+        assert len(flushes) == 2
+        for flush in flushes:
+            assert _kernel_span_under(tracer, flush), flush.args["num_rows"]
+        assert current_tracer() is NULL_TRACER
+
+    def test_deadline_flush_sees_tracer_installed_at_construction(self):
+        tracer = Tracer()
+        config = ServeConfig(max_batch_size=64, max_wait_ms=5.0, num_workers=1)
+        with use(tracer=tracer):
+            service = SolverService(config)
+        with service:  # the flusher thread issues the flush, outside the scope
+            outcome = service.submit(SolveRequest(_tridiag(8), np.ones(8))).result(30.0)
+        assert outcome.converged
+        (flush,) = [s for s in tracer.spans if s.name == "serve.flush"]
+        assert flush.args["reason"] == "deadline"
+        assert _kernel_span_under(tracer, flush)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.instruments import current, use
 from repro.telemetry import (
     REQUEST_ADMITTED,
     REQUEST_FAILED,
@@ -11,10 +12,8 @@ from repro.telemetry import (
     SANITIZER_TRIP,
     SCHEMA_VERSION,
     EventLog,
-    current_event_log,
     emit_event,
     mint_context,
-    use_event_log,
     use_trace_context,
 )
 
@@ -153,13 +152,13 @@ class TestExport:
 
 class TestGlobalLog:
     def test_emit_event_without_installed_log_is_noop(self):
-        assert current_event_log() is None
+        assert current().events is None
         assert emit_event(REQUEST_ADMITTED) is None
 
     def test_use_event_log_installs_and_restores(self):
         log = EventLog()
-        with use_event_log(log):
-            assert current_event_log() is log
+        with use(events=log):
+            assert current().events is log
             emit_event(REQUEST_ADMITTED, ctx=mint_context())
-        assert current_event_log() is None
+        assert current().events is None
         assert len(log) == 1

@@ -248,7 +248,7 @@ class TestMultiFanIn:
         from repro.core.dispatch import BatchSolverFactory
         from repro.multi.comm import SimWorld
         from repro.multi.distributed import solve_distributed
-        from repro.observability import use_tracer
+        from repro.instruments import use
         from repro.workloads.stencil import stencil_rhs, three_point_stencil
 
         tracer = Tracer()
@@ -258,7 +258,7 @@ class TestMultiFanIn:
         factory = BatchSolverFactory(
             solver="cg", preconditioner="jacobi", tolerance=1e-9
         )
-        with use_tracer(tracer), use_trace_context(ctx):
+        with use(tracer=tracer), use_trace_context(ctx):
             result = solve_distributed(SimWorld(2), factory, matrix, rhs)
         assert result.all_converged
         (multi_span,) = [s for s in tracer.spans if s.name == "multi.solve_distributed"]

@@ -12,8 +12,9 @@ import numpy as np
 
 from repro.core.launch import LaunchConfigurator
 from repro.hw.specs import gpu
+from repro.instruments import use
 from repro.kernels.cg_kernel import batch_cg_kernel
-from repro.sanitize import Sanitizer, use_sanitizer
+from repro.sanitize import Sanitizer
 from repro.sycl.memory import LocalSpec
 from repro.sycl.queue import Queue
 from repro.tune import RANDOM, Autotuner, TuningDB, stencil_workload
@@ -70,7 +71,7 @@ def test_tuned_geometry_is_sanitizer_clean_and_correct():
     b = stencil_rhs(ROWS, NB, seed=7)
 
     sanitizer = Sanitizer()
-    with use_sanitizer(sanitizer):
+    with use(sanitizer=sanitizer):
         x, iters = _launch_cg_at(geometry, matrix, b)
 
     # clean under every detector...
@@ -106,7 +107,7 @@ def test_heuristic_and_tuned_geometries_agree_under_sanitizer():
             device_name=spec.device.name,
         )
         sanitizer = Sanitizer()
-        with use_sanitizer(sanitizer):
+        with use(sanitizer=sanitizer):
             x, _ = _launch_cg_at(geo, matrix, b)
         assert sanitizer.clean, f"violations at sub-group size {sg}"
         solutions.append(x)

@@ -185,13 +185,14 @@ class TestWideLaunch:
             )
 
     def test_sanitizer_falls_back_to_faithful_interpreter(self):
-        from repro.sanitize import Sanitizer, use_sanitizer
+        from repro.instruments import use
+        from repro.sanitize import Sanitizer
 
         rng = np.random.default_rng(6)
         x = rng.standard_normal((2, 12))
         out = np.zeros(2)
         sanitizer = Sanitizer()
-        with use_sanitizer(sanitizer):
+        with use(sanitizer=sanitizer):
             wide_launch(
                 pvc_stack_device(1),
                 NDRange(2 * 16, 16, 16),
@@ -203,10 +204,11 @@ class TestWideLaunch:
         np.testing.assert_allclose(out, np.sum(x * x, axis=1), rtol=1e-12)
 
     def test_wide_launch_counts_on_tracer_metrics(self):
-        from repro.observability.tracer import Tracer, use_tracer
+        from repro.instruments import use
+        from repro.observability.tracer import Tracer
 
         tracer = Tracer()
-        with use_tracer(tracer):
+        with use(tracer=tracer):
             queue = WideQueue(pvc_stack_device(1))
             queue.parallel_for(
                 NDRange(16, 16, 16),

@@ -1,9 +1,15 @@
 """Workload generators: the 3-pt stencil and the Pele surrogates (Table 4)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.core.matrix import BatchCsr, BatchEll
 from repro.workloads.general import (
     random_diag_dominant_batch,
@@ -97,6 +103,27 @@ class TestPeleSurrogates:
         b = pele_batch("gri12", seed=0)
         assert np.array_equal(a.col_idxs, b.col_idxs)
         assert np.allclose(a.values, b.values)
+
+    def test_batch_identical_across_hash_seeds(self, tmp_path):
+        """str hashes are salted per process; the mechanism batch must not be."""
+        code = (
+            "import sys, numpy as np; from repro.workloads.pele import pele_batch; "
+            "m = pele_batch('drm19'); "
+            "np.savez(sys.argv[1], row_ptrs=m.row_ptrs, col_idxs=m.col_idxs, values=m.values)"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
+        runs = []
+        for hash_seed in ("1", "2"):
+            out = tmp_path / f"drm19-{hash_seed}.npz"
+            subprocess.run(
+                [sys.executable, "-c", code, str(out)],
+                env={**env, "PYTHONHASHSEED": hash_seed},
+                check=True,
+                timeout=120,
+            )
+            runs.append(np.load(out))
+        for key in ("row_ptrs", "col_idxs", "values"):
+            assert np.array_equal(runs[0][key], runs[1][key]), key
 
     def test_unknown_mechanism_rejected(self):
         with pytest.raises(KeyError):
