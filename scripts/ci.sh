@@ -5,10 +5,11 @@
 # Mirrors what the reproducibility driver expects to hold: the full test
 # suite green, the lint gate clean, the tracing pipeline producing valid
 # Chrome traces, the serving layer honouring its contracts, the profiler
-# attributing counters on both backends with green model drift, and the
+# attributing counters on both backends with green model drift, the
 # committed benchmark artifacts within tolerance of the baseline
-# manifest. Every stage is a hard gate: set -e aborts the script (and
-# fails CI) on the first non-zero exit — no warn-and-continue stages.
+# manifest, and the repo benchmark's own checks passing. Every stage is a
+# hard gate: set -e aborts the script (and fails CI) on the first
+# non-zero exit — no warn-and-continue stages.
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
@@ -102,6 +103,13 @@ python scripts/coverage_gate.py --floor 85 --obs-floor 80
 echo
 echo "== perf-regression gate =="
 python scripts/check_regression.py
+
+echo
+echo "== perf self-check =="
+# the repo benchmark's own checks: its traced probes wrap src/ layer
+# boundaries by name (SpMV is BatchCsr.apply), and the per-layer shares
+# they measure must add up to 1
+python -m pytest perf/tests -q
 
 echo
 echo "== sanitize =="

@@ -2,9 +2,12 @@
 
 This is the paper's general-purpose format (Section 3.1): the row-pointer
 and column-index arrays are stored once for the whole batch, the value
-array holds every item's non-zeros. The batched SpMV vectorizes across the
-batch: a gather of ``x`` by the shared column indices followed by a
-segmented row reduction.
+array holds every item's non-zeros. The batched SpMV is one compiled
+sparse product: on first use the matrix builds the whole batch as a
+block-diagonal ``scipy.sparse.csr_array`` (block k is item k; its data is
+a view of the value array) and keeps it. Every row sums its products
+sequentially in stored order, the order of the ``spmv_csr_item_rows``
+kernel.
 """
 
 from __future__ import annotations
@@ -33,6 +36,8 @@ class BatchCsr(BatchedMatrix):
         indices must be unique (sorted order is normalized on construction).
     values:
         ``(num_batch, nnz)`` float array — one value row per batch item.
+        Kept without a copy when it is C-contiguous, already in the target
+        dtype and every row's columns are already sorted.
     num_cols:
         Column count; defaults to ``num_rows`` (square systems).
     """
@@ -61,23 +66,30 @@ class BatchCsr(BatchedMatrix):
         super().__init__(values.shape[0], num_rows, ncols, dtype=values.dtype)
 
         nnz = values.shape[1]
-        _validate_pattern(row_ptrs, col_idxs, nnz, num_rows, ncols)
+        _validate_pattern(row_ptrs, col_idxs, nnz, ncols)
+        self.row_ptrs = row_ptrs
+        self._row_lengths = np.diff(row_ptrs)
+        # Row index of every stored non-zero; drives the dense round trip,
+        # the transpose and per-row reductions elsewhere.
+        self._row_of_nnz = np.repeat(
+            np.arange(num_rows, dtype=np.int32), self._row_lengths
+        )
 
         # Normalize to sorted column order within each row so downstream
-        # kernels (diagonal lookup, ILU schedules) can binary-search.
-        order = _sort_within_rows(row_ptrs, col_idxs)
-        self.row_ptrs = row_ptrs
-        self.col_idxs = np.ascontiguousarray(col_idxs[order])
-        self.values = np.ascontiguousarray(values[:, order])
+        # kernels (diagonal lookup, ILU schedules) can binary-search. Sorted
+        # input is kept as given, like BatchDense and BatchEll do.
+        order = _sort_within_rows(self._row_of_nnz, col_idxs)
+        if order is None:
+            self.col_idxs = col_idxs
+            self.values = np.ascontiguousarray(values)
+        else:
+            self.col_idxs = col_idxs[order]
+            self.values = np.ascontiguousarray(values[:, order])
 
-        self._row_lengths = np.diff(self.row_ptrs)
-        self._has_empty_rows = bool(np.any(self._row_lengths == 0))
-        # Row index of every stored non-zero; drives the empty-row-safe SpMV
-        # and per-row reductions elsewhere.
-        self._row_of_nnz = np.repeat(
-            np.arange(self._num_rows, dtype=np.int32), self._row_lengths
-        )
-        self._diag_positions = self._locate_diagonal()
+        self._diag_positions = np.full(num_rows, -1, dtype=np.int64)
+        on_diagonal = np.flatnonzero(self.col_idxs == self._row_of_nnz)
+        self._diag_positions[self._row_of_nnz[on_diagonal]] = on_diagonal
+        self._operator: sp.csr_array | None = None
 
     # -- constructors --------------------------------------------------------------
 
@@ -162,16 +174,7 @@ class BatchCsr(BatchedMatrix):
         y_name: str = "y",
     ) -> np.ndarray:
         x = self.check_vector("x", x)
-        products = self.values * x[:, self.col_idxs]
-        if self._has_empty_rows:
-            y = np.zeros((self._num_batch, self._num_rows), dtype=self.dtype)
-            np.add.at(
-                y,
-                (np.arange(self._num_batch)[:, None], self._row_of_nnz[None, :]),
-                products,
-            )
-        else:
-            y = np.add.reduceat(products, self.row_ptrs[:-1], axis=1)
+        y = (self.block_operator @ x.reshape(-1)).reshape(self._num_batch, self._num_rows)
         if ledger is not None:
             ledger.tally_spmv(
                 self._num_batch,
@@ -262,6 +265,35 @@ class BatchCsr(BatchedMatrix):
     # -- CSR-specific helpers -----------------------------------------------------------
 
     @property
+    def block_operator(self) -> sp.csr_array:
+        """The whole batch as one block-diagonal CSR matrix, built on first use.
+
+        Block k is item k: ``data`` is a view of :attr:`values`, ``indices``
+        are the shared column indices offset by ``k * num_cols``. The index
+        arrays are int32 unless the batch needs int64; they are an nb-fold
+        copy of the pattern (4 B per stored value), kept while this matrix
+        lives, because at small sizes one build costs several products.
+        """
+        if self._operator is None:
+            nb, nnz = self.values.shape
+            largest = nb * max(nnz, self._num_rows, self._num_cols)
+            index = np.int32 if largest <= np.iinfo(np.int32).max else np.int64
+            offsets = np.arange(nb, dtype=index)[:, None]
+            indptr = np.empty(nb * self._num_rows + 1, dtype=index)
+            indptr[:-1] = (self.row_ptrs[:-1] + offsets * nnz).reshape(-1)
+            indptr[-1] = nb * nnz
+            self._operator = sp.csr_array(
+                (
+                    self.values.reshape(-1),
+                    (self.col_idxs + offsets * self._num_cols).reshape(-1),
+                    indptr,
+                ),
+                shape=(nb * self._num_rows, nb * self._num_cols),
+                copy=False,
+            )
+        return self._operator
+
+    @property
     def row_of_nnz(self) -> np.ndarray:
         """Row index of each stored entry (shared across the batch)."""
         return self._row_of_nnz
@@ -284,20 +316,9 @@ class BatchCsr(BatchedMatrix):
         """Largest row length (the ELL width after conversion)."""
         return int(self._row_lengths.max())
 
-    def _locate_diagonal(self) -> np.ndarray:
-        n = min(self._num_rows, self._num_cols)
-        positions = np.full(self._num_rows, -1, dtype=np.int64)
-        for row in range(n):
-            start, end = self.row_ptrs[row], self.row_ptrs[row + 1]
-            cols = self.col_idxs[start:end]
-            hit = np.searchsorted(cols, row)
-            if hit < cols.shape[0] and cols[hit] == row:
-                positions[row] = start + hit
-        return positions
-
 
 def _validate_pattern(
-    row_ptrs: np.ndarray, col_idxs: np.ndarray, nnz: int, num_rows: int, num_cols: int
+    row_ptrs: np.ndarray, col_idxs: np.ndarray, nnz: int, num_cols: int
 ) -> None:
     if row_ptrs[0] != 0 or row_ptrs[-1] != nnz:
         raise BadSparsityPatternError(
@@ -315,18 +336,22 @@ def _validate_pattern(
             f"column indices outside [0, {num_cols}): "
             f"range [{col_idxs.min()}, {col_idxs.max()}]"
         )
-    # uniqueness within each row
-    for row in range(num_rows):
-        cols = col_idxs[row_ptrs[row] : row_ptrs[row + 1]]
-        if np.unique(cols).shape[0] != cols.shape[0]:
-            raise BadSparsityPatternError(f"row {row} contains duplicate column indices")
 
 
-def _sort_within_rows(row_ptrs: np.ndarray, col_idxs: np.ndarray) -> np.ndarray:
-    """Permutation that sorts column indices within each row."""
-    order = np.arange(col_idxs.shape[0], dtype=np.int64)
-    for row in range(row_ptrs.shape[0] - 1):
-        start, end = row_ptrs[row], row_ptrs[row + 1]
-        segment = np.argsort(col_idxs[start:end], kind="stable")
-        order[start:end] = start + segment
+def _sort_within_rows(row_of_nnz: np.ndarray, col_idxs: np.ndarray) -> np.ndarray | None:
+    """Permutation that sorts column indices within each row, None if sorted.
+
+    Raises when a row holds a column twice: after one stable sort by
+    (row, column) duplicates are neighbours within a row.
+    """
+    same_row = row_of_nnz[1:] == row_of_nnz[:-1]
+    if not np.any(same_row & (col_idxs[1:] <= col_idxs[:-1])):
+        return None
+    order = np.lexsort((col_idxs, row_of_nnz))
+    cols = col_idxs[order]
+    duplicates = np.flatnonzero(same_row & (cols[1:] == cols[:-1]))
+    if duplicates.size:
+        raise BadSparsityPatternError(
+            f"row {row_of_nnz[duplicates[0]]} contains duplicate column indices"
+        )
     return order

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.counters import TrafficLedger
 from repro.core.matrix import BatchCsr
 from repro.exceptions import BadSparsityPatternError, DimensionMismatchError
+from repro.workloads.pele import pele_batch
 
 
 def _small_batch():
@@ -51,9 +52,44 @@ class TestConstruction:
         with pytest.raises(BadSparsityPatternError):
             BatchCsr(np.array([0, 2]), np.array([1, 1]), np.ones((1, 2)), num_cols=3)
 
+    def test_duplicate_error_names_first_bad_row(self):
+        # rows 1 and 3 repeat a column; row 1 is also unsorted, so the
+        # duplicate shows only after the sort
+        row_ptrs = np.array([0, 1, 4, 5, 7])
+        cols = np.array([0, 2, 0, 2, 1, 3, 3])
+        with pytest.raises(BadSparsityPatternError, match="row 1 "):
+            BatchCsr(row_ptrs, cols, np.ones((1, 7)), num_cols=4)
+
+    def test_diagonal_positions_follow_the_sort(self):
+        # rows [1, 0], [2, 1] and an empty row sort to [0, 1], [1, 2], []
+        m = BatchCsr(np.array([0, 2, 4, 4]), np.array([1, 0, 2, 1]), np.ones((1, 4)))
+        assert list(m.diag_positions) == [0, 2, -1]
+
     def test_values_must_be_2d(self):
         with pytest.raises(DimensionMismatchError):
             BatchCsr(np.array([0, 1]), np.array([0]), np.ones(1))
+
+
+class TestMemoryContract:
+    def test_sorted_input_is_kept(self):
+        values = np.arange(12.0).reshape(2, 6)
+        m = BatchCsr(np.array([0, 2, 4, 6]), np.array([0, 1, 1, 2, 0, 2]), values)
+        assert np.shares_memory(m.values, values)
+
+    def test_unsorted_input_is_copied_and_permuted(self):
+        values = np.array([[10.0, 20.0, 30.0]])
+        m = BatchCsr(np.array([0, 2, 3]), np.array([1, 0, 1]), values, num_cols=2)
+        assert not np.shares_memory(m.values, values)
+        assert list(m.col_idxs) == [0, 1, 1]
+        assert list(m.values[0]) == [20.0, 10.0, 30.0]
+
+    def test_block_operator_data_is_a_view_of_values(self):
+        m = _small_batch()
+        op = m.block_operator
+        assert op is m.block_operator  # built once, kept
+        assert op.shape == (2 * 3, 2 * 3)
+        assert op.indices.dtype == np.int32
+        assert np.shares_memory(op.data, m.values)
 
 
 class TestFromDense:
@@ -147,6 +183,58 @@ class TestSpMV:
     def test_wrong_shape_rejected(self):
         with pytest.raises(DimensionMismatchError):
             _small_batch().apply(np.ones((2, 4)))
+
+    def test_rows_sum_sequentially_in_stored_order(self):
+        # the order of the spmv_csr_item_rows kernel, bit for bit
+        m = pele_batch("isooctane")
+        x = np.random.default_rng(7).standard_normal((m.num_batch, m.num_cols))
+        expected = np.zeros((m.num_batch, m.num_rows))
+        for row in range(m.num_rows):
+            for pos in range(m.row_ptrs[row], m.row_ptrs[row + 1]):
+                expected[:, row] += m.values[:, pos] * x[:, m.col_idxs[pos]]
+        assert np.array_equal(m.apply(x), expected)
+
+
+class TestDerivedAfterApply:
+    """Matrices derived from one whose block operator exists build their own."""
+
+    @pytest.fixture
+    def parent(self):
+        # non-square on purpose: block k's columns start at k * num_cols
+        rng = np.random.default_rng(11)
+        dense = rng.standard_normal((4, 6, 5)) * (rng.random((6, 5)) < 0.6)
+        m = BatchCsr.from_dense(dense)
+        m.apply(rng.standard_normal((4, 5)))
+        return m, dense
+
+    @staticmethod
+    def _check(m, dense, tol=1e-12):
+        x = np.random.default_rng(5).standard_normal((m.num_batch, m.num_cols))
+        expected = np.einsum("bij,bj->bi", dense, x)
+        assert np.allclose(m.apply(x), expected, rtol=tol, atol=tol)
+
+    def test_parent(self, parent):
+        m, dense = parent
+        self._check(m, dense)
+
+    def test_take_batch(self, parent):
+        m, dense = parent
+        self._check(m.take_batch(slice(1, 3)), dense[1:3])
+
+    def test_astype(self, parent):
+        m, dense = parent
+        single = m.astype(np.float32)
+        assert single.apply(np.ones((4, 5))).dtype == np.float32
+        self._check(single, dense, tol=1e-5)
+
+    def test_scaled_copy(self, parent):
+        m, dense = parent
+        factors = np.array([1.0, -2.0, 0.5, 3.0])
+        self._check(m.scaled_copy(factors), dense * factors[:, None, None])
+
+    def test_transpose(self, parent):
+        m, dense = parent
+        self._check(m.transpose(), dense.transpose(0, 2, 1))
 
 
 class TestDiagonalAndScaling:
