@@ -2,14 +2,15 @@
 # CI gate: tier-1 tests, lint, the smoke checks, and the perf-regression
 # gate over the committed BENCH_*.json artifacts.
 #
-# Mirrors what the reproducibility driver expects to hold: the full test
-# suite green, the lint gate clean, the tracing pipeline producing valid
-# Chrome traces, the serving layer honouring its contracts, the profiler
-# attributing counters on both backends with green model drift, the
-# committed benchmark artifacts within tolerance of the baseline
-# manifest, and the repo benchmark's own checks passing. Every stage is a
-# hard gate: set -e aborts the script (and fails CI) on the first
-# non-zero exit — no warn-and-continue stages.
+# Mirrors what must hold before a change lands: the full test suite
+# green, the lint gate clean, the tracing pipeline producing valid Chrome
+# traces through `repro run --with trace` (whose observer options never
+# reach the wrapped command), the serving layer honouring its contracts,
+# the profiler attributing counters on both backends with green model
+# drift, the committed benchmark artifacts within tolerance of the
+# baseline manifest, and the repo benchmark's own checks passing. Every
+# stage is a hard gate: set -e aborts the script (and fails CI) on the
+# first non-zero exit — no warn-and-continue stages.
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
@@ -27,6 +28,13 @@ bash scripts/lint.sh
 echo
 echo "== trace smoke =="
 python scripts/smoke_trace.py --out /tmp/ci_trace_smoke.json
+# run's --trace-out (before the command) and chaos replay's own
+# --trace-out (after it) must each write their file
+rm -f /tmp/ci_run_trace.json /tmp/ci_replay_items.jsonl
+python -m repro run --with trace --trace-out /tmp/ci_run_trace.json --no-summary \
+    -- chaos replay --requests 8 --size 8 --trace-out /tmp/ci_replay_items.jsonl
+test -s /tmp/ci_run_trace.json
+test -s /tmp/ci_replay_items.jsonl
 
 echo
 echo "== serve smoke =="

@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Tracing smoke check: run a small traced stencil solve, validate the trace.
 
-Exercises the full observability pipeline end to end — the ``repro trace``
-CLI wrapping the ``stencil`` experiment, the Chrome trace-event exporter,
+Exercises the full observability pipeline end to end — ``repro run --with
+trace`` wrapping the ``stencil`` experiment, the Chrome trace-event exporter,
 and the schema validator — on a workload small enough for CI. Exits
 non-zero (with a diagnostic) if the emitted trace is missing kernel-launch
 spans, their LaunchStats arguments, or the per-iteration convergence
@@ -36,15 +36,17 @@ def main(argv: list[str] | None = None) -> int:
 
     out = Path(args.out)
     cmd = [
+        "run",
+        "--with",
         "trace",
+        "--trace-out",
+        str(out),
+        "--no-summary",
         "stencil",
         "--sizes",
         *[str(s) for s in args.sizes],
         "--nb-solve",
         str(args.nb_solve),
-        "--trace-out",
-        str(out),
-        "--no-summary",
     ]
     code = repro_main(cmd)
     if code != 0:

@@ -20,26 +20,24 @@ Commands:
   launch configurations for a workload (``tune tune``), inspect the
   persistent tuning database (``tune show``), or drop records
   (``tune clear``).
-* ``trace``    — run any of the above with tracing enabled and export a
-  Chrome trace-event file, e.g.
-  ``python -m repro trace stencil --trace-out trace.json``
-  (open the result in Perfetto or ``chrome://tracing``).
+* ``run``      — run any other command under observers, e.g.
+  ``python -m repro run --with trace,profile --trace-out t.json stencil``:
+  ``trace`` exports a Chrome trace (open it in Perfetto), ``sanitize``
+  checks every kernel launch, ``profile`` prints measured kernel
+  counters, ``slo`` scores every service the command created (non-zero on
+  a violation) and ``chaos`` installs the seeded fault battery. The exit
+  code propagates, and every observer reports, also after a failure.
 * ``profile``  — measured kernel counters (``repro.profile``):
   ``profile report`` prints the per-kernel × per-phase counter
   attribution for both simulated backends, ``profile roofline`` places
   the measured arithmetic intensity on the platform roofline and checks
-  it against the analytic model (non-zero exit on drift),
-  ``profile export`` writes flamegraph-ready folded stacks, and
-  ``profile <command> [args]`` runs any other repro command with counter
-  collection enabled, e.g. ``python -m repro profile stencil --sizes 16``.
+  it against the analytic model (non-zero exit on drift), and
+  ``profile export`` writes flamegraph-ready folded stacks.
 * ``slo``      — the SLO monitor (``repro.telemetry``): ``slo check``
   runs a synthetic serve workload on a synthetic multi-hour clock and
   exits non-zero when any burn-rate alert fires (seed a regression with
-  ``--inject-latency-ms``), ``slo report`` prints the burn table (or
-  evaluates a Prometheus text dump offline via ``--metrics-in``), and
-  ``slo <command> [args]`` runs any other repro command with a telemetry
-  hub installed and scores its combined metrics against the objectives
-  at exit, e.g. ``python -m repro slo serve-demo --requests 64``.
+  ``--inject-latency-ms``), and ``slo report`` prints the burn table (or
+  evaluates a Prometheus text dump offline via ``--metrics-in``).
 * ``top``      — a live text dashboard over a running synthetic serve
   workload: gauges, counters, latency percentiles with sparklines, SLO
   burn state and the structured event-log tail, one frame per interval.
@@ -47,21 +45,17 @@ Commands:
   ``chaos replay`` replays a seeded per-tenant trace (diurnal/bursty
   arrivals, mixed mechanisms) against a service or fleet and scores it
   through the SLO monitor (``--faults`` injects the seeded battery;
-  non-zero exit on lost tickets or, clean, on SLO violations),
+  non-zero exit on lost tickets or, clean, on SLO violations), and
   ``chaos battery`` is the fault gate — every fault kind must fire, zero
-  tickets lost, every failure a structured status — and
-  ``chaos <command> [args]`` runs any other repro command with the fault
-  battery ambiently installed, e.g.
-  ``python -m repro chaos serve-demo --requests 64``.
+  tickets lost, every failure a structured status.
 * ``sanitize`` — the kernel sanitizer (``repro.sanitize``):
   ``sanitize selftest`` runs the seeded-mutation detector battery,
   ``sanitize check <case>`` runs one battery kernel (violations print a
-  structured report and exit 1), ``sanitize diff`` runs the backend
-  differential grid, and ``sanitize <command> [args]`` runs any other
-  repro command with every kernel launch checked, e.g.
-  ``python -m repro sanitize stencil --sizes 16``. Composes with
-  ``trace``: ``repro trace sanitize check racy-write --trace-out t.json``
-  still writes the trace of the failing launch.
+  structured report and exit 1), and ``sanitize diff`` runs the backend
+  differential grid.
+* ``postmortem`` — flight-recorder bundles (``repro.recorder``):
+  ``analyze`` attributes incidents, ``timeline`` merges the cross-shard
+  event stream and ``diff`` shows what changed between two bundles.
 """
 
 from __future__ import annotations
@@ -143,8 +137,8 @@ def _cmd_serve_demo(args) -> int:
     import numpy as np
 
     from repro.bench.report import print_table
-    from repro.serve import ServeConfig, SolveRequest, SolverService
-    from repro.workloads.stencil import three_point_stencil
+    from repro.serve import ServeConfig, SolverService
+    from repro.workloads.arrivals import make_request, stencil_pattern
 
     if getattr(args, "shards", 1) > 1:
         return _serve_demo_fleet(args)
@@ -159,8 +153,7 @@ def _cmd_serve_demo(args) -> int:
         tuning_db_path=args.tuning_db,
         tenant_default_quota=getattr(args, "tenant_quota", None),
     )
-    pattern_batch = three_point_stencil(args.size, 1)
-    pattern = pattern_batch.item_scipy(0)
+    pattern = stencil_pattern(args.size)
     rng = np.random.default_rng(42)
 
     # --tenants N splits the workload over N tenants cycling through the
@@ -196,16 +189,9 @@ def _cmd_serve_demo(args) -> int:
 
         tickets = []
         for i in range(args.requests):
-            values = pattern.copy()
-            values.data = values.data * rng.uniform(0.9, 1.1, size=values.nnz)
-            request = SolveRequest(
-                values,
-                rng.standard_normal(args.size),
-                solver=args.solver,
-                preconditioner="jacobi",
-                tolerance=1e-8,
-                tenant=tenant_of(i),
-                priority=priority_of(i),
+            request = make_request(
+                pattern, rng, args.size, args.solver,
+                tenant=tenant_of(i), priority=priority_of(i),
             )
             bucket(request.tenant)["submitted"] += 1
             try:
@@ -256,17 +242,34 @@ def _cmd_serve_demo(args) -> int:
         print_table(rows, "per-tenant QoS (fair-share virtual time)")
     print()
     print_table(service.metrics.rows(), "serve metrics")
+    _dump_telemetry(args, service.metrics, service.events)
+    return 0
 
+
+def _dump_telemetry_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--metrics-out",
+        default=None,
+        help="dump the metrics in Prometheus text format to this file",
+    )
+    parser.add_argument(
+        "--events-out",
+        default=None,
+        help="write the structured telemetry event log (JSONL) to this file",
+    )
+
+
+def _dump_telemetry(args, metrics, events) -> None:
+    """``--metrics-out`` (Prometheus text) and ``--events-out`` (JSONL) dumps."""
     if args.metrics_out:
         from repro.observability import render_prometheus
 
         with open(args.metrics_out, "w", encoding="utf-8") as fh:
-            fh.write(render_prometheus(service.metrics))
+            fh.write(render_prometheus(metrics))
         print(f"prometheus metrics written to {args.metrics_out}")
     if args.events_out:
-        path = service.events.write_jsonl(args.events_out)
-        print(f"{len(service.events)} telemetry events written to {path}")
-    return 0
+        path = events.write_jsonl(args.events_out)
+        print(f"{len(events)} telemetry events written to {path}")
 
 
 def _serve_demo_fleet(args) -> int:
@@ -327,16 +330,7 @@ def _serve_demo_fleet(args) -> int:
         print_table(stats, "per-shard counters")
         print()
         print_table(fleet.metrics.rows(), "fleet metrics")
-
-        if args.metrics_out:
-            from repro.observability import render_prometheus
-
-            with open(args.metrics_out, "w", encoding="utf-8") as fh:
-                fh.write(render_prometheus(fleet.metrics))
-            print(f"prometheus metrics written to {args.metrics_out}")
-        if args.events_out:
-            path = fleet.events.write_jsonl(args.events_out)
-            print(f"{len(fleet.events)} telemetry events written to {path}")
+        _dump_telemetry(args, fleet.metrics, fleet.events)
     return 0
 
 
@@ -444,16 +438,7 @@ def _cmd_fleet_demo(args) -> int:
         print_table(stats, "per-shard counters")
         print()
         print_table(fleet.metrics.rows(), "fleet metrics")
-
-        if args.metrics_out:
-            from repro.observability import render_prometheus
-
-            with open(args.metrics_out, "w", encoding="utf-8") as fh:
-                fh.write(render_prometheus(fleet.metrics))
-            print(f"prometheus metrics written to {args.metrics_out}")
-        if args.events_out:
-            path = fleet.events.write_jsonl(args.events_out)
-            print(f"{len(fleet.events)} telemetry events written to {path}")
+        _dump_telemetry(args, fleet.metrics, fleet.events)
     return 0 if converged == len(outcomes) else 1
 
 
@@ -563,97 +548,7 @@ def _cmd_advisor(args) -> None:
         print(line)
 
 
-def _split_trace_args(argv: list[str]) -> tuple[dict, list[str]]:
-    """Pull the trace options out of ``argv``, leaving the wrapped command.
-
-    Done by hand rather than argparse because the wrapped command keeps its
-    own flags: ``repro trace stencil --sizes 16 --trace-out t.json`` must
-    route ``--sizes 16`` to ``stencil`` and ``--trace-out`` to ``trace``,
-    wherever they appear.
-    """
-    options = {"trace_out": "trace.json", "jsonl_out": None, "summary": True}
-    rest: list[str] = []
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        key = None
-        if arg.startswith("--trace-out"):
-            key = "trace_out"
-        elif arg.startswith("--jsonl-out"):
-            key = "jsonl_out"
-        if key is not None:
-            if "=" in arg:
-                options[key] = arg.split("=", 1)[1]
-            else:
-                if i + 1 >= len(argv):
-                    raise SystemExit(f"repro trace: {arg} requires a value")
-                options[key] = argv[i + 1]
-                i += 1
-        elif arg == "--no-summary":
-            options["summary"] = False
-        else:
-            rest.append(arg)
-        i += 1
-    return options, rest
-
-
-def _cmd_trace(argv: list[str]) -> int:
-    """Run a wrapped command under a fresh tracer and export the trace.
-
-    The wrapped command's exit code is propagated — including non-zero
-    codes from ``SystemExit`` (e.g. argparse usage errors) and failures
-    that raise — and the trace collected up to the failure point is still
-    written, so a trace of a crashing run can be inspected.
-    """
-    import traceback
-
-    from repro.instruments import use
-    from repro.observability import (
-        Tracer,
-        format_summary,
-        write_chrome_trace,
-        write_jsonl,
-    )
-
-    options, rest = _split_trace_args(argv)
-    if not rest or rest[0] == "trace":
-        raise SystemExit(
-            "usage: repro trace <command> [command args] "
-            "[--trace-out FILE] [--jsonl-out FILE] [--no-summary]"
-        )
-
-    tracer = Tracer()
-    try:
-        with use(tracer=tracer):
-            code = main(rest)
-    except SystemExit as exc:  # argparse errors, explicit exits in wrapped cmds
-        if exc.code is None:
-            code = 0
-        elif isinstance(exc.code, int):
-            code = exc.code
-        else:
-            print(exc.code, file=sys.stderr)
-            code = 1
-    except Exception:
-        traceback.print_exc()
-        code = 1
-
-    path = write_chrome_trace(tracer, options["trace_out"])
-    if options["jsonl_out"]:
-        write_jsonl(tracer, options["jsonl_out"])
-    if options["summary"]:
-        print()
-        print(format_summary(tracer))
-    print(
-        f"\ntrace written to {path} ({len(tracer.spans)} spans, "
-        f"{len(tracer.events)} events) — open in Perfetto or chrome://tracing"
-    )
-    if code != 0:
-        print(f"warning: wrapped command exited {code}", file=sys.stderr)
-    return code
-
-
-def _sanitize_selftest() -> int:
+def _sanitize_selftest(_args) -> int:
     """Run the seeded-mutation battery; non-zero unless every case passes."""
     from repro.sanitize.selftest import run_selftest
 
@@ -675,12 +570,12 @@ def _sanitize_selftest() -> int:
     return 1 if failures else 0
 
 
-def _sanitize_check(case_name: str) -> int:
+def _sanitize_check(args) -> int:
     """Run one battery kernel; a violation prints its report and exits 1."""
     from repro.sanitize.selftest import case_by_name, run_case
 
     try:
-        case = case_by_name(case_name)
+        case = case_by_name(args.case)
     except KeyError as exc:
         raise SystemExit(f"repro sanitize check: {exc.args[0]}") from None
     result = run_case(case)
@@ -691,25 +586,11 @@ def _sanitize_check(case_name: str) -> int:
     return 1
 
 
-def _sanitize_diff(argv: list[str]) -> int:
+def _sanitize_diff(args) -> int:
     """Run the differential grid on a seeded random SPD batch."""
     import numpy as np
 
-    from repro.sanitize.diff import kernel_grid, run_differential
-
-    parser = argparse.ArgumentParser(prog="repro sanitize diff")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--batch", type=int, default=3)
-    parser.add_argument("--rows", type=int, default=16)
-    parser.add_argument(
-        "--backends",
-        default="sycl,cuda,wide",
-        help="comma-separated backend subset of the grid "
-        "(sycl, cuda/cudasim, wide)",
-    )
-    args = parser.parse_args(argv)
-
-    from repro.sanitize.diff import BACKENDS
+    from repro.sanitize.diff import BACKENDS, kernel_grid, run_differential
     from repro.serve.config import BACKEND_ALIASES
 
     backends = tuple(
@@ -746,46 +627,6 @@ def _sanitize_diff(argv: list[str]) -> int:
     return 1 if disagreements else 0
 
 
-def _cmd_sanitize(argv: list[str]) -> int:
-    """The ``sanitize`` command: selftest / check / diff / wrapped command.
-
-    Wrapping installs a sanitizer, runs the inner command, and
-    prints the checking summary; a violation prints its structured report
-    and exits 1 (the report still reaches any enclosing ``trace`` wrapper,
-    which writes the trace collected up to the failure).
-    """
-    from repro.exceptions import BarrierDivergenceError, SanitizerError
-    from repro.instruments import use
-    from repro.sanitize import Sanitizer, format_summary
-
-    if not argv or argv[0] == "sanitize":
-        raise SystemExit(
-            "usage: repro sanitize {selftest | check <case> | diff [opts] | "
-            "<command> [args]}"
-        )
-    if argv[0] == "selftest":
-        return _sanitize_selftest()
-    if argv[0] == "check":
-        if len(argv) < 2:
-            raise SystemExit("usage: repro sanitize check <case>")
-        return _sanitize_check(argv[1])
-    if argv[0] == "diff":
-        return _sanitize_diff(argv[1:])
-
-    sanitizer = Sanitizer()
-    try:
-        with use(sanitizer=sanitizer):
-            code = main(argv)
-    except (SanitizerError, BarrierDivergenceError) as exc:
-        print(str(exc), file=sys.stderr)
-        print(file=sys.stderr)
-        print(format_summary(sanitizer), file=sys.stderr)
-        return 1
-    print()
-    print(format_summary(sanitizer))
-    return code
-
-
 def _profile_workload_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workload",
@@ -799,22 +640,30 @@ def _profile_workload_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tolerance", type=float, default=1e-8)
 
 
-def _profile_report(argv: list[str]) -> int:
-    """Per-kernel × per-phase measured-counter attribution, both backends."""
-    from repro.profile.report import format_report
+def _profile_workload(args, solvers: tuple, backends: tuple) -> dict:
+    """Profile the parsed ``--workload``; unknown names are a usage error (2)."""
     from repro.profile.runner import profile_workload
 
-    parser = argparse.ArgumentParser(prog="repro profile report")
-    _profile_workload_args(parser)
-    args = parser.parse_args(argv)
+    try:
+        return profile_workload(
+            args.workload,
+            solvers=solvers,
+            backends=backends,
+            num_batch=args.batch,
+            tolerance=args.tolerance,
+            max_iterations=args.max_iters,
+        )
+    except ValueError as exc:  # unknown workload/solver/backend names
+        print(f"repro profile: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
-    profilers = profile_workload(
-        args.workload,
-        solvers=tuple(args.solvers.split(",")),
-        backends=tuple(args.backends.split(",")),
-        num_batch=args.batch,
-        tolerance=args.tolerance,
-        max_iterations=args.max_iters,
+
+def _profile_report(args) -> int:
+    """Per-kernel × per-phase measured-counter attribution, both backends."""
+    from repro.profile.report import format_report
+
+    profilers = _profile_workload(
+        args, tuple(args.solvers.split(",")), tuple(args.backends.split(","))
     )
     print(
         format_report(
@@ -824,7 +673,7 @@ def _profile_report(argv: list[str]) -> int:
     return 0
 
 
-def _profile_roofline(argv: list[str]) -> int:
+def _profile_roofline(args) -> int:
     """Measured roofline placement + model-drift verdict (exit 1 on drift)."""
     from repro.hw.specs import gpu
     from repro.profile.roofline import (
@@ -833,30 +682,11 @@ def _profile_roofline(argv: list[str]) -> int:
         modeled_intensities,
         place_measured,
     )
-    from repro.profile.runner import build_workload, profile_workload
-
-    parser = argparse.ArgumentParser(prog="repro profile roofline")
-    _profile_workload_args(parser)
-    parser.add_argument("--solver", default="cg")
-    parser.add_argument("--platform", default="pvc1")
-    parser.add_argument(
-        "--drift-tolerance",
-        type=float,
-        default=DEFAULT_TOLERANCE,
-        help="max relative measured-vs-model intensity drift per level",
-    )
-    args = parser.parse_args(argv)
+    from repro.profile.runner import build_workload
 
     backend = "cuda" if args.platform in ("a100", "h100") else "sycl"
-    profilers = profile_workload(
-        args.workload,
-        solvers=(args.solver,),
-        backends=(backend,),
-        num_batch=args.batch,
-        tolerance=args.tolerance,
-        max_iterations=args.max_iters,
-    )
-    profiler = profilers[backend]
+    profiler = _profile_workload(args, (args.solver,), (backend,))[backend]
+    tolerance = DEFAULT_TOLERANCE if args.drift_tolerance is None else args.drift_tolerance
     spec = gpu(args.platform)
     matrix, b = build_workload(args.workload, num_batch=args.batch)
     modeled = modeled_intensities(
@@ -871,9 +701,7 @@ def _profile_roofline(argv: list[str]) -> int:
     failed = False
     for name in profiler.kernel_names():
         profile = profiler.profile_for(name)
-        report = drift_report(
-            profile, spec, modeled, tolerance=args.drift_tolerance
-        )
+        report = drift_report(profile, spec, modeled, tolerance=tolerance)
         print(report.describe())
         failed |= not report.ok
         # placement against the modeled device time for this spec
@@ -886,31 +714,14 @@ def _profile_roofline(argv: list[str]) -> int:
     return 1 if failed else 0
 
 
-def _profile_export(argv: list[str]) -> int:
+def _profile_export(args) -> int:
     """Folded-stack (flamegraph) and JSON snapshot export."""
     import json as _json
 
     from repro.profile.folded import folded_lines, write_folded
-    from repro.profile.runner import profile_workload
 
-    parser = argparse.ArgumentParser(prog="repro profile export")
-    _profile_workload_args(parser)
-    parser.add_argument("--out", default="profile.folded")
-    parser.add_argument(
-        "--weight",
-        default="flops",
-        help="counter weighting the stacks (flops, total_bytes, slm_bytes, ...)",
-    )
-    parser.add_argument("--json-out", default=None)
-    args = parser.parse_args(argv)
-
-    profilers = profile_workload(
-        args.workload,
-        solvers=tuple(args.solvers.split(",")),
-        backends=tuple(args.backends.split(",")),
-        num_batch=args.batch,
-        tolerance=args.tolerance,
-        max_iterations=args.max_iters,
+    profilers = _profile_workload(
+        args, tuple(args.solvers.split(",")), tuple(args.backends.split(","))
     )
     lines: list[str] = []
     for backend in sorted(profilers):
@@ -927,53 +738,13 @@ def _profile_export(argv: list[str]) -> int:
     return 0
 
 
-def _cmd_profile(argv: list[str]) -> int:
-    """The ``profile`` command: report / roofline / export / wrapped command.
-
-    Wrapping installs a profiler, runs the inner command, and
-    prints the measured-counter attribution for every kernel it launched —
-    composing with ``trace`` and ``sanitize`` the same way they compose
-    with each other.
-    """
-    from repro.instruments import use
-    from repro.profile import Profiler
-    from repro.profile.report import format_report
-
-    if not argv or argv[0] == "profile":
-        raise SystemExit(
-            "usage: repro profile {report [opts] | roofline [opts] | "
-            "export [opts] | <command> [args]}"
-        )
-    if argv[0] in ("report", "roofline", "export"):
-        handler = {
-            "report": _profile_report,
-            "roofline": _profile_roofline,
-            "export": _profile_export,
-        }[argv[0]]
-        try:
-            return handler(argv[1:])
-        except ValueError as exc:  # unknown workload/solver/backend names
-            print(f"repro profile {argv[0]}: {exc}", file=sys.stderr)
-            return 2
-
-    profiler = Profiler()
-    with use(profiler=profiler):
-        code = main(argv)
-    print()
-    if profiler.kernel_names():
-        print(format_report(profiler, "measured kernel counters"))
-    else:
-        print("profile: no instrumented kernel launches")
-    return code
-
-
-def _slo_specs(args):
-    """Objectives for the ``slo``/``top`` commands: file or stock defaults."""
+def _slo_specs(path: str | None, threshold_ms: float):
+    """Objectives for ``slo`` and ``run --with slo``: file or stock defaults."""
     from repro.telemetry import default_slos, load_slos
 
-    if getattr(args, "specs", None):
-        return load_slos(args.specs)
-    return default_slos(latency_threshold_ms=args.threshold_ms)
+    if path:
+        return load_slos(path)
+    return default_slos(latency_threshold_ms=threshold_ms)
 
 
 def _slo_run_synthetic(args):
@@ -984,14 +755,14 @@ def _slo_run_synthetic(args):
     latency regression (``--inject-latency-ms`` observed for
     ``--inject-fraction`` of the epoch's requests — the knob CI flips to
     prove the alert pages), then advances the synthetic clock by
-    ``--epoch-minutes`` and samples the monitor. Returns the monitor, its
-    final statuses and the service's event log.
+    ``--epoch-minutes`` and samples the monitor. Returns the monitor and
+    its final statuses.
     """
     import numpy as np
 
-    from repro.serve import ServeConfig, SolveRequest, SolverService
+    from repro.serve import ServeConfig, SolverService
     from repro.telemetry import SloMonitor
-    from repro.workloads.stencil import three_point_stencil
+    from repro.workloads.arrivals import make_request, stencil_pattern
 
     state = {"now": 0.0}
     config = ServeConfig(
@@ -1000,31 +771,22 @@ def _slo_run_synthetic(args):
         num_workers=args.workers,
         backend=args.backend,
     )
-    pattern = three_point_stencil(args.size, 1).item_scipy(0)
+    pattern = stencil_pattern(args.size)
     rng = np.random.default_rng(args.seed)
 
     with SolverService(config) as service:
         monitor = SloMonitor(
-            service.metrics, specs=_slo_specs(args), clock=lambda: state["now"]
+            service.metrics,
+            specs=_slo_specs(args.specs, args.threshold_ms),
+            clock=lambda: state["now"],
         )
         monitor.sample()
         hdr = service.metrics.log_histogram("serve.latency_hdr_ms")
         for _epoch in range(args.epochs):
-            tickets = []
-            for _ in range(args.requests):
-                values = pattern.copy()
-                values.data = values.data * rng.uniform(0.9, 1.1, size=values.nnz)
-                tickets.append(
-                    service.submit(
-                        SolveRequest(
-                            values,
-                            rng.standard_normal(args.size),
-                            solver=args.solver,
-                            preconditioner="jacobi",
-                            tolerance=1e-8,
-                        )
-                    )
-                )
+            tickets = [
+                service.submit(make_request(pattern, rng, args.size, args.solver))
+                for _ in range(args.requests)
+            ]
             for ticket in tickets:
                 ticket.result(timeout=60.0)
             if args.inject_latency_ms > 0:
@@ -1033,8 +795,7 @@ def _slo_run_synthetic(args):
             state["now"] += args.epoch_minutes * 60.0
             monitor.sample()
         statuses = monitor.evaluate(now=state["now"])
-        events = service.events
-    return monitor, statuses, events
+    return monitor, statuses
 
 
 def _slo_offline_statuses(args):
@@ -1045,62 +806,19 @@ def _slo_offline_statuses(args):
 
     text = Path(args.metrics_in).read_text(encoding="utf-8")
     statuses = []
-    for spec in _slo_specs(args):
+    for spec in _slo_specs(args.specs, args.threshold_ms):
         bad, total = counts_from_prometheus(spec, text)
         statuses.append(SloStatus(spec=spec, bad=bad, total=total))
     return statuses
 
 
-def _slo_check_or_report(mode: str, argv: list[str]) -> int:
+def _cmd_slo(args) -> int:
     """The ``slo check`` / ``slo report`` forms (synthetic or offline)."""
     from repro.bench.report import print_table
     from repro.observability.metrics import MetricsRegistry
     from repro.telemetry import SloMonitor
 
-    parser = argparse.ArgumentParser(prog=f"repro slo {mode}")
-    parser.add_argument("--requests", type=int, default=32, help="requests per epoch")
-    parser.add_argument("--epochs", type=int, default=6)
-    parser.add_argument(
-        "--epoch-minutes",
-        type=float,
-        default=10.0,
-        help="synthetic minutes the clock advances per epoch",
-    )
-    parser.add_argument("--size", type=int, default=16)
-    parser.add_argument("--batch-size", type=int, default=16)
-    parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument(
-        "--backend", choices=["sycl", "cuda", "cudasim", "wide"], default="sycl"
-    )
-    parser.add_argument("--solver", default="bicgstab")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--threshold-ms",
-        type=float,
-        default=500.0,
-        help="latency objective boundary (ignored with --specs)",
-    )
-    parser.add_argument("--specs", default=None, help="SLO spec JSON file")
-    parser.add_argument(
-        "--metrics-in",
-        default=None,
-        help="score a Prometheus text dump offline instead of running a workload",
-    )
-    parser.add_argument(
-        "--inject-latency-ms",
-        type=float,
-        default=0.0,
-        help="seed a latency regression: observe this latency for a "
-        "fraction of each epoch's requests",
-    )
-    parser.add_argument(
-        "--inject-fraction",
-        type=float,
-        default=0.3,
-        help="fraction of each epoch's requests the seeded regression hits",
-    )
-    args = parser.parse_args(argv)
-
+    mode = args.mode
     if args.metrics_in:
         statuses = _slo_offline_statuses(args)
         monitor = SloMonitor(MetricsRegistry(), specs=[s.spec for s in statuses])
@@ -1118,9 +836,9 @@ def _slo_check_or_report(mode: str, argv: list[str]) -> int:
                 else ""
             )
         )
-        _monitor, statuses, _events = _slo_run_synthetic(args)
+        monitor, statuses = _slo_run_synthetic(args)
         print()
-        print_table(_monitor.report_rows(statuses), "slo burn state")
+        print_table(monitor.report_rows(statuses), "slo burn state")
         failing = [s for s in statuses if s.burning or not s.compliant]
 
     if failing:
@@ -1131,102 +849,6 @@ def _slo_check_or_report(mode: str, argv: list[str]) -> int:
     return 0
 
 
-def _slo_wrap(argv: list[str]) -> int:
-    """Run a wrapped command under a telemetry hub and score it at exit.
-
-    Every :class:`~repro.serve.service.SolverService` the wrapped command
-    creates registers its metrics on the hub and shares the hub's event
-    log; at exit the combined counts are scored against the objectives
-    (overall compliance — a one-shot command has no burn-window
-    timeline). Non-zero when the wrapped command fails *or* an objective
-    is violated, so CI can gate any repro command on its SLOs.
-    """
-    import traceback
-
-    from repro.bench.report import print_table
-    from repro.observability.metrics import MetricsRegistry
-    from repro.instruments import use
-    from repro.telemetry import SloMonitor, TelemetryHub
-
-    options = {"threshold_ms": 500.0, "specs": None, "events_out": None}
-    rest: list[str] = []
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        key = None
-        if arg.startswith("--slo-threshold-ms"):
-            key = "threshold_ms"
-        elif arg.startswith("--slo-specs"):
-            key = "specs"
-        elif arg.startswith("--slo-events-out"):
-            key = "events_out"
-        if key is not None:
-            if "=" in arg:
-                options[key] = arg.split("=", 1)[1]
-            else:
-                if i + 1 >= len(argv):
-                    raise SystemExit(f"repro slo: {arg} requires a value")
-                options[key] = argv[i + 1]
-                i += 1
-        else:
-            rest.append(arg)
-        i += 1
-    options["threshold_ms"] = float(options["threshold_ms"])
-
-    hub = TelemetryHub()
-    try:
-        with use(hub=hub, events=hub.event_log):
-            code = main(rest)
-    except SystemExit as exc:
-        if exc.code is None:
-            code = 0
-        elif isinstance(exc.code, int):
-            code = exc.code
-        else:
-            print(exc.code, file=sys.stderr)
-            code = 1
-    except Exception:
-        traceback.print_exc()
-        code = 1
-
-    class _Opts:
-        specs = options["specs"]
-        threshold_ms = options["threshold_ms"]
-
-    specs = _slo_specs(_Opts)
-    statuses = hub.slo_statuses(specs)
-    monitor = SloMonitor(MetricsRegistry(), specs=specs)
-    print()
-    print_table(monitor.report_rows(statuses), "slo compliance (wrapped command)")
-    if options["events_out"]:
-        path = hub.event_log.write_jsonl(options["events_out"])
-        print(f"{len(hub.event_log)} telemetry events written to {path}")
-    violated = [s for s in statuses if not s.compliant]
-    if violated:
-        names = ", ".join(s.spec.name for s in violated)
-        print(f"slo: VIOLATED — {names}", file=sys.stderr)
-        return code or 1
-    if not hub.registries:
-        print("slo: wrapped command created no services; nothing to score")
-    else:
-        print("slo: all objectives met")
-    if code != 0:
-        print(f"warning: wrapped command exited {code}", file=sys.stderr)
-    return code
-
-
-def _cmd_slo(argv: list[str]) -> int:
-    """The ``slo`` command: check / report / wrapped command."""
-    if not argv or argv[0] == "slo":
-        raise SystemExit(
-            "usage: repro slo {check [opts] | report [opts] | <command> [args] "
-            "[--slo-threshold-ms MS] [--slo-specs FILE] [--slo-events-out FILE]}"
-        )
-    if argv[0] in ("check", "report"):
-        return _slo_check_or_report(argv[0], argv[1:])
-    return _slo_wrap(argv)
-
-
 def _cmd_top(args) -> int:
     """Live text dashboard over a synthetic serve workload."""
     import threading
@@ -1234,9 +856,9 @@ def _cmd_top(args) -> int:
 
     import numpy as np
 
-    from repro.serve import ServeConfig, SolveRequest, SolverService
+    from repro.serve import ServeConfig, SolverService
     from repro.telemetry import SloMonitor, dashboard_text, default_slos
-    from repro.workloads.stencil import three_point_stencil
+    from repro.workloads.arrivals import make_request, stencil_pattern
 
     if getattr(args, "shards", 1) > 1:
         return _top_fleet(args)
@@ -1247,7 +869,7 @@ def _cmd_top(args) -> int:
         num_workers=args.workers,
         backend=args.backend,
     )
-    pattern = three_point_stencil(args.size, 1).item_scipy(0)
+    pattern = stencil_pattern(args.size)
     rng = np.random.default_rng(args.seed)
 
     with SolverService(config) as service:
@@ -1263,19 +885,10 @@ def _cmd_top(args) -> int:
             for k in range(args.requests):
                 if stop.is_set():
                     return
-                values = pattern.copy()
-                values.data = values.data * rng.uniform(0.9, 1.1, size=values.nnz)
                 try:
-                    ticket = service.submit(
-                        SolveRequest(
-                            values,
-                            rng.standard_normal(args.size),
-                            solver=args.solver,
-                            preconditioner="jacobi",
-                            tolerance=1e-8,
-                        )
-                    )
-                    ticket.result(timeout=60.0)
+                    service.submit(
+                        make_request(pattern, rng, args.size, args.solver)
+                    ).result(timeout=60.0)
                 except Exception:
                     return
                 if args.requests > 1 and k % 8 == 7:
@@ -1365,9 +978,8 @@ def _top_fleet(args) -> int:
     return 0
 
 
-def _chaos_parser(prog: str) -> argparse.ArgumentParser:
+def _chaos_args(parser: argparse.ArgumentParser) -> None:
     """Shared workload/service flags for ``chaos replay`` and ``chaos battery``."""
-    parser = argparse.ArgumentParser(prog=prog)
     parser.add_argument("--requests", type=int, default=128)
     parser.add_argument("--rate", type=float, default=400.0, help="arrival rate (req/s)")
     parser.add_argument(
@@ -1390,7 +1002,6 @@ def _chaos_parser(prog: str) -> argparse.ArgumentParser:
                         help="per-ticket wait budget (s); expiry counts as lost")
     parser.add_argument("--trace-in", default=None, help="replay this saved trace")
     parser.add_argument("--trace-out", default=None, help="save the trace (JSONL)")
-    return parser
 
 
 def _chaos_trace_and_factory(args, chaos):
@@ -1465,16 +1076,9 @@ def _chaos_print_report(report, title: str) -> None:
     print_table(slo_rows, "SLO verdicts")
 
 
-def _chaos_replay(argv: list[str]) -> int:
+def _chaos_replay(args) -> int:
     """``chaos replay``: score a trace replay; non-zero on lost tickets or,
     absent injected faults, on any SLO violation."""
-    parser = _chaos_parser("repro chaos replay")
-    parser.add_argument(
-        "--faults", action="store_true",
-        help="install the seeded fault battery during the replay",
-    )
-    args = parser.parse_args(argv)
-
     from repro.chaos import ChaosInjector, FaultPlan
     from repro.chaos.replay import run_replay
 
@@ -1504,7 +1108,7 @@ def _chaos_replay(argv: list[str]) -> int:
     return 0
 
 
-def _chaos_battery(argv: list[str]) -> int:
+def _chaos_battery(args) -> int:
     """``chaos battery``: the seeded fault battery as a gate.
 
     Passes only when every fault kind fired at least once, zero tickets
@@ -1514,21 +1118,6 @@ def _chaos_battery(argv: list[str]) -> int:
     an artifact, and ``repro postmortem analyze <path>`` explains the
     loss.
     """
-    parser = _chaos_parser("repro chaos battery")
-    parser.add_argument(
-        "--bundle-dir",
-        default="/tmp/repro_chaos_bundles",
-        help="flight-recorder bundles are dumped here on failure "
-        "(printed as the CI artifact path)",
-    )
-    parser.add_argument(
-        "--dump-bundle",
-        action="store_true",
-        help="dump a bundle even when the battery passes (feeds smoke "
-        "pipelines that drive the postmortem CLI on every run)",
-    )
-    args = parser.parse_args(argv)
-
     from repro.chaos import ChaosInjector, FaultPlan
     from repro.chaos.plan import FAULT_KINDS
     from repro.chaos.replay import run_replay
@@ -1580,117 +1169,245 @@ def _chaos_battery(argv: list[str]) -> int:
     return 0
 
 
-def _chaos_wrap(argv: list[str]) -> int:
-    """``chaos <command> [args] [--fault-seed N]``: run any repro command
-    with the seeded fault battery ambiently installed.
-
-    ``--fault-seed`` may appear anywhere in the wrapped argv (the same
-    convention as ``trace``'s ``--trace-out``) — it is split out here and
-    never reaches the wrapped command's parser.
-    """
-    fault_seed = 0
-    rest: list[str] = []
-    i = 0
-    while i < len(argv):
-        if argv[i] == "--fault-seed":
-            if i + 1 >= len(argv):
-                print("repro chaos: --fault-seed needs a value", file=sys.stderr)
-                return 2
-            try:
-                fault_seed = int(argv[i + 1])
-            except ValueError:
-                print(f"repro chaos: bad --fault-seed {argv[i + 1]!r}", file=sys.stderr)
-                return 2
-            i += 2
-            continue
-        rest.append(argv[i])
-        i += 1
-    if not rest:
-        print(
-            "usage: repro chaos replay|battery [flags] | "
-            "repro chaos [--fault-seed N] <command> [args]",
-            file=sys.stderr,
-        )
-        return 2
-
-    from repro.chaos import ChaosInjector, FaultPlan
-    from repro.instruments import use
-
-    injector = ChaosInjector(FaultPlan.battery(seed=fault_seed))
-    print(f"chaos: fault battery (seed {fault_seed}) installed for: {' '.join(rest)}")
-    with use(chaos=injector):
-        code = main(rest)
-    counts = injector.injected_by_kind()
-    summary = ", ".join(f"{k}={n}" for k, n in sorted(counts.items())) or "none"
-    print(
-        f"\nchaos: {injector.total_injected} fault(s) injected over "
-        f"{injector.flushes_seen} flushes ({summary})"
-    )
-    return code
-
-
-def _cmd_chaos(argv: list[str]) -> int:
-    if argv and argv[0] == "replay":
-        return _chaos_replay(argv[1:])
-    if argv and argv[0] == "battery":
-        return _chaos_battery(argv[1:])
-    return _chaos_wrap(argv)
-
-
-def _cmd_postmortem(argv: list[str]) -> int:
-    """``postmortem {analyze,timeline,diff}``: read flight-recorder bundles.
-
-    * ``analyze <bundle>...`` — incident attribution (infrastructure
-      fault vs. convergence class) with victim trace ids; ``--json``
-      prints the machine-readable analysis instead of the report.
-    * ``timeline <bundle>...`` — the merged cross-shard event timeline.
-    * ``diff <a> <b>`` — what changed between two bundles.
-    """
-    parser = argparse.ArgumentParser(
-        prog="repro postmortem",
-        description="analyze flight-recorder diagnostic bundles",
-    )
-    sub = parser.add_subparsers(dest="action", required=True)
-    analyze = sub.add_parser("analyze", help="attribute incidents and failures")
-    analyze.add_argument("bundles", nargs="+", help="bundle dirs (or parents of)")
-    analyze.add_argument("--json", action="store_true", help="print JSON, not the report")
-    analyze.add_argument("--out", default=None, help="also write the report here")
-    timeline = sub.add_parser("timeline", help="merged cross-shard event timeline")
-    timeline.add_argument("bundles", nargs="+", help="bundle dirs (or parents of)")
-    timeline.add_argument("--limit", type=int, default=None, help="last N events only")
-    diff = sub.add_parser("diff", help="what changed between two bundles")
-    diff.add_argument("a", help="the before bundle")
-    diff.add_argument("b", help="the after bundle")
-    args = parser.parse_args(argv)
-
+def _postmortem_analyze(args) -> int:
+    """Incident attribution (infrastructure fault vs. convergence class)."""
     import json
     from pathlib import Path
 
-    from repro.recorder import (
-        analyze_bundles,
-        diff_bundles,
-        load_bundle,
-        load_bundles,
-        render_analysis,
-        render_diff,
-        render_timeline,
-    )
+    from repro.recorder import analyze_bundles, load_bundles, render_analysis
 
-    if args.action == "analyze":
-        analysis = analyze_bundles(load_bundles(args.bundles))
-        if args.json:
-            print(json.dumps(analysis, indent=2, default=str))
-        else:
-            print(render_analysis(analysis))
-        if args.out:
-            Path(args.out).write_text(render_analysis(analysis))
-            print(f"report written to {args.out}")
-        return 0
-    if args.action == "timeline":
-        print(render_timeline(load_bundles(args.bundles), limit=args.limit))
-        return 0
+    analysis = analyze_bundles(load_bundles(args.bundles))
+    if args.json:
+        print(json.dumps(analysis, indent=2, default=str))
+    else:
+        print(render_analysis(analysis))
+    if args.out:
+        Path(args.out).write_text(render_analysis(analysis))
+        print(f"report written to {args.out}")
+    return 0
+
+
+def _postmortem_timeline(args) -> int:
+    """The merged cross-shard event timeline."""
+    from repro.recorder import load_bundles, render_timeline
+
+    print(render_timeline(load_bundles(args.bundles), limit=args.limit))
+    return 0
+
+
+def _postmortem_diff(args) -> int:
+    """What changed between two bundles."""
+    from repro.recorder import diff_bundles, load_bundle, render_diff
+
     print(render_diff(diff_bundles(load_bundle(args.a), load_bundle(args.b))))
     return 0
+
+
+def _observe_sanitize(args):
+    """Check every kernel launch; print the checking summary."""
+    from repro.sanitize import Sanitizer, format_summary
+
+    sanitizer = Sanitizer()
+
+    def report(code: int) -> int:
+        # after a violation the summary follows its report on stderr
+        stream = sys.stdout if sanitizer.clean else sys.stderr
+        print(file=stream)
+        print(format_summary(sanitizer), file=stream)
+        return code
+
+    return {"sanitizer": sanitizer}, report
+
+
+def _observe_profile(args):
+    """Collect measured kernel counters; print their attribution."""
+    from repro.profile import Profiler
+    from repro.profile.report import format_report
+
+    profiler = Profiler()
+
+    def report(code: int) -> int:
+        print()
+        if profiler.kernel_names():
+            print(format_report(profiler, "measured kernel counters"))
+        else:
+            print("profile: no instrumented kernel launches")
+        return code
+
+    return {"profiler": profiler}, report
+
+
+def _observe_chaos(args):
+    """Install the seeded fault battery; print what it injected."""
+    from repro.chaos import ChaosInjector, FaultPlan
+
+    injector = ChaosInjector(FaultPlan.battery(seed=args.fault_seed))
+    print(
+        f"chaos: fault battery (seed {args.fault_seed}) installed for: "
+        f"{' '.join(args.wrapped)}"
+    )
+
+    def report(code: int) -> int:
+        counts = injector.injected_by_kind()
+        summary = ", ".join(f"{k}={n}" for k, n in sorted(counts.items())) or "none"
+        print(
+            f"\nchaos: {injector.total_injected} fault(s) injected over "
+            f"{injector.flushes_seen} flushes ({summary})"
+        )
+        return code
+
+    return {"chaos": injector}, report
+
+
+def _observe_slo(args):
+    """Score the metrics of every service the command creates.
+
+    Each :class:`~repro.serve.service.SolverService` registers its metrics
+    on the hub and shares the hub's event log. At exit the combined counts
+    are scored for overall compliance (a one-shot command has no
+    burn-window timeline), and a violation turns exit code 0 into 1, so CI
+    can gate any repro command on its SLOs.
+    """
+    from repro.bench.report import print_table
+    from repro.observability.metrics import MetricsRegistry
+    from repro.telemetry import SloMonitor, TelemetryHub
+
+    hub = TelemetryHub()
+    specs = _slo_specs(args.slo_specs, args.slo_threshold_ms)
+
+    def report(code: int) -> int:
+        statuses = hub.slo_statuses(specs)
+        monitor = SloMonitor(MetricsRegistry(), specs=specs)
+        print()
+        print_table(monitor.report_rows(statuses), "slo compliance (wrapped command)")
+        if args.slo_events_out:
+            path = hub.event_log.write_jsonl(args.slo_events_out)
+            print(f"{len(hub.event_log)} telemetry events written to {path}")
+        violated = [s for s in statuses if not s.compliant]
+        if violated:
+            names = ", ".join(s.spec.name for s in violated)
+            print(f"slo: VIOLATED — {names}", file=sys.stderr)
+            return code or 1
+        if not hub.registries:
+            print("slo: wrapped command created no services; nothing to score")
+        else:
+            print("slo: all objectives met")
+        return code
+
+    return {"hub": hub, "events": hub.event_log}, report
+
+
+def _observe_trace(args):
+    """Record spans; export the Chrome trace, also of a failed run."""
+    from repro.observability import Tracer, format_summary, write_chrome_trace, write_jsonl
+
+    tracer = Tracer()
+
+    def report(code: int) -> int:
+        path = write_chrome_trace(tracer, args.trace_out)
+        if args.jsonl_out:
+            write_jsonl(tracer, args.jsonl_out)
+        if not args.no_summary:
+            print()
+            print(format_summary(tracer))
+        print(
+            f"\ntrace written to {path} ({len(tracer.spans)} spans, "
+            f"{len(tracer.events)} events) — open in Perfetto or chrome://tracing"
+        )
+        return code
+
+    return {"tracer": tracer}, report
+
+
+#: The ``run --with`` observers in report order. Each builds its observer
+#: and returns the ``repro.instruments.use`` keywords that install it and
+#: the reporter called after the command, which maps the exit code. Trace
+#: comes last so that "trace written to ..." stays the final line.
+_OBSERVERS = {
+    "sanitize": _observe_sanitize,
+    "profile": _observe_profile,
+    "chaos": _observe_chaos,
+    "slo": _observe_slo,
+    "trace": _observe_trace,
+}
+
+#: The ``run`` observer options: dest -> (the observer it configures,
+#: default). They parse to None when absent, so an option given without
+#: its observer in ``--with`` is caught as a usage error.
+_RUN_OPTIONS = {
+    "trace_out": ("trace", "trace.json"),
+    "jsonl_out": ("trace", None),
+    "no_summary": ("trace", False),
+    "slo_threshold_ms": ("slo", 500.0),
+    "slo_specs": ("slo", None),
+    "slo_events_out": ("slo", None),
+    "fault_seed": ("chaos", 0),
+}
+
+
+def _observer_names(text: str) -> list[str]:
+    """The ``--with`` value: comma-separated names from ``_OBSERVERS``."""
+    names = text.split(",")
+    if not set(names) <= set(_OBSERVERS):
+        raise argparse.ArgumentTypeError(f"choose from {','.join(_OBSERVERS)}, got {text!r}")
+    return names
+
+
+def _cmd_run(args, usage_error) -> int:
+    """``run --with OBS[,OBS...] [observer options] [--] <command> [args]``.
+
+    Installs every selected observer with one ``use(...)``, runs the
+    command, and has every observer report, also after a failure. The
+    exit code: a ``SystemExit`` code propagates (a message string gives
+    1), a sanitizer or barrier-divergence error prints its report and
+    gives 1, any other exception prints its traceback and gives 1, and an
+    SLO violation turns 0 into 1.
+    """
+    import traceback
+
+    from repro.exceptions import BarrierDivergenceError, SanitizerError
+    from repro.instruments import use
+
+    if args.wrapped[:1] == ["--"]:  # REMAINDER keeps the separator
+        args.wrapped = args.wrapped[1:]
+    if not args.wrapped:
+        usage_error("the command to run is missing")
+    if args.wrapped[0] == "run":
+        usage_error("run cannot wrap run")
+    for dest, (observer, default) in _RUN_OPTIONS.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        elif observer not in args.observers:
+            usage_error(f"--{dest.replace('_', '-')} needs --with {observer}")
+
+    installs, reporters = {}, []
+    for name, observe in _OBSERVERS.items():
+        if name in args.observers:
+            observers, report = observe(args)
+            installs.update(observers)
+            reporters.append(report)
+    try:
+        with use(**installs):
+            code = main(args.wrapped)
+    except SystemExit as exc:  # argparse errors, explicit exits in the command
+        if exc.code is None or isinstance(exc.code, int):
+            code = exc.code or 0
+        else:
+            print(exc.code, file=sys.stderr)
+            code = 1
+    except (SanitizerError, BarrierDivergenceError) as exc:
+        print(str(exc), file=sys.stderr)
+        code = 1
+    except Exception:
+        traceback.print_exc()
+        code = 1
+
+    status = code
+    for report in reporters:
+        status = report(status)
+    if code:
+        print(f"warning: wrapped command exited {code}", file=sys.stderr)
+    return status
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1773,16 +1490,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="serve tuned launch geometry from this TuningDB file",
     )
-    serve_demo.add_argument(
-        "--metrics-out",
-        default=None,
-        help="dump the service metrics in Prometheus text format to this file",
-    )
-    serve_demo.add_argument(
-        "--events-out",
-        default=None,
-        help="write the structured telemetry event log (JSONL) to this file",
-    )
+    _dump_telemetry_args(serve_demo)
     serve_demo.set_defaults(fn=_cmd_serve_demo)
 
     fleet_demo = sub.add_parser(
@@ -1827,16 +1535,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="autoscaler p99 latency objective",
     )
     fleet_demo.add_argument("--seed", type=int, default=42)
-    fleet_demo.add_argument(
-        "--metrics-out",
-        default=None,
-        help="dump the fleet metrics in Prometheus text format to this file",
-    )
-    fleet_demo.add_argument(
-        "--events-out",
-        default=None,
-        help="write the structured telemetry event log (JSONL) to this file",
-    )
+    _dump_telemetry_args(fleet_demo)
     fleet_demo.set_defaults(fn=_cmd_fleet_demo)
 
     tune = sub.add_parser(
@@ -1877,36 +1576,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tune.set_defaults(fn=_cmd_tune)
 
-    trace = sub.add_parser(
-        "trace",
-        help="run a command with tracing enabled and export a Chrome trace "
-        "(trace <command> [args] --trace-out FILE [--jsonl-out FILE] "
-        "[--no-summary])",
-    )
-    trace.add_argument("wrapped", nargs=argparse.REMAINDER)
-    trace.set_defaults(fn=lambda a: _cmd_trace(a.wrapped))
-
-    profile = sub.add_parser(
-        "profile",
-        help="measured kernel counters (repro.profile): 'report' (per-phase "
-        "attribution, both backends), 'roofline' (measured placement + "
-        "model-drift verdict), 'export' (folded stacks / JSON), or any "
-        "repro command to run with counter collection enabled",
-    )
-    profile.add_argument("wrapped", nargs=argparse.REMAINDER)
-    profile.set_defaults(fn=lambda a: _cmd_profile(a.wrapped))
-
-    slo = sub.add_parser(
-        "slo",
-        help="SLO monitor (repro.telemetry): 'check' (synthetic workload + "
-        "burn-rate alerts, non-zero when burning; seed a regression with "
-        "--inject-latency-ms), 'report' (burn table, or score a Prometheus "
-        "dump via --metrics-in), or any repro command to run under a "
-        "telemetry hub and score at exit",
-    )
-    slo.add_argument("wrapped", nargs=argparse.REMAINDER)
-    slo.set_defaults(fn=lambda a: _cmd_slo(a.wrapped))
-
     top = sub.add_parser(
         "top",
         help="live text dashboard over a synthetic serve workload: metrics, "
@@ -1933,34 +1602,165 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top.set_defaults(fn=_cmd_top)
 
-    chaos = sub.add_parser(
-        "chaos",
-        help="fault injection (repro.chaos): 'replay' (seeded trace replay "
-        "scored against the SLOs; --faults adds the battery), 'battery' "
-        "(the seeded fault gate: every kind fires, zero lost tickets, all "
-        "failures structured), or any repro command to run with the fault "
-        "battery ambiently installed",
+    sanitize = sub.add_parser("sanitize", help="kernel sanitizer (repro.sanitize)")
+    verbs = sanitize.add_subparsers(required=True)
+    selftest = verbs.add_parser("selftest", help="seeded-mutation detector battery")
+    selftest.set_defaults(fn=_sanitize_selftest)
+    check = verbs.add_parser("check", help="run one battery kernel (violation: exit 1)")
+    check.add_argument("case", help="selftest case name, e.g. racy-write")
+    check.set_defaults(fn=_sanitize_check)
+    diff = verbs.add_parser("diff", help="backend differential grid on a seeded SPD batch")
+    diff.add_argument("--seed", type=int, default=0)
+    diff.add_argument("--batch", type=int, default=3)
+    diff.add_argument("--rows", type=int, default=16)
+    diff.add_argument(
+        "--backends",
+        default="sycl,cuda,wide",
+        help="comma-separated backend subset of the grid "
+        "(sycl, cuda/cudasim, wide)",
     )
-    chaos.add_argument("wrapped", nargs=argparse.REMAINDER)
-    chaos.set_defaults(fn=lambda a: _cmd_chaos(a.wrapped))
+    diff.set_defaults(fn=_sanitize_diff)
 
-    postmortem = sub.add_parser(
-        "postmortem",
-        help="flight-recorder bundle analysis (repro.recorder): 'analyze' "
-        "(incident + failure attribution), 'timeline' (merged cross-shard "
-        "event stream), 'diff' (what changed between two bundles)",
+    profile = sub.add_parser("profile", help="measured kernel counters (repro.profile)")
+    verbs = profile.add_subparsers(required=True)
+    report = verbs.add_parser("report", help="per-kernel x per-phase counter attribution")
+    _profile_workload_args(report)
+    report.set_defaults(fn=_profile_report)
+    roofline = verbs.add_parser("roofline", help="measured roofline + model-drift verdict")
+    _profile_workload_args(roofline)
+    roofline.add_argument("--solver", default="cg")
+    roofline.add_argument("--platform", default="pvc1")
+    roofline.add_argument(
+        "--drift-tolerance",
+        type=float,
+        help="max relative measured-vs-model intensity drift per level (default 0.25)",
     )
-    postmortem.add_argument("wrapped", nargs=argparse.REMAINDER)
-    postmortem.set_defaults(fn=lambda a: _cmd_postmortem(a.wrapped))
+    roofline.set_defaults(fn=_profile_roofline)
+    export = verbs.add_parser("export", help="folded stacks (flamegraph) + JSON snapshot")
+    _profile_workload_args(export)
+    export.add_argument("--out", default="profile.folded")
+    export.add_argument(
+        "--weight",
+        default="flops",
+        help="counter weighting the stacks (flops, total_bytes, slm_bytes, ...)",
+    )
+    export.add_argument("--json-out", default=None)
+    export.set_defaults(fn=_profile_export)
 
-    sanitize = sub.add_parser(
-        "sanitize",
-        help="kernel sanitizer: 'selftest' (mutation battery), 'check <case>' "
-        "(one battery kernel), 'diff' (backend differential grid), or any "
-        "repro command to run with launch checking enabled",
+    slo = sub.add_parser("slo", help="SLO monitor (repro.telemetry)")
+    verbs = slo.add_subparsers(required=True)
+    for mode, text in (
+        ("check", "synthetic workload + burn-rate alerts, non-zero when burning "
+         "(seed a regression with --inject-latency-ms)"),
+        ("report", "the burn table, or score a Prometheus dump via --metrics-in"),
+    ):
+        verb = verbs.add_parser(mode, help=text)
+        verb.add_argument("--requests", type=int, default=32, help="requests per epoch")
+        verb.add_argument("--epochs", type=int, default=6)
+        verb.add_argument(
+            "--epoch-minutes",
+            type=float,
+            default=10.0,
+            help="synthetic minutes the clock advances per epoch",
+        )
+        verb.add_argument("--size", type=int, default=16)
+        verb.add_argument("--batch-size", type=int, default=16)
+        verb.add_argument("--workers", type=int, default=2)
+        verb.add_argument(
+            "--backend", choices=["sycl", "cuda", "cudasim", "wide"], default="sycl"
+        )
+        verb.add_argument("--solver", default="bicgstab")
+        verb.add_argument("--seed", type=int, default=0)
+        verb.add_argument(
+            "--threshold-ms",
+            type=float,
+            default=500.0,
+            help="latency objective boundary (ignored with --specs)",
+        )
+        verb.add_argument("--specs", default=None, help="SLO spec JSON file")
+        verb.add_argument(
+            "--metrics-in",
+            default=None,
+            help="score a Prometheus text dump offline instead of running a workload",
+        )
+        verb.add_argument(
+            "--inject-latency-ms",
+            type=float,
+            default=0.0,
+            help="seed a latency regression: observe this latency for a "
+            "fraction of each epoch's requests",
+        )
+        verb.add_argument(
+            "--inject-fraction",
+            type=float,
+            default=0.3,
+            help="fraction of each epoch's requests the seeded regression hits",
+        )
+        verb.set_defaults(fn=_cmd_slo, mode=mode)
+
+    chaos = sub.add_parser("chaos", help="fault injection (repro.chaos)")
+    verbs = chaos.add_subparsers(required=True)
+    replay = verbs.add_parser("replay", help="seeded trace replay scored against the SLOs")
+    _chaos_args(replay)
+    replay.add_argument(
+        "--faults", action="store_true",
+        help="install the seeded fault battery during the replay",
     )
-    sanitize.add_argument("wrapped", nargs=argparse.REMAINDER)
-    sanitize.set_defaults(fn=lambda a: _cmd_sanitize(a.wrapped))
+    replay.set_defaults(fn=_chaos_replay)
+    battery = verbs.add_parser(
+        "battery", help="the fault gate: every kind fires, none lost, all structured"
+    )
+    _chaos_args(battery)
+    battery.add_argument(
+        "--bundle-dir",
+        default="/tmp/repro_chaos_bundles",
+        help="flight-recorder bundles are dumped here on failure "
+        "(printed as the CI artifact path)",
+    )
+    battery.add_argument(
+        "--dump-bundle",
+        action="store_true",
+        help="dump a bundle even when the battery passes (feeds smoke "
+        "pipelines that drive the postmortem CLI on every run)",
+    )
+    battery.set_defaults(fn=_chaos_battery)
+
+    postmortem = sub.add_parser("postmortem", help="flight-recorder bundles (repro.recorder)")
+    verbs = postmortem.add_subparsers(required=True)
+    analyze = verbs.add_parser("analyze", help="attribute incidents and failures")
+    analyze.add_argument("bundles", nargs="+", help="bundle dirs (or parents of)")
+    analyze.add_argument("--json", action="store_true", help="print JSON, not the report")
+    analyze.add_argument("--out", default=None, help="also write the report here")
+    analyze.set_defaults(fn=_postmortem_analyze)
+    timeline = verbs.add_parser("timeline", help="merged cross-shard event timeline")
+    timeline.add_argument("bundles", nargs="+", help="bundle dirs (or parents of)")
+    timeline.add_argument("--limit", type=int, default=None, help="last N events only")
+    timeline.set_defaults(fn=_postmortem_timeline)
+    diff = verbs.add_parser("diff", help="what changed between two bundles")
+    diff.add_argument("a", help="the before bundle")
+    diff.add_argument("b", help="the after bundle")
+    diff.set_defaults(fn=_postmortem_diff)
+
+    run = sub.add_parser(
+        "run",
+        help="run another command under observers: run --with OBS[,OBS...] [--] <command>",
+        description="Run a repro command under observers and report each at exit, also "
+        "after a failure. Observer options go before the command.",
+    )
+    run.add_argument("--with", dest="observers", required=True, type=_observer_names,
+                     metavar="OBS[,OBS...]", help=f"observers: {', '.join(_OBSERVERS)}")
+    run.add_argument("--trace-out", metavar="FILE", help="trace: Chrome JSON (default trace.json)")
+    run.add_argument("--jsonl-out", metavar="FILE", help="trace: also write JSONL spans")
+    run.add_argument("--no-summary", action="store_true", default=None,
+                     help="trace: skip the span summary")
+    run.add_argument("--slo-threshold-ms", type=float, metavar="MS",
+                     help="slo: latency objective boundary (default 500)")
+    run.add_argument("--slo-specs", metavar="FILE", help="slo: SLO spec JSON file")
+    run.add_argument("--slo-events-out", metavar="FILE", help="slo: write the event log (JSONL)")
+    run.add_argument("--fault-seed", type=int, metavar="N", help="chaos: plan seed (default 0)")
+    run.add_argument("wrapped", nargs=argparse.REMAINDER, metavar="command",
+                     help="the repro command to run, with its arguments")
+    run.set_defaults(fn=lambda a: _cmd_run(a, run.error))
 
     return parser
 

@@ -29,6 +29,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro.fleet.config import HIGH_WATERMARK, LOW_WATERMARK
 from repro.instruments import current, use
 from repro.telemetry.slo import SloMonitor, default_slos
 
@@ -150,7 +151,7 @@ class Autoscaler:
         )
         return (
             hot_tail
-            or signals.utilization > self.config.high_watermark
+            or signals.utilization > HIGH_WATERMARK
             or signals.burning
         )
 
@@ -161,7 +162,7 @@ class Autoscaler:
         )
         return (
             cool_tail
-            and signals.utilization < self.config.low_watermark
+            and signals.utilization < LOW_WATERMARK
             and not signals.burning
         )
 

@@ -15,6 +15,15 @@ from pathlib import Path
 
 from repro.serve.config import ServeConfig
 
+#: How long a graceful drain waits for a departing shard's in-flight
+#: requests before closing it anyway.
+DRAIN_TIMEOUT_S = 30.0
+
+#: Autoscaler utilization thresholds (fleet pending / fleet capacity) for
+#: scale-up pressure and scale-down relaxation.
+HIGH_WATERMARK = 0.75
+LOW_WATERMARK = 0.25
+
 
 @dataclass(frozen=True)
 class FleetConfig:
@@ -41,24 +50,16 @@ class FleetConfig:
         ServiceSaturatedError` before any shard sees the request —
         fleet backpressure fires first, shard-level saturation stays the
         per-shard hot-spot signal.
-    retry_after_ms:
-        Retry hint carried by fleet-level saturation rejections.
     tuning_db_path:
         Base path for per-shard tuning databases. Shard ``shard-3`` of
         base ``tuning.json`` persists to ``tuning.shard-3.json`` — one
         namespace per shard, so replicas never contend on one file and a
         shard's tuned geometry follows the keys the ring pins to it.
         ``None`` disables tuned-geometry serving fleet-wide.
-    drain_timeout_s:
-        How long a graceful drain waits for a departing shard's in-flight
-        requests before closing it anyway.
     target_p99_ms:
         The autoscaler's latency objective: scale up while any shard's
         p99 (from its ``serve.latency_hdr_ms`` HDR histogram) sits above
         this, scale down only while every shard sits below half of it.
-    high_watermark / low_watermark:
-        Utilization thresholds (fleet pending / fleet capacity) for
-        scale-up pressure and scale-down relaxation.
     scale_up_patience / scale_down_patience:
         Consecutive pressured (resp. relaxed) evaluations required before
         acting — the hysteresis that stops one burst from thrashing the
@@ -74,12 +75,8 @@ class FleetConfig:
     max_replicas: int = 8
     virtual_nodes: int = 64
     max_pending: int = 4096
-    retry_after_ms: float = 5.0
     tuning_db_path: str | None = None
-    drain_timeout_s: float = 30.0
     target_p99_ms: float = 500.0
-    high_watermark: float = 0.75
-    low_watermark: float = 0.25
     scale_up_patience: int = 2
     scale_down_patience: int = 4
     cooldown_evaluations: int = 2
@@ -105,21 +102,8 @@ class FleetConfig:
             raise ValueError(f"virtual_nodes must be positive, got {self.virtual_nodes}")
         if self.max_pending <= 0:
             raise ValueError(f"max_pending must be positive, got {self.max_pending}")
-        if self.retry_after_ms < 0:
-            raise ValueError(
-                f"retry_after_ms must be non-negative, got {self.retry_after_ms}"
-            )
-        if self.drain_timeout_s <= 0:
-            raise ValueError(
-                f"drain_timeout_s must be positive, got {self.drain_timeout_s}"
-            )
         if self.target_p99_ms <= 0:
             raise ValueError(f"target_p99_ms must be positive, got {self.target_p99_ms}")
-        if not 0.0 < self.low_watermark < self.high_watermark <= 1.0:
-            raise ValueError(
-                "watermarks must satisfy 0 < low < high <= 1, got "
-                f"low={self.low_watermark}, high={self.high_watermark}"
-            )
         if self.scale_up_patience <= 0 or self.scale_down_patience <= 0:
             raise ValueError("scaling patience values must be positive")
         if self.cooldown_evaluations < 0:

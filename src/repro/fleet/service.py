@@ -33,11 +33,12 @@ from collections import OrderedDict
 from dataclasses import replace as dc_replace
 
 from repro.exceptions import ServiceClosedError, ServiceSaturatedError
-from repro.fleet.config import FleetConfig
+from repro.fleet.config import DRAIN_TIMEOUT_S, FleetConfig
 from repro.fleet.ring import HashRing, ring_token
 from repro.instruments import current, use
 from repro.observability.metrics import LogHistogram, MetricsRegistry
 from repro.observability.tracer import NULL_TRACER, Tracer
+from repro.serve.config import EVENT_LOG_CAPACITY, RETRY_AFTER_MS
 from repro.serve.request import SolveOutcome, SolveRequest, SolveTicket
 from repro.serve.service import SolverService
 from repro.telemetry.events import (
@@ -110,7 +111,7 @@ class FleetService:
             self._instruments.hub.register(self.metrics)
         self.events = self._instruments.events
         if self.events is None:
-            self.events = EventLog(capacity=self.config.serve.event_log_capacity)
+            self.events = EventLog(capacity=EVENT_LOG_CAPACITY)
             self.events.recorder = self._instruments.recorder
         self.ring = HashRing(self.config.virtual_nodes)
         self._shards: dict[str, ShardReplica] = {}
@@ -203,7 +204,7 @@ class FleetService:
                 raise ServiceSaturatedError(
                     f"fleet saturated: {pending} requests pending "
                     f"(max_pending={self.config.max_pending})",
-                    retry_after_s=self.config.retry_after_ms / 1e3,
+                    retry_after_s=RETRY_AFTER_MS / 1e3,
                 )
             key = request.batch_key
             owner = self.ring.node_for(key)
@@ -304,7 +305,7 @@ class FleetService:
         (3) close it and forget it. Requests admitted before step 1 all
         complete normally.
         """
-        timeout = self.config.drain_timeout_s if timeout is None else timeout
+        timeout = DRAIN_TIMEOUT_S if timeout is None else timeout
         with self._lock:
             shard = self._shards.get(name)
             if shard is None or shard.state != ACTIVE:

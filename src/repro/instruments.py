@@ -2,7 +2,7 @@
 
 Seven optional observers watch simulated kernel launches and the serving
 path: a span :class:`~repro.observability.tracer.Tracer`, a structured
-:class:`~repro.telemetry.events.EventLog`, the ``repro slo`` wrapper's
+:class:`~repro.telemetry.events.EventLog`, a command-wide
 :class:`~repro.telemetry.hub.TelemetryHub`, a
 :class:`~repro.recorder.FlightRecorder`, a
 :class:`~repro.chaos.ChaosInjector`, a kernel-counter

@@ -36,7 +36,7 @@ Usage::
 
 or from the command line::
 
-    python -m repro trace stencil --trace-out trace.json
+    python -m repro run --with trace --trace-out trace.json stencil
 """
 
 from repro.observability.context import (

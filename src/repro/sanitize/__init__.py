@@ -2,8 +2,8 @@
 
 An opt-in checking layer over :mod:`repro.sycl` and :mod:`repro.cudasim`:
 install a :class:`Sanitizer` with ``repro.instruments.use(sanitizer=...)``
-(or ``python -m repro sanitize <cmd>``) and every kernel launch is executed
-under shadow state detecting SLM data races, uninitialized and
+(or ``python -m repro run --with sanitize <cmd>``) and every kernel launch
+is executed under shadow state detecting SLM data races, uninitialized and
 out-of-bounds SLM accesses, barrier divergence, and group/sub-group
 collective misuse.
 Violations raise subclasses of :class:`~repro.exceptions.SanitizerError`

@@ -149,9 +149,9 @@ class Sanitizer:
         """Record ``rep``, attach trace context, raise ``exc_cls``.
 
         The report gets the enclosing tracer span's name (when tracing is
-        active) so a failure inside ``python -m repro trace <cmd>`` can be
-        located on the exported timeline; an instant event and a metrics
-        counter mark the violation on the trace itself.
+        active) so a failure inside ``python -m repro run --with trace
+        <cmd>`` can be located on the exported timeline; an instant event
+        and a metrics counter mark the violation on the trace itself.
         """
         with self._lock:
             self.reports.append(rep)

@@ -20,6 +20,17 @@ BACKEND_ALIASES = {"cudasim": "cuda"}
 #: How a flushed batch is executed on the worker's context.
 EXECUTION_MODES = ("vectorized", "kernel")
 
+#: The retry hint carried by saturation and quota rejections (service and
+#: fleet alike).
+RETRY_AFTER_MS = 5.0
+
+#: Resolved execution plans a service keeps (LRU).
+PLAN_CACHE_CAPACITY = 256
+
+#: Ring size of a service's (and a fleet's) private structured event log
+#: (one ring for routine events, one pinned ring for criticals).
+EVENT_LOG_CAPACITY = 2048
+
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -39,8 +50,6 @@ class ServeConfig:
         Admission bound: requests admitted but not yet completed. Above
         it, :meth:`~repro.serve.service.SolverService.submit` rejects with
         :class:`~repro.exceptions.ServiceSaturatedError` (backpressure).
-    retry_after_ms:
-        The retry hint carried by saturation rejections.
     num_workers:
         Worker threads, each bound to its own simulated device queue/stream.
     backend:
@@ -65,8 +74,6 @@ class ServeConfig:
         When true, systems that fail or do not converge in a flushed batch
         are retried *individually* with the direct-LU fallback solver, so
         one pathological system never fails its co-batched neighbours.
-    plan_cache_capacity:
-        Maximum number of resolved execution plans kept (LRU).
     tuning_db_path:
         Path of a persistent :class:`~repro.tune.TuningDB` file. When set
         (and no database object is passed to the service directly), the
@@ -80,9 +87,6 @@ class ServeConfig:
         timeouts, fallbacks, sanitizer trips, p99-tail completions — are
         always kept regardless. ``0.0`` is the cheapest disabled-path
         setting the overhead benchmark gates.
-    event_log_capacity:
-        Ring size of the service's bounded-memory structured event log
-        (one ring for routine events, one pinned ring for criticals).
     device_dwell_ms:
         Simulated device occupancy per flush: after the host-side solve of
         a flushed batch, the worker thread holds its device context busy
@@ -125,16 +129,13 @@ class ServeConfig:
     max_batch_size: int = 64
     max_wait_ms: float = 2.0
     max_pending: int = 1024
-    retry_after_ms: float = 5.0
     num_workers: int = 2
     backend: str = "sycl"
     execution: str = "vectorized"
     request_timeout_ms: float | None = None
     fallback: bool = True
-    plan_cache_capacity: int = 256
     tuning_db_path: str | None = None
     telemetry_sample_rate: float = 1.0
-    event_log_capacity: int = 2048
     device_dwell_ms: float = 0.0
     tenant_default_quota: int | None = None
     tenant_quotas: tuple[tuple[str, int], ...] = ()
@@ -152,8 +153,6 @@ class ServeConfig:
             raise ValueError(f"max_wait_ms must be non-negative, got {self.max_wait_ms}")
         if self.max_pending <= 0:
             raise ValueError(f"max_pending must be positive, got {self.max_pending}")
-        if self.retry_after_ms < 0:
-            raise ValueError(f"retry_after_ms must be non-negative, got {self.retry_after_ms}")
         if self.num_workers <= 0:
             raise ValueError(f"num_workers must be positive, got {self.num_workers}")
         if self.backend in BACKEND_ALIASES:
@@ -168,17 +167,9 @@ class ServeConfig:
             raise ValueError(
                 f"request_timeout_ms must be positive or None, got {self.request_timeout_ms}"
             )
-        if self.plan_cache_capacity <= 0:
-            raise ValueError(
-                f"plan_cache_capacity must be positive, got {self.plan_cache_capacity}"
-            )
         if not 0.0 <= self.telemetry_sample_rate <= 1.0:
             raise ValueError(
                 f"telemetry_sample_rate must be in [0, 1], got {self.telemetry_sample_rate}"
-            )
-        if self.event_log_capacity <= 0:
-            raise ValueError(
-                f"event_log_capacity must be positive, got {self.event_log_capacity}"
             )
         if self.device_dwell_ms < 0:
             raise ValueError(

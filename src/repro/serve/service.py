@@ -66,7 +66,12 @@ from repro.telemetry.events import (
 )
 from repro.serve.batcher import FlushBatch, MicroBatcher
 from repro.serve.breaker import CircuitBreaker
-from repro.serve.config import ServeConfig
+from repro.serve.config import (
+    EVENT_LOG_CAPACITY,
+    PLAN_CACHE_CAPACITY,
+    RETRY_AFTER_MS,
+    ServeConfig,
+)
 from repro.serve.plan_cache import ExecutionPlan, PlanCache
 from repro.serve.request import (
     TIMED_OUT,
@@ -120,7 +125,7 @@ class SolverService:
         if self.events is None:
             # a private bounded ring, tapping this service's own recorder
             # so a fleet shard's events land in its per-shard black box
-            self.events = EventLog(capacity=self.config.event_log_capacity)
+            self.events = EventLog(capacity=EVENT_LOG_CAPACITY)
             self.events.recorder = self.recorder
         if tuning_db is None and self.config.tuning_db_path is not None:
             from repro.tune.db import TuningDB
@@ -134,7 +139,7 @@ class SolverService:
         self.plan_cache = PlanCache(
             self.device,
             metrics=self.metrics,
-            capacity=self.config.plan_cache_capacity,
+            capacity=PLAN_CACHE_CAPACITY,
             tuning_db=tuning_db,
             event_log=self.events,
         )
@@ -204,7 +209,7 @@ class SolverService:
                 raise ServiceSaturatedError(
                     f"service saturated: {self._pending} requests pending "
                     f"(max_pending={self.config.max_pending})",
-                    retry_after_s=self.config.retry_after_ms / 1e3,
+                    retry_after_s=RETRY_AFTER_MS / 1e3,
                 )
             quota = self.config.quota_for(tenant)
             tenant_pending = self._tenant_pending.get(tenant, 0)
@@ -224,7 +229,7 @@ class SolverService:
                     f"tenant {tenant!r} over quota: {tenant_pending} requests "
                     f"pending (quota={quota})",
                     tenant=tenant,
-                    retry_after_s=self.config.retry_after_ms / 1e3,
+                    retry_after_s=RETRY_AFTER_MS / 1e3,
                 )
             self._pending += 1
             self._tenant_pending[tenant] = tenant_pending + 1

@@ -16,7 +16,7 @@ behaviour to *individual requests* and judges it against *objectives*:
 * :mod:`repro.telemetry.dashboard` — the ``python -m repro top`` frame
   renderer.
 * :mod:`repro.telemetry.hub` — the command-wide collection point behind
-  the ``python -m repro slo <command>`` wrapper.
+  ``python -m repro run --with slo <command>``.
 
 Quickstart::
 

@@ -1,13 +1,14 @@
-"""Process-wide telemetry hub for the ``repro slo <command>`` wrapper.
+"""Command-wide telemetry hub behind ``repro run --with slo <command>``.
 
-A :class:`SolverService` owns its metrics registry; the wrapper form of
-``python -m repro slo`` needs to evaluate objectives over *whatever
-services the wrapped command created*. When a hub is installed
+A :class:`SolverService` owns its metrics registry; ``python -m repro run
+--with slo`` needs to evaluate objectives over *whatever services the
+wrapped command created*. When a hub is installed
 (``use(hub=hub, events=hub.event_log)`` from :mod:`repro.instruments`),
 every service registers its registry on construction and logs to the
-hub's shared event log — so one wrapper invocation sees the combined
-telemetry of the whole command, the same way ``repro trace <command>``
-sees its spans.
+hub's shared event log — so one invocation sees the combined telemetry
+of the whole command, the same way ``repro run --with trace <command>``
+sees its spans. :func:`repro.chaos.replay.run_replay` collects through a
+hub the same way.
 """
 
 from __future__ import annotations

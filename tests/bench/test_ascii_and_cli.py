@@ -85,3 +85,22 @@ class TestCli:
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    def test_top_level_help_lists_run(self):
+        assert "\n    run " in build_parser().format_help()
+
+    @pytest.mark.parametrize(
+        "noun, verbs",
+        [
+            ("sanitize", "{selftest,check,diff}"),
+            ("profile", "{report,roofline,export}"),
+            ("slo", "{check,report}"),
+            ("chaos", "{replay,battery}"),
+            ("postmortem", "{analyze,timeline,diff}"),
+        ],
+    )
+    def test_noun_help_lists_its_verbs(self, capsys, noun, verbs):
+        with pytest.raises(SystemExit) as exc:
+            main([noun, "--help"])
+        assert exc.value.code == 0
+        assert verbs in capsys.readouterr().out

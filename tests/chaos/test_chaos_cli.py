@@ -1,4 +1,7 @@
-"""The ``repro chaos`` CLI: replay gate, battery gate, wrapper form."""
+"""The ``repro chaos`` CLI (replay gate, battery gate) and
+``repro run --with chaos``."""
+
+import pytest
 
 from repro.__main__ import main
 
@@ -51,19 +54,32 @@ class TestChaosBattery:
 class TestChaosWrapper:
     def test_wraps_serve_demo(self, capsys):
         code = main(
-            ["chaos", "serve-demo", "--requests", "16", "--size", "16",
-             "--fault-seed", "3"]
+            ["run", "--with", "chaos", "--fault-seed", "3",
+             "serve-demo", "--requests", "16", "--size", "16"]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "fault battery (seed 3)" in out
+        assert "fault battery (seed 3) installed for: serve-demo" in out
         assert "chaos:" in out
 
     def test_no_command_is_usage_error(self, capsys):
-        assert main(["chaos"]) == 2
+        for argv in (["chaos"], ["run", "--with", "chaos"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
 
-    def test_bad_fault_seed_is_usage_error(self):
-        # --fault-seed rides inside the wrapped argv (argparse REMAINDER
-        # only captures flags after the wrapped command name)
-        assert main(["chaos", "serve-demo", "--fault-seed", "nope"]) == 2
-        assert main(["chaos", "serve-demo", "--fault-seed"]) == 2
+    def test_bad_fault_seed_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--with", "chaos", "--fault-seed", "nope", "serve-demo"])
+        assert exc.value.code == 2
+        assert "argument --fault-seed: invalid int value: 'nope'" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--with", "chaos", "--fault-seed"])
+        assert exc.value.code == 2
+        # after the command the flag is serve-demo's, which rejects it
+        assert main(["run", "--with", "chaos", "serve-demo", "--fault-seed", "3"]) == 2
+
+    def test_summary_prints_after_a_failing_command(self, capsys):
+        code = main(["run", "--with", "chaos", "stencil", "--sizes", "notanint"])
+        assert code == 2
+        assert "chaos: 0 fault(s) injected over 0 flushes (none)" in capsys.readouterr().out

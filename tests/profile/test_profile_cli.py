@@ -1,8 +1,11 @@
-"""`repro profile` subcommands: report, roofline, export, and wrapping."""
+"""`repro profile` subcommands (report, roofline, export) and
+`repro run --with profile`."""
 
 from __future__ import annotations
 
 import json
+
+import pytest
 
 from repro.__main__ import main as repro_main
 
@@ -30,8 +33,10 @@ class TestReport:
         assert "cuda" not in out
 
     def test_unknown_workload_fails(self, capsys):
-        code = repro_main(["profile", "report", "--workload", "nope"])
-        assert code != 0
+        with pytest.raises(SystemExit) as exc:
+            repro_main(["profile", "report", "--workload", "nope"])
+        assert exc.value.code == 2
+        assert "repro profile:" in capsys.readouterr().err
 
 
 class TestRoofline:
@@ -104,10 +109,10 @@ class TestExport:
 
 class TestWrapper:
     def test_wrapped_command_gets_profiled(self, capsys):
-        """`profile <cmd>` runs the command under a live profiler and
-        prints attribution for any instrumented launches it performed."""
+        """`run --with profile <cmd>` runs the command under a live profiler
+        and prints attribution for any instrumented launches it performed."""
         code = repro_main(
-            ["profile", "sanitize", "diff", "--batch", "2", "--rows", "8"]
+            ["run", "--with", "profile", "sanitize", "diff", "--batch", "2", "--rows", "8"]
         )
         out = capsys.readouterr().out
         assert code == 0, out
@@ -115,7 +120,14 @@ class TestWrapper:
 
     def test_wrapped_command_without_kernels_reports_nothing(self, capsys):
         # `tables` prints static tables without launching any kernels
-        code = repro_main(["profile", "tables"])
+        code = repro_main(["run", "--with", "profile", "tables"])
         assert code == 0
         out = capsys.readouterr().out
         assert "no instrumented kernel launches" in out
+
+    def test_report_prints_after_a_failing_command(self, capsys):
+        code = repro_main(["run", "--with", "profile", "stencil", "--sizes", "notanint"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "profile: no instrumented kernel launches" in captured.out
+        assert "warning: wrapped command exited 2" in captured.err

@@ -1,5 +1,5 @@
-"""CLI surface of the sanitizer: selftest / check / diff / wrapped commands,
-and the interaction with the ``trace`` wrapper (trace still written, exit
+"""CLI surface of the sanitizer: selftest / check / diff, ``run --with
+sanitize``, and the combination with the tracer (trace still written, exit
 code propagated, violation landing on the trace as an instant event).
 """
 
@@ -34,13 +34,17 @@ def test_check_command_rejects_unknown_case():
         main(["sanitize", "check", "no-such-case"])
 
 
-def test_sanitize_without_arguments_prints_usage():
-    with pytest.raises(SystemExit, match="usage: repro sanitize"):
+def test_sanitize_without_arguments_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
         main(["sanitize"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage: repro sanitize" in err
+    assert "{selftest,check,diff}" in err
 
 
 def test_wrapped_command_runs_under_sanitizer_and_summarizes(capsys):
-    assert main(["sanitize", "features"]) == 0
+    assert main(["run", "--with", "sanitize", "features"]) == 0
     out = capsys.readouterr().out
     assert "sanitizer:" in out
     assert "no violations" in out
@@ -54,15 +58,18 @@ def test_diff_command_small_grid_agrees(capsys):
 
 
 def test_trace_of_failing_sanitize_run_still_writes_trace(tmp_path, capsys):
-    """Satellite contract: a violation inside ``repro trace`` propagates the
-    exit code *and* the trace (with the violation event) reaches disk."""
+    """A violation under ``run --with trace,sanitize`` propagates the exit
+    code *and* the trace (with the violation event) reaches disk."""
     trace_file = tmp_path / "san_trace.json"
     code = main(
-        ["trace", "sanitize", "check", "racy-write", "--trace-out", str(trace_file)]
+        ["run", "--with", "trace,sanitize", "--trace-out", str(trace_file),
+         "sanitize", "check", "racy-write"]
     )
     assert code == 1
     captured = capsys.readouterr()
+    assert "sanitizer:" in captured.out
     assert "trace written to" in captured.out
+    assert "warning: wrapped command exited 1" in captured.err
     assert trace_file.exists()
     payload = json.loads(trace_file.read_text())
     names = {event.get("name") for event in payload["traceEvents"]}
@@ -71,7 +78,9 @@ def test_trace_of_failing_sanitize_run_still_writes_trace(tmp_path, capsys):
 
 def test_trace_of_clean_sanitized_command_exits_zero(tmp_path, capsys):
     trace_file = tmp_path / "ok_trace.json"
-    code = main(["trace", "sanitize", "features", "--trace-out", str(trace_file)])
+    code = main(
+        ["run", "--with", "trace,sanitize", "--trace-out", str(trace_file), "features"]
+    )
     assert code == 0
     assert trace_file.exists()
     payload = json.loads(trace_file.read_text())

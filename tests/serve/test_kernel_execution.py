@@ -1,0 +1,80 @@
+"""``execution="kernel"``: flushes run on the fused device kernels.
+
+Covers the kernel branch of ``SolverService._solve_batch`` and the thunk
+``_kernel_solve`` builds: the fused CG/BiCGSTAB kernels on the faithful
+(``sycl``) and lockstep (``wide``) backends, and the vectorized fallback
+for what the kernels do not cover (warm starts, the CUDA dialect).
+"""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from repro.serve import ServeConfig, SolveRequest, SolverService
+from repro.workloads.arrivals import stencil_pattern
+
+N = 16
+TOLERANCE = 1e-8
+
+
+def _serve_one_flush(backend, solver, **request_kwargs):
+    """Four requests, one size-triggered flush; returns (requests, outcomes, metrics)."""
+    config = ServeConfig(
+        max_batch_size=4,
+        max_wait_ms=1000.0,
+        num_workers=1,
+        backend=backend,
+        execution="kernel",
+    )
+    rng = np.random.default_rng(5)
+    pattern = stencil_pattern(N)
+    # scaled copies of one SPD stencil: CG needs symmetry, which the
+    # entrywise perturbation of ``make_request`` breaks
+    requests = [
+        SolveRequest(
+            pattern * rng.uniform(0.5, 2.0),
+            rng.standard_normal(N),
+            solver=solver,
+            preconditioner="jacobi",
+            tolerance=TOLERANCE,
+            **request_kwargs,
+        )
+        for _ in range(4)
+    ]
+    with SolverService(config) as service:
+        tickets = [service.submit(r) for r in requests]
+        outcomes = [t.result(timeout=60.0) for t in tickets]
+    return requests, outcomes, service.metrics
+
+
+def _counter(metrics, name, **labels):
+    return metrics.counter(name).labels(**labels).value
+
+
+@pytest.mark.parametrize("backend", ["wide", "sycl"])
+@pytest.mark.parametrize("solver", ["cg", "bicgstab"])
+def test_flush_runs_on_the_fused_kernels(backend, solver):
+    requests, outcomes, metrics = _serve_one_flush(backend, solver)
+    assert _counter(metrics, "serve.kernel_solves", backend=backend, solver=solver) == 1
+    assert _counter(metrics, "serve.kernel_fallbacks", solver=solver) == 0
+    for request, outcome in zip(requests, outcomes):
+        assert outcome.batch_size == 4
+        assert outcome.converged and not outcome.used_fallback  # the kernel's own answer
+        a = sp.csr_matrix((request.values, request.col_idxs, request.row_ptrs), shape=(N, N))
+        residual = np.linalg.norm(request.b - a @ outcome.x) / np.linalg.norm(request.b)
+        assert residual <= 10 * TOLERANCE
+
+
+def test_warm_start_falls_back_to_the_vectorized_path():
+    _, outcomes, metrics = _serve_one_flush("wide", "cg", x0=np.zeros(N))
+    assert _counter(metrics, "serve.kernel_fallbacks", solver="cg") == 1
+    assert _counter(metrics, "serve.kernel_solves", backend="wide", solver="cg") == 0
+    assert all(o.converged for o in outcomes)
+
+
+@pytest.mark.parametrize("solver", ["cg", "bicgstab"])
+def test_cuda_backend_always_falls_back(solver):
+    _, outcomes, metrics = _serve_one_flush("cuda", solver)
+    assert _counter(metrics, "serve.kernel_fallbacks", solver=solver) == 1
+    assert _counter(metrics, "serve.kernel_solves", backend="cuda", solver=solver) == 0
+    assert all(o.converged for o in outcomes)

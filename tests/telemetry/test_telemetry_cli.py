@@ -1,4 +1,5 @@
-"""CLI surface: ``repro slo``, ``repro top``, serve-demo telemetry dumps."""
+"""CLI surface: ``repro slo``, ``repro run --with slo``, ``repro top``,
+serve-demo telemetry dumps."""
 
 import json
 
@@ -64,9 +65,11 @@ class TestSloCheck:
         assert "only_fb" in out
         assert "latency_p99" not in out
 
-    def test_usage_error_without_subcommand(self):
-        with pytest.raises(SystemExit):
+    def test_usage_error_without_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             repro_main(["slo"])
+        assert exc.value.code == 2
+        assert "{check,report}" in capsys.readouterr().err
 
 
 class TestSloOffline:
@@ -117,14 +120,16 @@ class TestSloWrapper:
         events_out = tmp_path / "events.jsonl"
         code = repro_main(
             [
+                "run",
+                "--with",
                 "slo",
+                "--slo-events-out",
+                str(events_out),
                 "serve-demo",
                 "--requests",
                 "8",
                 "--size",
                 "8",
-                "--slo-events-out",
-                str(events_out),
             ]
         )
         out = capsys.readouterr().out
@@ -136,13 +141,25 @@ class TestSloWrapper:
         assert any(r["type"] == "request.solved" for r in records)
 
     def test_wrapped_command_without_services(self, capsys):
-        code = repro_main(["slo", "tables"])
+        code = repro_main(["run", "--with", "slo", "tables"])
         assert code == 0
         assert "nothing to score" in capsys.readouterr().out
 
     def test_wrapped_failure_propagates(self, capsys):
-        code = repro_main(["slo", "definitely-not-a-command"])
+        code = repro_main(["run", "--with", "slo", "definitely-not-a-command"])
         assert code != 0
+
+    def test_violation_turns_success_into_failure(self, capsys):
+        # no latency this small: every request breaks the objective
+        code = repro_main(
+            ["run", "--with", "slo", "--slo-threshold-ms", "1e-6",
+             "serve-demo", "--requests", "8", "--size", "8"]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "slo: VIOLATED — latency_p99" in captured.err
+        # the command itself succeeded, so no exit warning
+        assert "wrapped command exited" not in captured.err
 
 
 class TestTop:

@@ -1,4 +1,4 @@
-"""Tier-1 wiring for ``scripts/smoke_trace.py`` and the ``repro trace`` CLI."""
+"""Tier-1 wiring for ``scripts/smoke_trace.py`` and ``repro run --with trace``."""
 
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ def test_smoke_trace_script_in_process(tmp_path):
 
 
 def test_trace_cli_subprocess(tmp_path):
-    """The acceptance command: ``python -m repro trace stencil --trace-out ...``."""
+    """The acceptance command: ``python -m repro run --with trace --trace-out ... stencil``."""
     out = tmp_path / "t.json"
     env_src = str(REPO_ROOT / "src")
     proc = subprocess.run(
@@ -33,15 +33,17 @@ def test_trace_cli_subprocess(tmp_path):
             sys.executable,
             "-m",
             "repro",
+            "run",
+            "--with",
             "trace",
+            "--trace-out",
+            str(out),
+            "--no-summary",
             "stencil",
             "--sizes",
             "16",
             "--nb-solve",
             "2",
-            "--trace-out",
-            str(out),
-            "--no-summary",
         ],
         capture_output=True,
         text=True,
