@@ -7,8 +7,11 @@
 # traces through `repro run --with trace` (whose observer options never
 # reach the wrapped command), the serving layer honouring its contracts,
 # the profiler attributing counters on both backends with green model
-# drift, the committed benchmark artifacts within tolerance of the
-# baseline manifest, and the repo benchmark's own checks passing. Every
+# drift, the one fused-kernel dispatch agreeing with the reference on all
+# three backends (the CUDA reduction path included), the CUDA-spelled
+# kernel tour running, the committed benchmark artifacts within
+# tolerance of the baseline manifest, and the repo benchmark's own
+# checks passing. Every
 # stage is a hard gate: set -e aborts the script (and fails CI) on the
 # first non-zero exit — no warn-and-continue stages.
 #
@@ -74,11 +77,17 @@ python scripts/bench_telemetry_overhead.py --quick \
 
 echo
 echo "== wide-diff =="
-# lockstep wide backend vs the faithful interpreter across the
-# differential grid, then the quick-mode speedup bench (same >= 20x
-# hot-path gate as the committed BENCH_wide_speedup.json artifact)
-python -m repro sanitize diff --backends sycl,wide
+# every backend of the one fused-kernel dispatch (faithful sycl, the
+# CUDA warp-shuffle reduction, lockstep wide) vs the NumPy reference
+# across the differential grid, then the quick-mode speedup bench (same
+# >= 20x hot-path gate as the committed BENCH_wide_speedup.json artifact)
+python -m repro sanitize diff --backends sycl,cuda,wide
 python scripts/bench_wide_speedup.py --quick --out /tmp/ci_wide_speedup.json
+
+echo
+echo "== kernel tour =="
+# the only caller of Stream.launch_kernel outside tests/cudasim
+python examples/sycl_kernel_tour.py >/dev/null
 
 echo
 echo "== chaos-gate =="

@@ -14,8 +14,8 @@ exposes CUDA semantics and vocabulary:
 * :class:`~repro.cudasim.thread.CudaItem` offers ``syncthreads``,
   ``shfl_down``/``shfl_up``/``shfl_xor`` and warp ``ballot``-style
   any/all — but deliberately **no** block-scope reduction primitive;
-* :class:`~repro.cudasim.stream.Stream` plays the role of a queue and
-  records launch statistics just like :class:`repro.sycl.queue.Queue`.
+* :class:`~repro.cudasim.stream.Stream` is a :class:`repro.sycl.queue.Queue`
+  on an A100 with ``launch_kernel`` as the CUDA spelling of a launch.
 
 Block-level reductions must therefore be written the CUDA way — see
 :func:`repro.kernels.blas1.block_reduce_cuda` — which is exactly the

@@ -1,22 +1,21 @@
 """CUDA stream: kernel submission with launch statistics.
 
-Mirrors :class:`repro.sycl.queue.Queue` for the CUDA backend. Launches are
-specified with a :class:`LaunchConfig` (``<<<grid, block, shared_bytes>>>``)
-and kernels written against :class:`~repro.cudasim.thread.CudaItem`.
+A :class:`Stream` is a :class:`repro.sycl.queue.Queue` on an A100 by
+default. :meth:`Stream.launch_kernel` is the CUDA spelling of
+``parallel_for`` for kernels written against
+:class:`~repro.cudasim.thread.CudaItem`; events, host tasks
+(``cudaLaunchHostFunc``) and kernel spans are ``Queue``'s own code.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.cudasim.device import CudaDevice, a100_device
 from repro.cudasim.thread import cuda_nd_range, wrap_cuda_kernel
-from repro.observability.tracer import current_tracer
-from repro.sycl.executor import LaunchStats, launch
-from repro.sycl.memory import LocalSpec, total_local_bytes
-from repro.sycl.queue import Event
+from repro.sycl.memory import LocalSpec
+from repro.sycl.queue import Event, Queue
 
 
 @dataclass(frozen=True)
@@ -34,12 +33,11 @@ class LaunchConfig:
             )
 
 
-class Stream:
+class Stream(Queue):
     """An in-order CUDA stream bound to a device."""
 
     def __init__(self, device: CudaDevice | None = None) -> None:
-        self.device = device if device is not None else a100_device()
-        self.events: list[Event] = []
+        super().__init__(device if device is not None else a100_device())
 
     def launch_kernel(
         self,
@@ -50,75 +48,13 @@ class Stream:
         name: str | None = None,
     ) -> Event:
         """Launch a CUDA-style kernel and wait for completion."""
-        ndrange = cuda_nd_range(config.grid_dim, config.block_dim)
-        kernel_name = name or getattr(kernel, "__name__", "kernel")
-        tracer = current_tracer()
-        with tracer.span(
-            kernel_name, category="kernel", device=self.device.name
-        ) as span:
-            # set geometry before the launch so an aborted launch (e.g. a
-            # sanitizer violation) still leaves a valid kernel span
-            span.set_args(
-                num_groups=config.grid_dim,
-                work_group_size=config.block_dim,
-                sub_group_size=ndrange.sub_group_size,
-                slm_bytes_per_group=total_local_bytes(list(shared_specs or [])),
-            )
-            submit = time.perf_counter_ns()
-            stats: LaunchStats = launch(
-                self.device,
-                ndrange,
-                wrap_cuda_kernel(kernel),
-                args=args,
-                local_specs=list(shared_specs or []),
-                name=kernel_name,
-            )
-            end = time.perf_counter_ns()
-            span.set_args(collectives=dict(stats.collective_counts))
-        event = Event(
-            name=kernel_name,
-            submit_ns=submit,
-            start_ns=submit,
-            end_ns=end,
-            stats=stats,
-        )
-        self.events.append(event)
-        return event
-
-    def submit_host_task(
-        self, fn: Callable[[], Any], name: str = "host_task", **span_args: Any
-    ) -> tuple[Any, Event]:
-        """Run ``fn`` as a host task on this stream (``cudaLaunchHostFunc``).
-
-        Mirrors :meth:`repro.sycl.queue.Queue.submit_host_task`: the task
-        lands in the stream's in-order event log with profiling timestamps.
-        Returns ``(fn(), event)``.
-        """
-        tracer = current_tracer()
-        with tracer.span(
-            name, category="host_task", device=self.device.name, **span_args
-        ):
-            submit = time.perf_counter_ns()
-            result = fn()
-            end = time.perf_counter_ns()
-        event = Event(
+        return self.parallel_for(
+            cuda_nd_range(config.grid_dim, config.block_dim),
+            wrap_cuda_kernel(kernel),
+            args=args,
+            local_specs=shared_specs,
             name=name,
-            submit_ns=submit,
-            start_ns=submit,
-            end_ns=end,
-            stats=LaunchStats(),
         )
-        self.events.append(event)
-        return result, event
 
     def synchronize(self) -> None:
         """Block until all submitted work completes (no-op: synchronous)."""
-
-    def reset_events(self) -> None:
-        """Clear the submission log (mirrors :meth:`repro.sycl.queue.Queue.reset_events`)."""
-        self.events.clear()
-
-    @property
-    def num_launches(self) -> int:
-        """Number of kernels submitted to this stream so far."""
-        return len(self.events)

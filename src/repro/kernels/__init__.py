@@ -11,7 +11,8 @@ vectorized production solvers of :mod:`repro.core.solver`.
 Building blocks (:mod:`repro.kernels.blas1`, :mod:`repro.kernels.spmv`)
 are generator subroutines composed with ``yield from`` — the Python
 analogue of the paper's inlined device functions, which let the compiler
-fuse the entire solver into a single kernel (Section 3.4).
+fuse the entire solver into a single kernel (Section 3.4). Callers run
+them through the one entry point in :mod:`repro.kernels.solve`.
 """
 
 from repro.kernels.blas1 import (
@@ -30,6 +31,14 @@ from repro.kernels.richardson_kernel import (
     batch_richardson_kernel,
     run_batch_richardson_on_device,
 )
+from repro.kernels.solve import (
+    BACKENDS,
+    KERNEL_PRECONDITIONERS,
+    KERNEL_SOLVERS,
+    launch_fused,
+    queue_for,
+    solve_fused,
+)
 
 __all__ = [
     "group_dot",
@@ -45,4 +54,10 @@ __all__ = [
     "run_batch_bicgstab_on_device",
     "batch_richardson_kernel",
     "run_batch_richardson_on_device",
+    "BACKENDS",
+    "KERNEL_SOLVERS",
+    "KERNEL_PRECONDITIONERS",
+    "queue_for",
+    "launch_fused",
+    "solve_fused",
 ]

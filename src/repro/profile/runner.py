@@ -4,10 +4,10 @@ Builds a batched workload (a PeleLM mechanism from
 :mod:`repro.workloads.pele` or the 3-point stencil), runs the fused
 solver kernels on one or both simulated backends under a fresh
 :class:`~repro.profile.profiler.Profiler` per backend, and hands the
-collected counters to the report / roofline layers. The backend plumbing
-mirrors the differential harness (:mod:`repro.sanitize.diff`): PVC
-single-stack for ``sycl``, A100 for ``cuda``, group reductions on SYCL
-and the warp-shuffle structure on CUDA.
+collected counters to the report / roofline layers. Each solve is one
+:func:`repro.kernels.launch_fused` on :func:`repro.kernels.queue_for`,
+the entry point every fused-kernel caller shares, without a residual
+history (the profiler would count its writes).
 """
 
 from __future__ import annotations
@@ -15,20 +15,16 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.matrix.batch_csr import BatchCsr
-from repro.cudasim.device import a100_device
 from repro.instruments import use
-from repro.kernels import (
-    run_batch_bicgstab_on_device,
-    run_batch_cg_on_device,
-    run_batch_richardson_on_device,
-)
+from repro.kernels import launch_fused, queue_for
 from repro.profile.profiler import Profiler
-from repro.sycl.device import pvc_stack_device
 from repro.workloads.pele import MECHANISMS, pele_batch, pele_rhs
 from repro.workloads.stencil import stencil_rhs, three_point_stencil
 
-BACKENDS = ("sycl", "cuda")
-SOLVERS = ("cg", "bicgstab", "richardson")
+#: The backends a profile observes. Not ``wide``: under a profiler its
+#: launches run the faithful interpreter, so a wide profile would
+#: silently be a sycl one.
+PROFILED_BACKENDS = ("sycl", "cuda")
 
 
 def build_workload(
@@ -62,52 +58,26 @@ def run_profiled(
     profiler: Profiler | None = None,
 ) -> Profiler:
     """One fused-kernel solve under a profiler; returns the profiler."""
-    if backend not in BACKENDS:
-        raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-    device = pvc_stack_device(1) if backend == "sycl" else a100_device()
-    inv_diag = None
-    if preconditioner == "jacobi":
-        inv_diag = 1.0 / matrix.diagonal()
+    if backend not in PROFILED_BACKENDS:
+        raise ValueError(f"backend must be one of {PROFILED_BACKENDS}, got {backend!r}")
     prof = profiler if profiler is not None else Profiler()
     with use(profiler=prof):
-        if solver == "cg":
-            run_batch_cg_on_device(
-                device,
-                matrix,
-                b,
-                inv_diag=inv_diag,
-                tolerance=tolerance,
-                max_iterations=max_iterations,
-            )
-        elif solver == "bicgstab":
-            style = "cuda" if backend == "cuda" else "group"
-            run_batch_bicgstab_on_device(
-                device,
-                matrix,
-                b,
-                inv_diag=inv_diag,
-                tolerance=tolerance,
-                max_iterations=max_iterations,
-                reduce_style=style,
-            )
-        elif solver == "richardson":
-            run_batch_richardson_on_device(
-                device,
-                matrix,
-                b,
-                inv_diag=inv_diag,
-                tolerance=tolerance,
-                max_iterations=max_iterations,
-            )
-        else:
-            raise ValueError(f"solver must be one of {SOLVERS}, got {solver!r}")
+        launch_fused(
+            queue_for(backend),
+            matrix,
+            b,
+            solver=solver,
+            preconditioner=preconditioner,
+            tolerance=tolerance,
+            max_iterations=max_iterations,
+        )
     return prof
 
 
 def profile_workload(
     workload: str = "drm19",
     solvers: tuple[str, ...] = ("cg", "bicgstab"),
-    backends: tuple[str, ...] = BACKENDS,
+    backends: tuple[str, ...] = PROFILED_BACKENDS,
     num_batch: int | None = 8,
     preconditioner: str = "jacobi",
     tolerance: float = 1e-8,

@@ -15,7 +15,9 @@ the same algorithm —
   NumPy array operations (:mod:`repro.wide`) —
 
 and compares per-system iteration counts, solutions and convergence
-histories. The per-work-item backends run under an installed sanitizer;
+histories. Each device run is one :func:`repro.kernels.solve_fused` on
+:func:`repro.kernels.queue_for`, the entry point every fused-kernel
+caller shares. The per-work-item backends run under an installed sanitizer;
 the wide backend runs bare, because its lockstep execution falls back to
 the faithful interpreter under a sanitizer (per-item shadow checking has
 no meaning over a collapsed lane axis — see ``docs/wide_backend.md``),
@@ -40,23 +42,15 @@ import numpy as np
 
 from repro.core.dispatch import BatchSolverFactory
 from repro.core.matrix.batch_csr import BatchCsr
-from repro.cudasim.device import a100_device
 from repro.instruments import use
 from repro.kernels import (
-    run_batch_bicgstab_on_device,
-    run_batch_cg_on_device,
-    run_batch_richardson_on_device,
+    BACKENDS,
+    KERNEL_PRECONDITIONERS,
+    KERNEL_SOLVERS,
+    queue_for,
+    solve_fused,
 )
 from repro.sanitize.sanitizer import Sanitizer, SanitizerConfig
-from repro.sycl.device import pvc_stack_device
-
-#: Solvers with a fused device-kernel implementation.
-KERNEL_SOLVERS = ("cg", "bicgstab", "richardson")
-
-#: Preconditioners the fused kernels implement (identity / scalar Jacobi).
-KERNEL_PRECONDITIONERS = ("identity", "jacobi")
-
-BACKENDS = ("sycl", "cuda", "wide")
 
 #: Comparison slack per precision: (history rtol, solution atol scale,
 #: allowed iteration-count delta). Single precision stores the operators
@@ -154,83 +148,43 @@ def run_backend(
     faithful-interpreter fallback and the comparison would test nothing),
     with a summary noting the inapplicable checks.
     """
-    device = a100_device() if case.backend == "cuda" else pvc_stack_device(1)
     values = _as_precision(matrix.values, case.precision)
     dev_matrix = BatchCsr(
         matrix.row_ptrs, matrix.col_idxs, values, num_cols=matrix.num_cols
     )
-    dev_b = _as_precision(b, case.precision)
-    nb = matrix.num_batch
-    inv_diag = None
-    if case.preconditioner == "jacobi":
-        inv_diag = 1.0 / dev_matrix.diagonal()
-    history = np.full((nb, case.max_iterations + 1), np.nan)
+    history = np.full((matrix.num_batch, case.max_iterations + 1), np.nan)
+    queue = queue_for(case.backend)
 
-    queue = None
-    if case.backend == "wide":
-        from repro.wide.queue import WideQueue
-
-        queue = WideQueue(device)
-
-    def dispatch():
-        if case.solver == "cg":
-            return run_batch_cg_on_device(
-                device,
-                dev_matrix,
-                dev_b,
-                inv_diag=inv_diag,
-                tolerance=case.tolerance,
-                max_iterations=case.max_iterations,
-                queue=queue,
-                res_history=history,
-            )
-        if case.solver == "bicgstab":
-            style = "cuda" if case.backend == "cuda" else "group"
-            return run_batch_bicgstab_on_device(
-                device,
-                dev_matrix,
-                dev_b,
-                inv_diag=inv_diag,
-                tolerance=case.tolerance,
-                max_iterations=case.max_iterations,
-                reduce_style=style,
-                queue=queue,
-                res_history=history,
-            )
-        if case.solver == "richardson":
-            return run_batch_richardson_on_device(
-                device,
-                dev_matrix,
-                dev_b,
-                inv_diag=inv_diag,
-                omega=case.omega,
-                tolerance=case.tolerance,
-                max_iterations=case.max_iterations,
-                queue=queue,
-                res_history=history,
-            )
-        raise ValueError(
-            f"solver {case.solver!r} has no fused device kernel; "
-            f"kernel-backed solvers: {KERNEL_SOLVERS}"
+    def solve():
+        return solve_fused(
+            queue,
+            dev_matrix,
+            _as_precision(b, case.precision),
+            solver=case.solver,
+            preconditioner=case.preconditioner,
+            tolerance=case.tolerance,
+            max_iterations=case.max_iterations,
+            omega=case.omega,
+            res_history=history,
         )
 
     if case.backend == "wide":
-        x, iters, event = dispatch()
+        result = solve()
         summary = {
             "launches": 1,
-            "work_groups": event.stats.num_groups,
+            "work_groups": queue.events[-1].stats.num_groups,
             "slm_accesses": 0,
             "syncs": 0,
             "violations": {},
             "note": "per-work-item sanitizer checks do not apply to the "
             "lockstep wide backend",
         }
-        return BackendRun(x, iters, history, summary)
+        return BackendRun(result.x, result.iterations, history, summary)
 
     sanitizer = Sanitizer(config)
     with use(sanitizer=sanitizer):
-        x, iters, _ = dispatch()
-    return BackendRun(x, iters, history, sanitizer.summary())
+        result = solve()
+    return BackendRun(result.x, result.iterations, history, sanitizer.summary())
 
 
 def run_differential(

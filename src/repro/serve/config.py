@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-#: Supported simulated backends for the worker pool.
-BACKENDS = ("sycl", "cuda", "wide")
+from repro.kernels import BACKENDS
 
 #: Spellings accepted on the CLI / config surface for each backend.
 BACKEND_ALIASES = {"cudasim": "cuda"}

@@ -33,6 +33,8 @@ import numpy as np
 
 from repro.chaos.injector import ChaosInjector
 from repro.core.solver.base import BatchSolveResult
+from repro.core.stop import RelativeResidual
+from repro.cudasim.device import CudaDevice
 from repro.exceptions import (
     CircuitOpenError,
     QuotaExceededError,
@@ -41,6 +43,7 @@ from repro.exceptions import (
     ServiceSaturatedError,
 )
 from repro.instruments import current, use
+from repro.kernels import KERNEL_PRECONDITIONERS, KERNEL_SOLVERS, queue_for, solve_fused
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracer import Tracer, current_tracer
 from repro.recorder.classify import solve_summary
@@ -82,7 +85,7 @@ from repro.serve.request import (
     monotonic_ns,
 )
 from repro.serve.workers import Worker, WorkerPool
-from repro.sycl.device import SyclDevice, pvc_stack_device
+from repro.sycl.device import SyclDevice
 
 
 class SolverService:
@@ -117,7 +120,7 @@ class SolverService:
         )
         self.chaos = self._instruments.chaos
         self.recorder = self._instruments.recorder
-        self.device = device if device is not None else self._default_device()
+        self.device = device if device is not None else queue_for(self.config.backend).device
         self.metrics = MetricsRegistry()
         if self._instruments.hub is not None:
             self._instruments.hub.register(self.metrics)
@@ -173,13 +176,6 @@ class SolverService:
             target=self._flush_loop, name="serve-flusher", daemon=True
         )
         self._flusher.start()
-
-    def _default_device(self) -> SyclDevice:
-        if self.config.backend == "cuda":
-            from repro.cudasim.device import a100_device
-
-            return a100_device()
-        return pvc_stack_device(1)
 
     # -- admission -------------------------------------------------------------
 
@@ -630,79 +626,35 @@ class SolverService:
 
         Returns ``None`` when the resolved dispatch falls outside what the
         fused kernels cover (solver, preconditioner, criterion, format,
-        warm starts) or the worker context speaks the CUDA
-        dialect — the caller then falls back to the vectorized path and
-        counts the miss on ``serve.kernel_fallbacks``.
+        warm starts) or the worker drives a CUDA device — the caller then
+        falls back to the vectorized path and counts the miss on
+        ``serve.kernel_fallbacks``.
         """
-        from repro.core.logger import ConvergenceLogger
-        from repro.core.counters import TrafficLedger
-        from repro.core.preconditioner.identity import BatchIdentity
-        from repro.core.preconditioner.jacobi import BatchJacobi
-        from repro.core.stop import RelativeResidual
-        from repro.kernels.bicgstab_kernel import run_batch_bicgstab_on_device
-        from repro.kernels.cg_kernel import run_batch_cg_on_device
-        from repro.kernels.richardson_kernel import run_batch_richardson_on_device
-        from repro.sycl.queue import Queue
-
         resolved = plan.resolved
         name = resolved.solver_cls.solver_name
+        precond_cls = resolved.preconditioner_cls
+        precond = "identity" if precond_cls is None else precond_cls.preconditioner_name
         if (
-            name not in ("cg", "bicgstab", "richardson")
+            name not in KERNEL_SOLVERS
+            or precond not in KERNEL_PRECONDITIONERS
             or x0 is not None
             or resolved.matrix_format != "csr"
             or resolved.criterion_cls is not RelativeResidual
-            or resolved.preconditioner_cls not in (None, BatchIdentity, BatchJacobi)
-            or not isinstance(worker.context, Queue)
+            or isinstance(worker.context.device, CudaDevice)
         ):
             return None
 
         def run() -> BatchSolveResult:
             mat = resolved.prepare(matrix)
-            bb = np.asarray(b, dtype=mat.dtype)
-            inv_diag = None
-            if resolved.preconditioner_cls is BatchJacobi:
-                precond = BatchJacobi(mat, **dict(resolved.preconditioner_options))
-                inv_diag = precond.inv_diag
-            nb = mat.num_batch
-            history = np.full((nb, resolved.max_iterations + 1), np.nan)
-            common = dict(
-                inv_diag=inv_diag,
+            return solve_fused(
+                worker.context,
+                mat,
+                np.asarray(b, dtype=mat.dtype),
+                solver=name,
+                preconditioner=precond,
                 tolerance=resolved.tolerance,
                 max_iterations=resolved.max_iterations,
-                queue=worker.context,
-                res_history=history,
-            )
-            if name == "cg":
-                x, iters, _ = run_batch_cg_on_device(
-                    worker.context.device, mat, bb, **common
-                )
-            elif name == "bicgstab":
-                x, iters, _ = run_batch_bicgstab_on_device(
-                    worker.context.device, mat, bb, **common
-                )
-            else:
-                omega = float(dict(resolved.solver_options).get("omega", 1.0))
-                x, iters, _ = run_batch_richardson_on_device(
-                    worker.context.device, mat, bb, omega=omega, **common
-                )
-            iters = np.asarray(iters, dtype=np.int64)
-            final = history[np.arange(nb), iters]
-            thresholds = resolved.tolerance * np.linalg.norm(bb, axis=1)
-            logger = ConvergenceLogger(nb, keep_history=resolved.keep_history)
-            logger.iterations = iters.copy()
-            logger.final_residuals = final.copy()
-            logger.mark_converged(final <= thresholds)
-            # forensics: the device-recorded residual history becomes the
-            # always-on bounded curves the flight recorder classifies from
-            logger.adopt_history_curves(history, iters)
-            return BatchSolveResult(
-                x=np.asarray(x, dtype=np.float64),
-                iterations=iters,
-                residual_norms=final,
-                converged=final <= thresholds,
-                logger=logger,
-                ledger=TrafficLedger(fp_bytes=np.dtype(resolved.dtype).itemsize),
-                solver_name=name,
+                omega=float(dict(resolved.solver_options).get("omega", 1.0)),
             )
 
         return run

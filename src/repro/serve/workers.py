@@ -1,9 +1,10 @@
 """The worker pool: one thread per simulated device queue/stream.
 
-Each worker owns a backend context — a :class:`repro.sycl.queue.Queue` or
-a lockstep :class:`repro.wide.queue.WideQueue` on a PVC stack device, or
-a :class:`repro.cudasim.stream.Stream` on an A100 — and drains its own
-job queue. Flushed batches are submitted to the
+Each worker owns a backend context built by the one backend-to-queue map,
+:func:`repro.kernels.queue_for` — a :class:`repro.sycl.queue.Queue` or a
+lockstep :class:`repro.wide.queue.WideQueue` on a PVC stack device, or a
+:class:`repro.cudasim.stream.Stream` on an A100 — and drains its own job
+queue. Flushed batches are submitted to the
 least-loaded worker and executed as *host tasks* on that worker's
 queue/stream, in order, each on the worker's own trace lane (``tid`` =
 :data:`WORKER_LANE_BASE` + index), the same one-row-per-device picture
@@ -20,11 +21,8 @@ import threading
 import traceback
 from typing import Any, Callable
 
-from repro.cudasim.device import a100_device
-from repro.cudasim.stream import Stream
-from repro.sycl.device import SyclDevice, pvc_stack_device
-from repro.sycl.queue import Queue
-from repro.wide.queue import WideQueue
+from repro.kernels import queue_for
+from repro.sycl.device import SyclDevice
 
 #: Chrome-trace lane of worker 0 (multi-rank lanes start at 100).
 WORKER_LANE_BASE = 200
@@ -38,13 +36,7 @@ class Worker(threading.Thread):
     def __init__(self, index: int, backend: str, device: SyclDevice | None = None) -> None:
         super().__init__(name=f"serve-worker-{index}", daemon=True)
         self.index = index
-        self.backend = backend
-        if backend == "cuda":
-            self.context: Queue | Stream = Stream(device or a100_device())
-        elif backend == "wide":
-            self.context = WideQueue(device or pvc_stack_device(1))
-        else:
-            self.context = Queue(device or pvc_stack_device(1))
+        self.context = queue_for(backend, device)
         self.jobs: _queue.Queue = _queue.Queue()
         self.completed = 0
 

@@ -86,6 +86,12 @@ class Queue:
         Target device; defaults to the host CPU device.
     """
 
+    #: Runs one launch: the faithful per-work-item interpreter here, the
+    #: lockstep executor on :class:`~repro.wide.queue.WideQueue`.
+    executor = staticmethod(launch)
+    #: Extra arguments every kernel span of this queue carries.
+    kernel_span_args: dict[str, Any] = {}
+
     def __init__(self, device: SyclDevice | None = None) -> None:
         self.device = device if device is not None else cpu_device()
         self.events: list[Event] = []
@@ -113,10 +119,11 @@ class Queue:
                 work_group_size=ndrange.local_size,
                 sub_group_size=ndrange.sub_group_size,
                 slm_bytes_per_group=total_local_bytes(list(local_specs or [])),
+                **self.kernel_span_args,
             )
             submit = time.perf_counter_ns()
             start = submit
-            stats = launch(
+            stats = self.executor(
                 self.device,
                 ndrange,
                 kernel,

@@ -1,76 +1,20 @@
 """The wide backend's queue: same SYCL surface, lockstep execution.
 
-:class:`WideQueue` is a drop-in :class:`~repro.sycl.queue.Queue` whose
-``parallel_for`` dispatches to :func:`repro.wide.executor.wide_launch`
-instead of the faithful per-work-item interpreter. Everything else —
-profiling :class:`~repro.sycl.queue.Event` records, the submission log,
-host tasks, tracer kernel spans — is inherited unchanged, so the serving
-layer, benchmarks and tests consume wide launches through the exact same
-interfaces.
+:class:`WideQueue` is a :class:`~repro.sycl.queue.Queue` that names
+:func:`repro.wide.executor.wide_launch` as its executor and tags its kernel
+spans ``backend="wide"``. Events, the submission log, host tasks and the
+spans themselves are ``Queue``'s own code, so callers consume wide
+launches through the same interfaces.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Any, Callable
-
-from repro.observability.tracer import current_tracer
-from repro.sycl.device import SyclDevice, cpu_device
-from repro.sycl.memory import LocalSpec, total_local_bytes
-from repro.sycl.ndrange import NDRange
-from repro.sycl.queue import Event, Queue
+from repro.sycl.queue import Queue
 from repro.wide.executor import wide_launch
 
 
 class WideQueue(Queue):
     """An in-order queue executing launches on the lockstep wide backend."""
 
-    backend = "wide"
-
-    def __init__(self, device: SyclDevice | None = None) -> None:
-        super().__init__(device if device is not None else cpu_device())
-
-    def parallel_for(
-        self,
-        ndrange: NDRange,
-        kernel: Callable[..., Any],
-        args: tuple = (),
-        local_specs: list[LocalSpec] | None = None,
-        name: str | None = None,
-        poison_slm: bool = False,
-    ) -> Event:
-        """Launch ``kernel`` over ``ndrange`` in lockstep and wait."""
-        kernel_name = name or getattr(kernel, "__name__", "kernel")
-        tracer = current_tracer()
-        with tracer.span(
-            kernel_name, category="kernel", device=self.device.name
-        ) as span:
-            span.set_args(
-                num_groups=ndrange.global_size // ndrange.local_size,
-                work_group_size=ndrange.local_size,
-                sub_group_size=ndrange.sub_group_size,
-                slm_bytes_per_group=total_local_bytes(list(local_specs or [])),
-                backend="wide",
-            )
-            submit = time.perf_counter_ns()
-            start = submit
-            stats = wide_launch(
-                self.device,
-                ndrange,
-                kernel,
-                args=args,
-                local_specs=local_specs,
-                poison_slm=poison_slm,
-                name=kernel_name,
-            )
-            end = time.perf_counter_ns()
-            span.set_args(collectives=dict(stats.collective_counts))
-        event = Event(
-            name=kernel_name,
-            submit_ns=submit,
-            start_ns=start,
-            end_ns=end,
-            stats=stats,
-        )
-        self.events.append(event)
-        return event
+    executor = staticmethod(wide_launch)
+    kernel_span_args = {"backend": "wide"}

@@ -190,7 +190,11 @@ def make_request(
     from repro.serve import SolveRequest
 
     matrix = pattern.copy()
-    matrix.data = matrix.data * rng.uniform(0.9, 1.1, size=matrix.nnz)
+    # the congruence D A D (one d per row) keeps an SPD stencil SPD
+    # (Sylvester's law of inertia), so CG requests stay well posed
+    d = rng.uniform(0.95, 1.05, size=size)
+    rows = np.repeat(np.arange(size), np.diff(matrix.indptr))
+    matrix.data = matrix.data * d[rows] * d[matrix.indices]
     return SolveRequest(
         matrix,
         rng.standard_normal(size),

@@ -3,7 +3,8 @@
 The classification edge cases are unit-tested in test_classify; here the
 same vocabulary is asserted end to end — submit through SolverService
 under an ambient recorder and check what the black box recorded — across
-the faithful (sycl), wide-lockstep, and cudasim backends.
+the faithful (sycl), wide-lockstep, and cudasim backends, and on the
+fused-kernel path, whose records come from the device residual history.
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro.instruments import use
-from repro.recorder.classify import CONVERGED, SEVERITY
+from repro.recorder.classify import CONVERGED, CURVE_POINTS, DIVERGENCE, SEVERITY
 from repro.recorder.recorder import FlightRecorder
 from repro.serve import ServeConfig, SolveRequest, SolverService
 
@@ -117,3 +118,55 @@ class TestSolveRecordsPerBackend:
         assert recorder.solves_seen == 3  # three size-triggered flushes of 2
         assert recorder.flushes_seen == 3
         assert recorder.summary()["events_seen"] > 0
+
+
+class TestKernelPathSolveRecords:
+    """``execution="kernel"`` on wide: records built from the device history."""
+
+    def _run(self, requests):
+        recorder = FlightRecorder(shard="test-wide-kernel")
+        config = ServeConfig(
+            max_batch_size=len(requests), max_wait_ms=1000.0, num_workers=1,
+            backend="wide", execution="kernel",
+        )
+        with use(recorder=recorder):
+            with SolverService(config) as service:
+                tickets = [service.submit(r) for r in requests]
+                service.flush()
+                outcomes = [t.result(timeout=30.0) for t in tickets]
+        kernel_solves = service.metrics.counter("serve.kernel_solves").labels(
+            backend="wide", solver="cg"
+        )
+        assert kernel_solves.value == 1  # the fused kernel ran the flush
+        [record] = recorder.snapshot()["solves"]
+        return record, outcomes
+
+    def test_converged_pair_recorded_as_converged(self):
+        requests = [
+            SolveRequest(
+                _tridiag(12), np.ones(12), solver="cg",
+                preconditioner="jacobi", tolerance=1e-10,
+            )
+            for _ in range(2)
+        ]
+        record, outcomes = self._run(requests)
+        assert all(o.converged and not o.used_fallback for o in outcomes)
+        assert record["backend"] == "wide"
+        assert record["class_counts"] == {CONVERGED: 2}
+        assert record["worst_curve"][0] > record["worst_curve"][-1]
+
+    def test_poisoned_system_recorded_as_divergence(self):
+        requests = [
+            SolveRequest(
+                matrix, np.ones(12), solver="cg",
+                preconditioner="jacobi", tolerance=1e-10, max_iterations=40,
+            )
+            for matrix in (_tridiag(12), _poisoned(12))
+        ]
+        record, outcomes = self._run(requests)
+        assert all(o.converged for o in outcomes)  # the LU fallback rescued it
+        assert record["class_counts"] == {CONVERGED: 1, DIVERGENCE: 1}
+        assert record["worst_index"] == 1
+        assert record["worst_class"] == DIVERGENCE
+        # the 41-entry device history is kept as a downsampled curve
+        assert len(record["worst_curve"]) == CURVE_POINTS == 32

@@ -1,9 +1,10 @@
 """``execution="kernel"``: flushes run on the fused device kernels.
 
-Covers the kernel branch of ``SolverService._solve_batch`` and the thunk
-``_kernel_solve`` builds: the fused CG/BiCGSTAB kernels on the faithful
+Covers the kernel branch of ``SolverService._solve_batch``, which runs
+the flush through :func:`repro.kernels.solve_fused` when the kernels
+cover it: the fused CG/BiCGSTAB/Richardson kernels on the faithful
 (``sycl``) and lockstep (``wide``) backends, and the vectorized fallback
-for what the kernels do not cover (warm starts, the CUDA dialect).
+for what the kernels do not cover (warm starts, CUDA devices).
 """
 
 import numpy as np
@@ -17,7 +18,7 @@ N = 16
 TOLERANCE = 1e-8
 
 
-def _serve_one_flush(backend, solver, **request_kwargs):
+def _serve_one_flush(backend, solver, pattern=None, **request_kwargs):
     """Four requests, one size-triggered flush; returns (requests, outcomes, metrics)."""
     config = ServeConfig(
         max_batch_size=4,
@@ -27,9 +28,8 @@ def _serve_one_flush(backend, solver, **request_kwargs):
         execution="kernel",
     )
     rng = np.random.default_rng(5)
-    pattern = stencil_pattern(N)
-    # scaled copies of one SPD stencil: CG needs symmetry, which the
-    # entrywise perturbation of ``make_request`` breaks
+    pattern = stencil_pattern(N) if pattern is None else pattern
+    # scaled copies of one SPD stencil, one scale per request
     requests = [
         SolveRequest(
             pattern * rng.uniform(0.5, 2.0),
@@ -78,3 +78,23 @@ def test_cuda_backend_always_falls_back(solver):
     assert _counter(metrics, "serve.kernel_fallbacks", solver=solver) == 1
     assert _counter(metrics, "serve.kernel_solves", backend="cuda", solver=solver) == 0
     assert all(o.converged for o in outcomes)
+
+
+@pytest.mark.parametrize("backend", ["wide", "sycl"])
+def test_richardson_flush_runs_on_the_fused_kernel(backend):
+    # Jacobi-Richardson contracts by about 0.25 per step on this strongly
+    # diagonally dominant stencil; on the (-1, 2, -1) one it would need
+    # hundreds of iterations
+    pattern = sp.diags(
+        [np.full(N - 1, -0.5), np.full(N, 4.0), np.full(N - 1, -0.5)],
+        offsets=[-1, 0, 1],
+        format="csr",
+    )
+    requests, outcomes, metrics = _serve_one_flush(backend, "richardson", pattern)
+    assert _counter(metrics, "serve.kernel_solves", backend=backend, solver="richardson") == 1
+    assert _counter(metrics, "serve.kernel_fallbacks", solver="richardson") == 0
+    for request, outcome in zip(requests, outcomes):
+        assert outcome.converged and not outcome.used_fallback
+        a = sp.csr_matrix((request.values, request.col_idxs, request.row_ptrs), shape=(N, N))
+        residual = np.linalg.norm(request.b - a @ outcome.x) / np.linalg.norm(request.b)
+        assert residual <= 10 * TOLERANCE

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.workloads.arrivals import (
     bursty_offsets,
@@ -126,6 +127,25 @@ class TestRequestSynthesis:
         assert request.solver == "bicgstab"
         assert request.preconditioner == "jacobi"
         assert request.num_rows == 8
+
+    def test_cg_requests_converge_without_the_fallback(self):
+        # the D A D perturbation keeps the SPD stencil symmetric, so CG
+        # converges on every request itself instead of leaning on LU
+        from repro.serve import ServeConfig, SolverService
+
+        pattern = stencil_pattern(16)
+        rng = np.random.default_rng(3)
+        requests = [
+            make_request(pattern, rng, 16, solver="cg", tolerance=1e-8) for _ in range(8)
+        ]
+        for r in requests:
+            a = sp.csr_matrix((r.values, r.col_idxs, r.row_ptrs), shape=(16, 16))
+            assert abs(a - a.T).max() == 0.0
+        config = ServeConfig(max_batch_size=8, max_wait_ms=1000.0, num_workers=1)
+        with SolverService(config) as service:
+            tickets = [service.submit(r) for r in requests]
+            outcomes = [t.result(timeout=60.0) for t in tickets]
+        assert all(o.converged and not o.used_fallback for o in outcomes)
 
     def test_keyed_requests_key_diversity(self):
         pattern = stencil_pattern(8)
