@@ -3,7 +3,9 @@
 # gate over the committed BENCH_*.json artifacts.
 #
 # Mirrors what must hold before a change lands: the full test suite
-# green, the lint gate clean, the tracing pipeline producing valid Chrome
+# green (tests/bench/test_paper_artifacts.py among it: the committed
+# paper tables and figures in results/ regenerate byte for byte), the
+# lint gate clean, the tracing pipeline producing valid Chrome
 # traces through `repro run --with trace` (whose observer options never
 # reach the wrapped command), the serving layer honouring its contracts,
 # the profiler attributing counters on both backends with green model

@@ -13,26 +13,18 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from collections.abc import Callable
 from pathlib import Path
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", default="results", help="output directory")
-    parser.add_argument(
-        "--quick", action="store_true", help="smaller sweeps (for smoke runs)"
-    )
-    args = parser.parse_args(argv)
-
+def paper_artifacts(quick: bool = False) -> list[tuple[str, Callable[[], str]]]:
+    """``(filename, job)`` for every paper table and figure; ``job()`` is its text."""
     from repro.bench import figures, tables
     from repro.bench.report import format_table
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    sizes = (16, 32, 64) if args.quick else (16, 32, 64, 128, 256, 512)
-    batches = (2**13, 2**15, 2**17) if args.quick else figures.BATCH_SWEEP
-
-    jobs = [
+    sizes = (16, 32, 64) if quick else (16, 32, 64, 128, 256, 512)
+    batches = (2**13, 2**15, 2**17) if quick else figures.BATCH_SWEEP
+    return [
         ("table1_terminology.txt", lambda: format_table(tables.table1_terminology())),
         ("table2_execution_model.txt", lambda: format_table(tables.table2_execution_model())),
         ("table3_features.txt", lambda: format_table(tables.table3_features())),
@@ -64,7 +56,18 @@ def main(argv=None) -> int:
         ),
     ]
 
-    for filename, job in jobs:
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--out", default="results", help="output directory")
+    parser.add_argument(
+        "--quick", action="store_true", help="smaller sweeps (for smoke runs)"
+    )
+    args = parser.parse_args(argv)
+
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for filename, job in paper_artifacts(quick=args.quick):
         start = time.perf_counter()
         text = job()
         path = out / filename

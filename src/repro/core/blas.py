@@ -27,7 +27,9 @@ def _check_same_shape(x: np.ndarray, y: np.ndarray, op: str) -> None:
 
 
 def _as_batch_scalar(alpha, num_batch: int) -> np.ndarray:
-    """Normalize a scalar or per-system array to shape ``(num_batch, 1)``."""
+    """Normalize a scalar or per-system array to float64 ``(num_batch, 1)``."""
+    if isinstance(alpha, np.ndarray) and alpha.dtype == np.float64 and alpha.shape == (num_batch,):
+        return alpha[:, None]
     arr = np.asarray(alpha, dtype=np.float64)
     if arr.ndim == 0:
         return np.full((num_batch, 1), float(arr))
@@ -92,10 +94,11 @@ def axpby(
 ) -> np.ndarray:
     """In-place ``y = alpha * x + beta * y``."""
     _check_same_shape(x, y, "axpby")
-    a = _as_batch_scalar(alpha, x.shape[0])
-    b = _as_batch_scalar(beta, x.shape[0])
-    y *= b
-    y += a * x
+    y *= _as_batch_scalar(beta, x.shape[0])
+    if isinstance(alpha, float) and alpha == 1.0:
+        y += x  # 1.0 * x == x bitwise
+    else:
+        y += _as_batch_scalar(alpha, x.shape[0]) * x
     if ledger is not None:
         # axpby moves the same operands as axpy plus one extra scale pass of y
         ledger.tally_axpy(x.shape[0], x.shape[1], names[0], names[1])

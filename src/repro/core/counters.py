@@ -13,6 +13,14 @@ that split straight off the ledger.
 All byte counts are *logical* (algorithmic) traffic: each operand element
 is counted once per kernel touch. Cache effects are applied later by the
 hardware model.
+
+The CG and BiCGSTAB loops tally their first pass only and add it once per
+pass (:meth:`TrafficLedger.add_scaled`): every pass runs the whole loop
+body at the full batch size, so it tallies the same amounts, and the
+totals equal the per-pass sums exactly. Tallies are integer-valued floats
+far below 2^53; the one exception, a fractional per-row preconditioner
+work (ILU, IC(0), ISAI), is within an ulp of an integer, and the running
+sums round that residue away.
 """
 
 from __future__ import annotations
@@ -142,6 +150,16 @@ class TrafficLedger:
             for k, v in src.items():
                 result.add_call(k, v)
         return result
+
+    def add_scaled(self, other: "TrafficLedger", times: int) -> None:
+        """Add ``times`` copies of ``other``'s tallies (nothing when ``times`` is 0)."""
+        if times == 0:
+            return
+        self.flops += times * other.flops
+        for k, v in other.bytes_by_object.items():
+            self.add_bytes(k, times * v)
+        for k, v in other.calls.items():
+            self.add_call(k, times * v)
 
     def arithmetic_intensity(self) -> float:
         """FLOPs per byte of total logical traffic (roofline x-axis)."""

@@ -110,7 +110,13 @@ class BatchSolveResult:
 
 
 class ConvergenceTracker:
-    """Per-system convergence bookkeeping shared by all iterative solvers."""
+    """Per-system convergence bookkeeping shared by all iterative solvers.
+
+    ``active`` is the mask of systems that still iterate, ``~(converged |
+    frozen)``. It is an attribute, reassigned (never mutated in place)
+    whenever a system converges or freezes, so a solver may hold the array
+    it read across :meth:`update`.
+    """
 
     def __init__(
         self,
@@ -123,6 +129,7 @@ class ConvergenceTracker:
         self.logger = logger
         self.converged = np.zeros(b_norms.shape[0], dtype=bool)
         self._frozen = np.zeros(b_norms.shape[0], dtype=bool)
+        self.active = np.ones(b_norms.shape[0], dtype=bool)
         self._tracer = tracer if tracer is not None else NULL_TRACER
 
     def start(self, res_norms: np.ndarray) -> None:
@@ -130,17 +137,20 @@ class ConvergenceTracker:
         self.logger.log_initial(res_norms)
         self.converged = res_norms <= self.thresholds
         self.logger.mark_converged(self.converged)
-        self._emit_convergence(0, res_norms)
+        self.active = ~(self.converged | self._frozen)
+        self._emit_convergence(res_norms)
 
     def update(self, iteration: int, res_norms: np.ndarray, active: np.ndarray) -> None:
         """Record an iteration and absorb newly converged systems."""
         self.logger.log_iteration(iteration, res_norms, active)
         newly = active & (res_norms <= self.thresholds)
-        self.converged |= newly
-        self.logger.mark_converged(newly)
-        self._emit_convergence(iteration, res_norms)
+        if newly.any():
+            self.converged |= newly
+            self.logger.mark_converged(newly)
+            self.active = ~(self.converged | self._frozen)
+        self._emit_convergence(res_norms)
 
-    def _emit_convergence(self, iteration: int, res_norms: np.ndarray) -> None:
+    def _emit_convergence(self, res_norms: np.ndarray) -> None:
         """Per-iteration counter sample on the installed tracer (if any)."""
         tracer = self._tracer
         if not tracer.enabled:
@@ -152,9 +162,6 @@ class ConvergenceTracker:
             "convergence.active_systems", active=num_active, converged=int(self.converged.sum())
         )
         tracer.counter("convergence.worst_residual", residual=worst)
-        tracer.metrics.counter("solver.iterations_total").inc(
-            num_active if iteration > 0 else 0
-        )
 
     def freeze(self, mask: np.ndarray) -> None:
         """Stop iterating the masked systems without marking them converged.
@@ -164,14 +171,10 @@ class ConvergenceTracker:
         """
         self._frozen |= mask
         self.logger.mark_frozen(mask)
+        self.active = ~(self.converged | self._frozen)
         if self._tracer.enabled and np.any(mask):
             self._tracer.instant("solver.breakdown", systems=int(np.sum(mask)))
             self._tracer.metrics.counter("solver.breakdowns").inc(int(np.sum(mask)))
-
-    @property
-    def active(self) -> np.ndarray:
-        """Systems that still iterate."""
-        return ~(self.converged | self._frozen)
 
     @property
     def all_done(self) -> bool:
@@ -185,11 +188,10 @@ def guarded_divide(numerator: np.ndarray, denominator: np.ndarray, active: np.nd
     Returns ``(quotient, breakdown_mask)``; ``breakdown_mask`` flags active
     systems whose denominator vanished (solver breakdown).
     """
-    denom_ok = denominator != 0.0
-    safe = np.where(denom_ok, denominator, 1.0)
-    quotient = np.where(active & denom_ok, numerator / safe, 0.0)
-    breakdown = active & ~denom_ok
-    return quotient, breakdown
+    mask = active & (denominator != 0.0)
+    quotient = np.zeros(mask.shape, dtype=np.result_type(numerator, denominator))
+    np.divide(numerator, denominator, out=quotient, where=mask)
+    return quotient, active ^ mask
 
 
 class BatchIterativeSolver(ABC):
@@ -306,6 +308,7 @@ class BatchIterativeSolver(ABC):
                     metrics.counter("solver.solves").inc()
                     metrics.counter("solver.systems").inc(matrix.num_batch)
                     metrics.counter("solver.systems_converged").inc(num_converged)
+                    metrics.counter("solver.iterations_total").inc(int(logger.iterations.sum()))
                     metrics.counter("solver.flops").inc(ledger.flops)
                     metrics.counter("solver.logical_bytes").inc(ledger.total_bytes)
                     metrics.histogram("solver.iterations_per_system").observe_many(

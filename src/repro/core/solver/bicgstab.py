@@ -71,53 +71,56 @@ class BatchBicgstab(BatchIterativeSolver):
         res_norms = blas.norm2(r, ledger, "r")
         tracker.start(res_norms)
 
+        # every pass tallies the same amounts: tally the first, scale it below
+        one_pass = TrafficLedger(fp_bytes=ledger.fp_bytes)
+        tally, passes = one_pass, 0
         for iteration in range(1, self.settings.max_iterations + 1):
             active = tracker.active
             if not active.any():
                 break
+            passes += 1
 
-            # rho = (r_hat . r); beta = (rho/rho_old)(alpha/omega)
-            rho = blas.dot(r_hat, r, ledger, ("r_hat", "r"))
+            # rho = (r_hat . r); beta = (rho/rho_old)(alpha/omega), 0 where inactive
+            rho = blas.dot(r_hat, r, tally, ("r_hat", "r"))
             ratio, breakdown = guarded_divide(rho, rho_old, active)
             alpha_over_omega, brk2 = guarded_divide(alpha, omega, active)
             breakdown |= brk2
             beta = ratio * alpha_over_omega
-            beta = np.where(active, beta, 0.0)
 
             # p = r + beta (p - omega v)
-            blas.axpy(-omega, v, p, ledger, ("v", "p"))
-            blas.axpby(1.0, r, beta, p, ledger, ("r", "p"))
+            blas.axpy(-omega, v, p, tally, ("v", "p"))
+            blas.axpby(1.0, r, beta, p, tally, ("r", "p"))
 
             # p_hat = M p ; v = A p_hat
-            precond.apply(p, out=p_hat, ledger=ledger)
-            matrix.apply(p_hat, out=v, ledger=ledger, x_name="p_hat", y_name="v")
+            precond.apply(p, out=p_hat, ledger=tally)
+            matrix.apply(p_hat, out=v, ledger=tally, x_name="p_hat", y_name="v")
 
             # alpha = rho / (r_hat . v)
-            rv = blas.dot(r_hat, v, ledger, ("r_hat", "v"))
+            rv = blas.dot(r_hat, v, tally, ("r_hat", "v"))
             alpha, brk3 = guarded_divide(rho, rv, active)
             breakdown |= brk3
 
             # s = r - alpha v
-            blas.copy(r, s, ledger, ("r", "s"))
-            blas.axpy(-alpha, v, s, ledger, ("v", "s"))
+            blas.copy(r, s, tally, ("r", "s"))
+            blas.axpy(-alpha, v, s, tally, ("v", "s"))
 
             # s_hat = M s ; t = A s_hat
-            precond.apply(s, out=s_hat, ledger=ledger)
-            matrix.apply(s_hat, out=t, ledger=ledger, x_name="s_hat", y_name="t")
+            precond.apply(s, out=s_hat, ledger=tally)
+            matrix.apply(s_hat, out=t, ledger=tally, x_name="s_hat", y_name="t")
 
             # omega = (t . s) / (t . t)
-            ts = blas.dot(t, s, ledger, ("t", "s"))
-            tt = blas.dot(t, t, ledger, ("t", "t"))
+            ts = blas.dot(t, s, tally, ("t", "s"))
+            tt = blas.dot(t, t, tally, ("t", "t"))
             omega, brk4 = guarded_divide(ts, tt, active)
             breakdown |= brk4
 
             # x += alpha p_hat + omega s_hat ; r = s - omega t
-            blas.axpy(alpha, p_hat, x, ledger, ("p_hat", "x"))
-            blas.axpy(omega, s_hat, x, ledger, ("s_hat", "x"))
-            blas.copy(s, r, ledger, ("s", "r"))
-            blas.axpy(-omega, t, r, ledger, ("t", "r"))
+            blas.axpy(alpha, p_hat, x, tally, ("p_hat", "x"))
+            blas.axpy(omega, s_hat, x, tally, ("s_hat", "x"))
+            blas.copy(s, r, tally, ("s", "r"))
+            blas.axpy(-omega, t, r, tally, ("t", "r"))
 
-            res_norms = blas.norm2(r, ledger, "r")
+            res_norms = blas.norm2(r, tally, "r")
             tracker.update(iteration, res_norms, active)
             if breakdown.any():
                 # A vanished denominator usually means the residual already
@@ -126,3 +129,5 @@ class BatchBicgstab(BatchIterativeSolver):
                 tracker.freeze(breakdown & tracker.active)
 
             rho_old = np.where(active, rho, rho_old)
+            tally = None
+        ledger.add_scaled(one_pass, passes)

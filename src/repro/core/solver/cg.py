@@ -59,31 +59,37 @@ class BatchCg(BatchIterativeSolver):
         tracker.start(res_norms)
 
         t = np.empty_like(b)
+        # every pass tallies the same amounts: tally the first, scale it below
+        one_pass = TrafficLedger(fp_bytes=ledger.fp_bytes)
+        tally, passes = one_pass, 0
         for iteration in range(1, self.settings.max_iterations + 1):
             active = tracker.active
             if not active.any():
                 break
+            passes += 1
 
             # t <- A p ; alpha <- rho / (p . t)
-            matrix.apply(p, out=t, ledger=ledger, x_name="p", y_name="t")
-            pt = blas.dot(p, t, ledger, ("p", "t"))
+            matrix.apply(p, out=t, ledger=tally, x_name="p", y_name="t")
+            pt = blas.dot(p, t, tally, ("p", "t"))
             alpha, breakdown = guarded_divide(rho, pt, active)
             if breakdown.any():
                 tracker.freeze(breakdown)
                 active = active & ~breakdown
 
             # x <- x + alpha p ; r <- r - alpha t
-            blas.axpy(alpha, p, x, ledger, ("p", "x"))
-            blas.axpy(-alpha, t, r, ledger, ("t", "r"))
+            blas.axpy(alpha, p, x, tally, ("p", "x"))
+            blas.axpy(-alpha, t, r, tally, ("t", "r"))
 
-            res_norms = blas.norm2(r, ledger, "r")
+            res_norms = blas.norm2(r, tally, "r")
             tracker.update(iteration, res_norms, active)
 
             # z <- M r ; beta <- (r . z) / rho ; p <- z + beta p
-            precond.apply(r, out=z, ledger=ledger)
-            rho_new = blas.dot(r, z, ledger, ("r", "z"))
+            precond.apply(r, out=z, ledger=tally)
+            rho_new = blas.dot(r, z, tally, ("r", "z"))
             beta, breakdown = guarded_divide(rho_new, rho, tracker.active)
             if breakdown.any():
                 tracker.freeze(breakdown)
-            blas.axpby(1.0, z, beta, p, ledger, ("z", "p"))
+            blas.axpby(1.0, z, beta, p, tally, ("z", "p"))
             rho = rho_new
+            tally = None
+        ledger.add_scaled(one_pass, passes)

@@ -68,6 +68,24 @@ class TestAxpyFamily:
         with pytest.raises(DimensionMismatchError):
             blas.axpy(np.ones(3), x, y)
 
+    @pytest.mark.parametrize("op", ["axpy", "axpby"])
+    def test_float32_alpha_promotes_to_float64(self, op):
+        # per-system float32 scalars act as float64: the rounding of a
+        # single-precision solve does not depend on the scalars' dtype
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((5, 7)).astype(np.float32)
+        y = rng.standard_normal((5, 7)).astype(np.float32)
+        alpha = rng.standard_normal(5).astype(np.float32)
+        beta = rng.standard_normal(5).astype(np.float32)
+
+        def run(a):
+            out = y.copy()
+            if op == "axpy":
+                return blas.axpy(a, x, out)
+            return blas.axpby(a, x, beta, out)
+
+        assert run(alpha).tobytes() == run(alpha.astype(np.float64)).tobytes()
+
     def test_elementwise_mul(self, xy):
         x, y = xy
         out = np.empty_like(x)
@@ -103,6 +121,37 @@ class TestLedgerAccounting:
         assert merged.flops == 12
         assert merged.bytes_by_object == {"r": 12, "z": 3}
         assert merged.calls == {"dot": 1}
+
+    def test_add_scaled_by_zero_adds_no_key(self):
+        one_pass = TrafficLedger()
+        one_pass.add_flops(4)
+        one_pass.add_bytes("r", 8)
+        one_pass.add_call("dot")
+        ledger = TrafficLedger()
+        ledger.add_bytes("b", 16)
+        ledger.add_scaled(one_pass, 0)
+        assert ledger.flops == 0.0
+        assert ledger.bytes_by_object == {"b": 16}
+        assert ledger.calls == {}
+
+    @pytest.mark.parametrize("times", [1, 2, 7])
+    def test_add_scaled_equals_repeated_merge(self, times):
+        setup = TrafficLedger()
+        setup.add_flops(3)
+        setup.add_bytes("b", 12)
+        setup.add_call("norm", 2)
+        one_pass = TrafficLedger()
+        one_pass.add_flops(10)
+        one_pass.add_bytes("r", 24)
+        one_pass.add_bytes("b", 4)
+        one_pass.add_call("dot", 2)
+        expected = setup
+        for _ in range(times):
+            expected = expected.merged(one_pass)
+        setup.add_scaled(one_pass, times)
+        assert setup.flops == expected.flops
+        assert list(setup.bytes_by_object.items()) == list(expected.bytes_by_object.items())
+        assert list(setup.calls.items()) == list(expected.calls.items())
 
     def test_arithmetic_intensity(self):
         ledger = TrafficLedger()

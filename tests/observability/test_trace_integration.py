@@ -14,6 +14,7 @@ from repro.multi.distributed import solve_distributed
 from repro.observability import Tracer, validate_chrome_trace, write_chrome_trace
 from repro.sycl.device import pvc_stack_device
 from repro.sycl.queue import Queue
+from repro.workloads.stencil import stencil_rhs, three_point_stencil
 
 _LAUNCH_ARG_KEYS = {
     "num_groups",
@@ -78,6 +79,25 @@ class TestSolverPath:
         assert ts == sorted(ts)
         per_system = tracer.metrics.histogram("solver.iterations_per_system")
         assert per_system.count == stencil16.num_batch
+
+    @pytest.mark.parametrize(
+        "solver", ["cg", "bicgstab", "cgs", "bicg", "richardson", "gmres"]
+    )
+    def test_iterations_total_is_sum_of_per_system_iterations(self, solver):
+        # GMRES updates the tracker once per restart cycle, the others once
+        # per iteration; the counter must not depend on that cadence
+        matrix = three_point_stencil(32, 6, jitter=0.5)
+        tracer = Tracer()
+        result = dispatch_solve(
+            matrix,
+            stencil_rhs(32, 6),
+            solver=solver,
+            preconditioner="jacobi",
+            tolerance=1e-8,
+            tracer=tracer,
+        )
+        counter = tracer.metrics.counter("solver.iterations_total")
+        assert counter.value == int(result.iterations.sum())
 
     def test_factory_tracer_and_explicit_solve_tracer_agree(
         self, stencil16, stencil16_rhs
