@@ -15,12 +15,15 @@ path and gates the headline:
   ``scripts/check_regression.py``.
 * **agreement** — both backends' solutions must actually solve the
   systems (relative residual under a small multiple of the tolerance)
-  and converge within the iteration budget. Iteration counts may differ
-  by a few steps near the stopping threshold: the faithful interpreter
-  reduces with a sequential left-fold while the wide backend uses
-  NumPy's pairwise reduction, so the last ulp of a dot product can land
-  on either side of the threshold. Bitwise equality *within* a backend
-  is pinned by the test suite, not here.
+  and converge within the iteration budget. Iteration counts may
+  differ: the faithful interpreter reduces with a sequential left-fold
+  while the wide backend uses NumPy's pairwise reduction, and an
+  ill-conditioned solve amplifies that last-ulp difference. On this
+  workload CG agrees exactly and BiCGSTAB differs by up to 35
+  iterations (``max_iter_delta`` in ``BENCH_wide_speedup.json``); the
+  ROADMAP's "three execution paths, one answer" item closes the gap
+  with one tree order in both executors. Bitwise equality *within* a
+  backend is pinned by the test suite, not here.
 * **serve stacked win** — the serving layer in kernel-execution mode
   (``ServeConfig(execution="kernel")``) flushed through wide workers vs
   faithful workers: throughput of the same request stream, plus proof

@@ -55,7 +55,12 @@ from repro.sycl.ndrange import NDRange
 from repro.wide.lanes import LaneArray, WideArray, lane_array
 from repro.wide.lower import lower_kernel
 
-_REDUCERS = {"sum": np.sum, "prod": np.prod, "max": np.max, "min": np.min}
+_REDUCERS = {
+    "sum": np.add.reduce,
+    "prod": np.multiply.reduce,
+    "max": np.maximum.reduce,
+    "min": np.minimum.reduce,
+}
 _ACCUMULATORS = {
     "sum": np.add.accumulate,
     "prod": np.multiply.accumulate,

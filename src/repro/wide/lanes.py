@@ -33,7 +33,7 @@ sub-group reduce) — see ``docs/wide_backend.md`` for the full contract.
 from __future__ import annotations
 
 import builtins
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
@@ -106,12 +106,13 @@ class LaneIndex:
     row-pointer lookups) shift the rows and keep the mask.
     """
 
-    __slots__ = ("rows", "mask", "_all_active")
+    __slots__ = ("rows", "mask", "_all_active", "_gather_rows")
 
     def __init__(self, rows: Any, mask: Any, all_active: bool | None = None) -> None:
         self.rows = np.asarray(rows, dtype=np.int64)
         self.mask = np.asarray(mask, dtype=bool)
         self._all_active = all_active
+        self._gather_rows = None
 
     @property
     def all_active(self) -> bool:
@@ -119,6 +120,13 @@ class LaneIndex:
         if self._all_active is None:
             self._all_active = bool(self.mask.all())
         return self._all_active
+
+    @property
+    def gather_rows(self) -> np.ndarray:
+        """The rows with inactive lanes pointed at 0 (cached, like ``all_active``)."""
+        if self._gather_rows is None:
+            self._gather_rows = np.where(self.mask, self.rows, 0)
+        return self._gather_rows
 
     def __add__(self, other: int) -> "LaneIndex":
         return LaneIndex(self.rows + int(other), self.mask, self._all_active)
@@ -136,6 +144,11 @@ def _is_wide(value: Any) -> bool:
     return isinstance(value, (np.ndarray, LaneIndex))
 
 
+#: Memoized rounds of every lane-axis loop, keyed by its bounds' bytes.
+_ROUNDS: dict[tuple, tuple[LaneIndex, ...]] = {}
+_ROUNDS_MAX = 128
+
+
 def wide_range(*args: Any) -> Any:
     """``range`` over possibly-per-lane bounds: lockstep masked rounds.
 
@@ -145,6 +158,11 @@ def wide_range(*args: Any) -> Any:
     round is a :class:`LaneIndex` whose mask disables the lanes that
     already exhausted their own trip count — the wide equivalent of the
     faithful interpreter's per-item loop bounds.
+
+    Kernels re-enter the same loops every iteration of every work-group,
+    so the rounds are built once per distinct bounds and shared: the
+    table is keyed by value (fresh but equal bounds hit), its rounds are
+    read-only, and it is emptied whenever it reaches ``_ROUNDS_MAX``.
     """
     if not any(isinstance(a, np.ndarray) for a in args):
         return builtins.range(*args)
@@ -160,31 +178,35 @@ def wide_range(*args: Any) -> Any:
         raise ValueError(f"wide_range requires a positive step, got {step}")
     start = np.asarray(start, dtype=np.int64)
     stop = np.asarray(stop, dtype=np.int64)
-    start, stop = np.broadcast_arrays(start, stop)
-    return _WideRangeRounds(start, stop, step)
+    # shapes too: a 0-d and a 1-element bound share bytes, not broadcasting
+    key = (start.shape, start.tobytes(), stop.shape, stop.tobytes(), step)
+    rounds = _ROUNDS.get(key)
+    if rounds is None:
+        rounds = _build_rounds(start, stop, step)
+        if len(_ROUNDS) >= _ROUNDS_MAX:
+            _ROUNDS.clear()  # atomic under the GIL, unlike evicting one entry
+        _ROUNDS[key] = rounds
+    return rounds
 
 
-class _WideRangeRounds:
-    """Iterator over the lockstep rounds of one :func:`wide_range` loop."""
-
-    __slots__ = ("start", "trips", "step")
-
-    def __init__(self, start: np.ndarray, stop: np.ndarray, step: int) -> None:
-        self.start = np.array(start, dtype=np.int64)
-        self.step = step
-        self.trips = np.maximum(0, -(-(stop - start) // step))
-
-    def __iter__(self) -> Iterator[LaneIndex]:
-        rounds = int(self.trips.max(initial=0))
-        # Rounds below every lane's trip count are fully active: share one
-        # mask and skip the per-access ``mask.all()`` re-check downstream.
-        uniform = int(self.trips.min(initial=0))
-        full = np.ones(self.start.shape, dtype=bool)
-        for t in range(rounds):
-            if t < uniform:
-                yield LaneIndex(self.start + t * self.step, full, True)
-            else:
-                yield LaneIndex(self.start + t * self.step, self.trips > t)
+def _build_rounds(start: np.ndarray, stop: np.ndarray, step: int) -> tuple[LaneIndex, ...]:
+    """The read-only lockstep rounds of one :func:`wide_range` loop."""
+    trips = np.maximum(0, -(-(stop - start) // step))
+    if start.shape != trips.shape:
+        start = np.broadcast_to(start, trips.shape)
+    # Rounds below every lane's trip count are fully active: share one
+    # mask and skip the per-access ``mask.all()`` re-check downstream.
+    uniform = int(trips.min(initial=0))
+    full = np.ones(trips.shape, dtype=bool)
+    rounds = []
+    for t in range(int(trips.max(initial=0))):
+        if t < uniform:
+            index = LaneIndex(start + t * step, full, True)
+        else:
+            index = LaneIndex(start + t * step, trips > t)
+        index.rows.flags.writeable = index.mask.flags.writeable = False
+        rounds.append(index)
+    return tuple(rounds)
 
 
 def wide_float(value: Any) -> Any:
@@ -209,10 +231,8 @@ def _gather(data: np.ndarray, index: LaneIndex) -> np.ndarray:
     """Masked gather: inactive lanes read as 0 (their terms vanish in sums)."""
     if index.all_active:
         return data[index.rows]
-    mask = index.mask
-    safe = np.where(mask, index.rows, 0)
-    out = data[safe]
-    return np.where(mask, out, out.dtype.type(0))
+    out = data[index.gather_rows]
+    return np.where(index.mask, out, out.dtype.type(0))
 
 
 def _scatter(data: np.ndarray, index: LaneIndex, value: Any) -> None:
