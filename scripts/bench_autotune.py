@@ -166,7 +166,6 @@ def main(argv: list[str] | None = None) -> int:
             "rerun_cache_hit": rerun_is_hit,
             "clear_forces_research": clear_forces_search,
             "derived_thresholds": thresholds,
-            "db_generation": db.generation,
         },
     )
     out = write_bench(args.out, report)

@@ -9,11 +9,14 @@ seconds that:
 * a second tune of the same key is a DB cache hit with no new
   measurements, including through a fresh ``TuningDB`` instance reloading
   the persisted file;
-* ``clear`` forces a re-search;
-* the serving plan cache invalidates its plans when the DB generation
-  changes.
+* ``clear`` forces a re-search.
 
-Usage: python scripts/smoke_tune.py
+With ``--sanitize`` it also launches the fused CG kernel at the geometry
+of a freshly tuned record under the kernel sanitizer: the launch must be
+violation-free and every system must converge (``--backend wide`` adds a
+lockstep re-launch that must match the faithful result).
+
+Usage: python scripts/smoke_tune.py [--sanitize] [--backend BACKEND]
 """
 
 from __future__ import annotations
@@ -33,8 +36,6 @@ def check(condition: bool, label: str, failures: list[str]) -> None:
 
 def _run() -> int:
     from repro.hw.specs import gpu
-    from repro.serve.plan_cache import PlanCache
-    from repro.serve.request import BatchKey
     from repro.tune import RANDOM, Autotuner, TuningDB, stencil_workload
 
     failures: list[str] = []
@@ -93,31 +94,6 @@ def _run() -> int:
             failures,
         )
 
-        # plan-cache invalidation: a DB mutation drops cached plans
-        cache = PlanCache(spec.device, tuning_db=db)
-        key = BatchKey(
-            matrix_format="csr",
-            num_rows=16,
-            pattern_token="smoke",
-            solver="cg",
-            preconditioner="jacobi",
-            criterion="relative",
-            precision="double",
-            tolerance=1e-8,
-            max_iterations=100,
-        )
-        cache.plan_for(key)
-        _, hit = cache.plan_for(key)
-        check(hit, "plan cache hits on a repeated key", failures)
-        db.clear()  # bumps the generation
-        _, hit = cache.plan_for(key)
-        invalidations = cache.metrics.counter("serve.plan_cache.invalidations").value
-        check(
-            not hit and invalidations == 1,
-            "DB generation change invalidates cached plans",
-            failures,
-        )
-
     if failures:
         print(f"tune smoke: {len(failures)} failure(s)", file=sys.stderr)
         return 1
@@ -153,7 +129,6 @@ def main(argv: list[str] | None = None) -> int:
 
     import numpy as np
 
-    from repro.core.launch import LaunchConfigurator
     from repro.hw.specs import gpu
     from repro.instruments import use
     from repro.kernels.cg_kernel import batch_cg_kernel
@@ -164,19 +139,10 @@ def main(argv: list[str] | None = None) -> int:
     from repro.workloads.stencil import stencil_rhs, three_point_stencil
 
     failures: list[str] = []
-    spec = gpu("pvc1")
-    db = TuningDB()
-    result = Autotuner(spec, db=db, strategy=RANDOM, budget=6, seed=3).tune(
+    result = Autotuner(gpu("pvc1"), db=TuningDB(), strategy=RANDOM, budget=6, seed=3).tune(
         stencil_workload(16, nb_solve=4)
     )
-    geometry = LaunchConfigurator(spec.device, tuning_db=db).geometry(
-        16, solver="cg", preconditioner="jacobi", precision="double"
-    )
-    check(
-        geometry.sub_group_size == result.record.candidate.sub_group_size,
-        "configurator serves the freshly tuned geometry",
-        failures,
-    )
+    geometry = result.record.geometry()
 
     nb, n = 4, 16
     matrix = three_point_stencil(n, nb)

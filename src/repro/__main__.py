@@ -150,7 +150,6 @@ def _cmd_serve_demo(args) -> int:
         num_workers=args.workers,
         backend=args.backend,
         execution=args.execution,
-        tuning_db_path=args.tuning_db,
         tenant_default_quota=getattr(args, "tenant_quota", None),
     )
     pattern = stencil_pattern(args.size)
@@ -221,8 +220,7 @@ def _cmd_serve_demo(args) -> int:
     print(
         f"plan cache: {count('serve.plan_cache.hits')} hits, "
         f"{count('serve.plan_cache.misses')} misses, "
-        f"{count('serve.plan_cache.evictions')} evictions, "
-        f"{count('serve.plan_cache.invalidations')} invalidations"
+        f"{count('serve.plan_cache.evictions')} evictions"
     )
     print(
         f"fallbacks: {count('serve.fallbacks')} solved by direct-LU, "
@@ -293,7 +291,6 @@ def _serve_demo_fleet(args) -> int:
         ),
         initial_replicas=args.shards,
         max_replicas=max(args.shards, 8),
-        tuning_db_path=args.tuning_db,
     )
     pattern = stencil_pattern(args.size)
     rng = np.random.default_rng(42)
@@ -479,7 +476,7 @@ def _cmd_tune(args) -> int:
             }
             for r in records
         ]
-        print_table(rows, f"tuning DB {args.db} (generation {db.generation})")
+        print_table(rows, f"tuning DB {args.db}")
         for device_name in sorted({r.key.device for r in records}):
             threshold = derive_threshold(db, device_name)
             if threshold is not None:
@@ -492,10 +489,7 @@ def _cmd_tune(args) -> int:
     if args.action == "clear":
         device = None if args.platform is None else gpu(args.platform).device.name
         removed = db.clear(device=device, solver=args.solver)
-        print(
-            f"removed {removed} record(s) from {args.db} "
-            f"(generation {db.generation})"
-        )
+        print(f"removed {removed} record(s) from {args.db}")
         return 0
 
     # action == "tune": search (or fetch) the configuration for one workload
@@ -515,7 +509,7 @@ def _cmd_tune(args) -> int:
         seed=args.seed,
         prune_fraction=args.prune_fraction,
     )
-    outcome = tuner.tune(workload, force=args.force, store_generic=args.store_generic)
+    outcome = tuner.tune(workload, force=args.force)
     record = outcome.record
     source = "cache hit (no measurements)" if outcome.from_cache else (
         f"searched {record.evaluations} candidates ({record.strategy})"
@@ -1485,11 +1479,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="max in-flight requests per tenant (submissions over quota are "
         "rejected with a structured 429)",
     )
-    serve_demo.add_argument(
-        "--tuning-db",
-        default=None,
-        help="serve tuned launch geometry from this TuningDB file",
-    )
     _dump_telemetry_args(serve_demo)
     serve_demo.set_defaults(fn=_cmd_serve_demo)
 
@@ -1566,11 +1555,6 @@ def build_parser() -> argparse.ArgumentParser:
     tune.add_argument("--seed", type=int, default=0)
     tune.add_argument("--prune-fraction", type=float, default=1.0)
     tune.add_argument("--force", action="store_true", help="re-search even on a DB hit")
-    tune.add_argument(
-        "--store-generic",
-        action="store_true",
-        help="also store the winner under the device-wide wildcard key",
-    )
     tune.add_argument(
         "--solver", dest="solver", default=None, help="solver filter for 'clear'"
     )

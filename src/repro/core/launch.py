@@ -19,7 +19,7 @@ targeted device"; devices may carry a tuned value in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.core.workspace import WorkspacePlan
 from repro.exceptions import DeviceCapabilityError
@@ -55,27 +55,14 @@ class KernelLaunchPlan:
         """The simulator ND-range realizing this plan."""
         return NDRange(self.global_size, self.work_group_size, self.sub_group_size)
 
-    def with_num_groups(self, num_groups: int) -> "KernelLaunchPlan":
-        """The same per-group geometry applied to a different batch size.
-
-        The group-level choices of Section 3.6 (work-group size, sub-group
-        size, reduction scope, SLM footprint) depend only on the matrix
-        size, not on how many systems are batched — so a cached plan can be
-        re-targeted to a new flush by swapping the group count.
-        """
-        if num_groups <= 0:
-            raise ValueError(f"num_groups must be positive, got {num_groups}")
-        return replace(self, num_groups=num_groups)
-
 
 @dataclass(frozen=True)
 class LaunchGeometry:
     """The matrix-size-dependent part of a launch plan (Section 3.6).
 
-    Everything here is a pure function of ``(device, num_rows)``; the
-    serving layer's plan cache stores one geometry per configuration and
-    stamps out :class:`KernelLaunchPlan` instances per flush via
-    :meth:`plan`.
+    The heuristic makes it a pure function of ``(device, num_rows)``;
+    the autotuner's candidates are geometries too. :meth:`plan` stamps
+    out the :class:`KernelLaunchPlan` for a batch of systems.
     """
 
     work_group_size: int
@@ -97,22 +84,14 @@ class LaunchGeometry:
 
 
 class LaunchConfigurator:
-    """Chooses work-group/sub-group sizes for a device and matrix size.
-
-    ``tuning_db`` is any object with a ``lookup_geometry(device, solver,
-    preconditioner, num_rows, precision)`` method (duck-typed so this core
-    layer never imports :mod:`repro.tune`); when it returns a geometry,
-    that experimentally-tuned choice replaces the Section-3.6 heuristic.
-    """
+    """Chooses work-group/sub-group sizes for a device and matrix size."""
 
     def __init__(
         self,
         device: SyclDevice,
         sub_group_threshold_rows: int | None = None,
-        tuning_db: object | None = None,
     ) -> None:
         self.device = device
-        self.tuning_db = tuning_db
         if sub_group_threshold_rows is None:
             raw = device.extra.get(
                 "sub_group_threshold_rows", DEFAULT_SUB_GROUP_THRESHOLD_ROWS
@@ -161,45 +140,10 @@ class LaunchConfigurator:
         """Sub-group-scope reductions once a single sub-group covers the rows."""
         return SUB_GROUP_REDUCE if num_rows <= sub_group_size else WORK_GROUP_REDUCE
 
-    def tuned_geometry(
-        self,
-        num_rows: int,
-        solver: str = "*",
-        preconditioner: str = "*",
-        precision: str = "*",
-    ) -> LaunchGeometry | None:
-        """The TuningDB's geometry for this problem, or ``None``.
-
-        Wildcard (``"*"``) context fields match only device-wide generic
-        records, so callers without a full dispatch context still pick up
-        tunings stored for the whole device.
-        """
-        if self.tuning_db is None:
-            return None
-        return self.tuning_db.lookup_geometry(
-            self.device, solver, preconditioner, num_rows, precision
-        )
-
-    def geometry(
-        self,
-        num_rows: int,
-        solver: str = "*",
-        preconditioner: str = "*",
-        precision: str = "*",
-    ) -> LaunchGeometry:
-        """The batch-size-independent launch choices for ``num_rows``.
-
-        A :class:`TuningDB` attached at construction is consulted first
-        (with the given dispatch context); the Section-3.6 heuristic is the
-        fallback for problems nobody has tuned.
-        """
+    def geometry(self, num_rows: int) -> LaunchGeometry:
+        """The batch-size-independent launch choices for ``num_rows``."""
         if num_rows <= 0:
             raise ValueError(f"num_rows must be positive, got {num_rows}")
-        tuned = self.tuned_geometry(
-            num_rows, solver=solver, preconditioner=preconditioner, precision=precision
-        )
-        if tuned is not None:
-            return tuned
         sg = self.pick_sub_group_size(num_rows)
         self.device.validate_sub_group_size(sg)
         wg = self.pick_work_group_size(num_rows, sg)
@@ -215,21 +159,13 @@ class LaunchConfigurator:
         num_rows: int,
         num_batch: int,
         workspace: WorkspacePlan | None = None,
-        solver: str = "*",
-        preconditioner: str = "*",
-        precision: str = "*",
     ) -> KernelLaunchPlan:
         """Full launch plan for a batch of ``num_batch`` n-row systems."""
         if num_rows <= 0 or num_batch <= 0:
             raise ValueError(
                 f"num_rows and num_batch must be positive, got ({num_rows}, {num_batch})"
             )
-        plan = self.geometry(
-            num_rows,
-            solver=solver,
-            preconditioner=preconditioner,
-            precision=precision,
-        ).plan(
+        plan = self.geometry(num_rows).plan(
             num_batch,
             slm_bytes_per_group=0 if workspace is None else workspace.slm_bytes_used,
         )

@@ -3,15 +3,12 @@
 :class:`FleetConfig` is frozen, like :class:`~repro.serve.config.
 ServeConfig`, so one object can be shared between the router, the
 autoscaler and tests without copying. The serve config embedded in it is
-the *template* every shard replica is built from; per-shard state that
-must not be shared (the :class:`~repro.tune.db.TuningDB` file) is
-namespaced per shard by the fleet service.
+the *template* every shard replica is built from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.serve.config import ServeConfig
 
@@ -50,12 +47,6 @@ class FleetConfig:
         ServiceSaturatedError` before any shard sees the request —
         fleet backpressure fires first, shard-level saturation stays the
         per-shard hot-spot signal.
-    tuning_db_path:
-        Base path for per-shard tuning databases. Shard ``shard-3`` of
-        base ``tuning.json`` persists to ``tuning.shard-3.json`` — one
-        namespace per shard, so replicas never contend on one file and a
-        shard's tuned geometry follows the keys the ring pins to it.
-        ``None`` disables tuned-geometry serving fleet-wide.
     target_p99_ms:
         The autoscaler's latency objective: scale up while any shard's
         p99 (from its ``serve.latency_hdr_ms`` HDR histogram) sits above
@@ -75,7 +66,6 @@ class FleetConfig:
     max_replicas: int = 8
     virtual_nodes: int = 64
     max_pending: int = 4096
-    tuning_db_path: str | None = None
     target_p99_ms: float = 500.0
     scale_up_patience: int = 2
     scale_down_patience: int = 4
@@ -111,10 +101,3 @@ class FleetConfig:
                 f"cooldown_evaluations must be non-negative, "
                 f"got {self.cooldown_evaluations}"
             )
-
-    def shard_tuning_path(self, shard_name: str) -> str | None:
-        """The per-shard tuning-database namespace of ``shard_name``."""
-        if self.tuning_db_path is None:
-            return None
-        base = Path(self.tuning_db_path)
-        return str(base.with_name(f"{base.stem}.{shard_name}{base.suffix}"))

@@ -3,8 +3,7 @@
 The fleet routes every request to the shard that owns its batch key, so
 all requests of one compatibility class coalesce in *one* shard's
 micro-batcher and that shard's :class:`~repro.serve.plan_cache.PlanCache`
-and :class:`~repro.tune.db.TuningDB` stay hot for exactly the keys it
-owns. Plain modulo routing would reshuffle almost every key whenever a
+stays hot for exactly the keys it owns. Plain modulo routing would reshuffle almost every key whenever a
 shard joins or leaves (cold caches fleet-wide on every scaling action);
 a consistent-hash ring with virtual nodes remaps only ~``1/N`` of the
 key space per change, and the virtual nodes keep the per-shard arcs

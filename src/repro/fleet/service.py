@@ -3,12 +3,11 @@
 :class:`FleetService` is Layer 11 — the scale-*out* counterpart of the
 paper's scale-*up* argument. Each shard replica is a full
 :class:`~repro.serve.service.SolverService` (own device queue(s), own
-micro-batcher, own :class:`~repro.serve.plan_cache.PlanCache`, own
-:class:`~repro.tune.db.TuningDB` namespace); the fleet routes every
-request to the shard that owns its :class:`~repro.serve.request.BatchKey`
-on a consistent-hash ring, so one compatibility class coalesces in one
-shard's batcher and that shard's caches stay hot for exactly the keys it
-owns.
+micro-batcher, own :class:`~repro.serve.plan_cache.PlanCache`); the
+fleet routes every request to the shard that owns its
+:class:`~repro.serve.request.BatchKey` on a consistent-hash ring, so one
+compatibility class coalesces in one shard's batcher and that shard's
+plan cache stays hot for exactly the keys it owns.
 
 Control-plane behaviours:
 
@@ -129,17 +128,13 @@ class FleetService:
         with self._lock:
             name = f"shard-{self._seq}"
             self._seq += 1
-            serve_config = dc_replace(
-                self.config.serve,
-                tuning_db_path=self.config.shard_tuning_path(name),
-            )
             # per-shard black box: an installed flight recorder becomes one
             # sibling recorder per replica, stamped with the shard name,
             # so each shard's bundles merge in the cross-shard postmortem
             recorder = self._instruments.recorder
             with use(**vars(self._instruments)):
                 service = SolverService(
-                    serve_config,
+                    self.config.serve,
                     recorder=None if recorder is None else recorder.for_shard(name),
                 )
             shard = ShardReplica(name, service)

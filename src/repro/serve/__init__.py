@@ -10,8 +10,8 @@ deployment) produce *individual systems*. This package closes that gap:
   :class:`SolveTicket` promises and :class:`SolveOutcome` responses.
 * :mod:`repro.serve.batcher` — the dynamic micro-batcher: per-key buckets
   flushing on max-batch-size or max-wait-deadline.
-* :mod:`repro.serve.plan_cache` — resolved Figure-3 dispatch + Section-3.6
-  launch geometry cached per configuration (hit/miss metrics).
+* :mod:`repro.serve.plan_cache` — the resolved Figure-3 dispatch cached
+  per dispatch tuple (hit/miss metrics).
 * :mod:`repro.serve.workers` — a worker pool, one thread per simulated
   device queue/stream; flushes run as host tasks on the device timeline.
 * :mod:`repro.serve.service` — :class:`SolverService`: admission control
@@ -33,7 +33,7 @@ from repro.serve.batcher import DEADLINE, DRAIN, SIZE, FlushBatch, MicroBatcher
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.config import ServeConfig
 from repro.serve.qos import PRIORITIES, FairShareLedger
-from repro.serve.plan_cache import ExecutionPlan, PlanCache, PlanKey
+from repro.serve.plan_cache import ExecutionPlan, PlanCache
 from repro.serve.request import (
     BatchKey,
     SolveOutcome,
@@ -55,7 +55,6 @@ __all__ = [
     "MicroBatcher",
     "PRIORITIES",
     "PlanCache",
-    "PlanKey",
     "ServeConfig",
     "SIZE",
     "SolveOutcome",

@@ -73,11 +73,6 @@ class ServeConfig:
         When true, systems that fail or do not converge in a flushed batch
         are retried *individually* with the direct-LU fallback solver, so
         one pathological system never fails its co-batched neighbours.
-    tuning_db_path:
-        Path of a persistent :class:`~repro.tune.TuningDB` file. When set
-        (and no database object is passed to the service directly), the
-        service opens it and serves tuned launch geometry through the plan
-        cache. ``None`` keeps the pure Section-3.6 heuristic.
     telemetry_sample_rate:
         Head-sampling rate for request-scoped telemetry in ``[0, 1]``:
         the fraction of requests whose routine structured events are kept
@@ -133,7 +128,6 @@ class ServeConfig:
     execution: str = "vectorized"
     request_timeout_ms: float | None = None
     fallback: bool = True
-    tuning_db_path: str | None = None
     telemetry_sample_rate: float = 1.0
     device_dwell_ms: float = 0.0
     tenant_default_quota: int | None = None

@@ -1,13 +1,14 @@
-"""The plan cache: resolved dispatch + launch geometry, keyed per config.
+"""The plan cache: the resolved Figure-3 dispatch, keyed by dispatch tuple.
 
 Under a request workload the same handful of configurations recur
 endlessly (the motivating applications solve the *same* chemistry system
 shape for every cell, every step). Re-walking the Figure-3 dispatch tree
-and the Section-3.6 launch configurator for every flush is pure overhead,
-so the service resolves each ``(dispatch tuple, num_rows, device)``
-combination once into an :class:`ExecutionPlan` — concrete solver /
-preconditioner / criterion classes plus the batch-size-independent launch
-geometry — and stamps out per-flush launch plans from it.
+for every flush is pure overhead, so the service resolves each dispatch
+tuple (:meth:`~repro.serve.request.BatchKey.dispatch_key`) once into an
+:class:`ExecutionPlan` — concrete solver / preconditioner / criterion
+classes — and builds each flush's solver from it. Neither the device nor
+the row count changes the resolved dispatch, so neither is part of the
+key; a flush's launch geometry is chosen by the launch that uses it.
 
 Hit/miss/eviction counters land in a
 :class:`~repro.observability.metrics.MetricsRegistry` (the service's), so
@@ -22,33 +23,17 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.core.dispatch import BatchSolverFactory, ResolvedDispatch
-from repro.core.launch import KernelLaunchPlan, LaunchConfigurator, LaunchGeometry
 from repro.core.matrix.base import BatchedMatrix
 from repro.core.solver.base import BatchIterativeSolver
 from repro.observability.metrics import MetricsRegistry
 from repro.serve.request import BatchKey
-from repro.sycl.device import SyclDevice
-
-
-@dataclass(frozen=True)
-class PlanKey:
-    """Cache key: the resolved dispatch tuple + what the launch config needs."""
-
-    dispatch: tuple
-    num_rows: int
-    device: str
 
 
 @dataclass(frozen=True)
 class ExecutionPlan:
-    """Everything dispatch/launch resolution produces for one configuration."""
+    """What dispatch resolution produces for one configuration."""
 
     resolved: ResolvedDispatch
-    geometry: LaunchGeometry
-
-    def launch_plan(self, num_batch: int) -> KernelLaunchPlan:
-        """A concrete launch plan for a flush of ``num_batch`` systems."""
-        return self.geometry.plan(num_batch)
 
     def build_solver(self, matrix: BatchedMatrix) -> BatchIterativeSolver:
         """Instantiate the solver for an assembled flush (no re-resolution)."""
@@ -60,87 +45,45 @@ class PlanCache:
 
     def __init__(
         self,
-        device: SyclDevice,
         metrics: MetricsRegistry | None = None,
         capacity: int = 256,
-        tuning_db: object | None = None,
-        event_log: object | None = None,
     ) -> None:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
-        self.device = device
         self.capacity = capacity
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.tuning_db = tuning_db
-        self.event_log = event_log
-        self._db_generation = (
-            tuning_db.generation if tuning_db is not None else None
-        )
-        self._plans: OrderedDict[PlanKey, ExecutionPlan] = OrderedDict()
+        self._plans: OrderedDict[tuple, ExecutionPlan] = OrderedDict()
         self._lock = threading.Lock()
-
-    def _check_tuning_generation_locked(self) -> None:
-        """Drop every cached plan when the TuningDB has mutated.
-
-        Cached plans embed launch geometry resolved against a specific
-        database state; a new/removed tuning record must not keep serving
-        flushes through a stale geometry.
-        """
-        if self.tuning_db is None:
-            return
-        generation = self.tuning_db.generation
-        if generation != self._db_generation:
-            self._db_generation = generation
-            if self._plans:
-                dropped = len(self._plans)
-                self._plans.clear()
-                self.metrics.counter("serve.plan_cache.invalidations").inc()
-                if self.event_log is not None:
-                    from repro.telemetry.events import PLAN_CACHE_INVALIDATED
-
-                    self.event_log.emit(
-                        PLAN_CACHE_INVALIDATED,
-                        critical=True,
-                        generation=generation,
-                        plans_dropped=dropped,
-                    )
 
     def plan_for(self, key: BatchKey) -> tuple[ExecutionPlan, bool]:
         """The execution plan for one compatibility class; ``(plan, hit)``.
 
-        On a miss the full resolution runs — factory validation, registry
-        lookups, launch-geometry selection — and the result is cached; on a
-        hit nothing but an ordered-dict move happens.
+        On a miss the full resolution runs — factory validation and
+        registry lookups — and the result is cached; on a hit nothing but
+        an ordered-dict move happens.
         """
-        plan_key = PlanKey(key.dispatch_key(), key.num_rows, self.device.name)
+        dispatch = key.dispatch_key()
         with self._lock:
-            self._check_tuning_generation_locked()
-            plan = self._plans.get(plan_key)
+            plan = self._plans.get(dispatch)
             if plan is not None:
-                self._plans.move_to_end(plan_key)
+                self._plans.move_to_end(dispatch)
                 self.metrics.counter("serve.plan_cache.hits").inc()
                 return plan, True
 
         # Resolution happens outside the lock: it is pure computation on
         # immutable inputs, so two racing misses at worst resolve twice.
-        generation_at_resolve = self._db_generation
         plan = self._resolve(key)
         with self._lock:
-            self._check_tuning_generation_locked()
-            if self._db_generation != generation_at_resolve:
-                # the TuningDB mutated while we resolved: hand the plan to
-                # this caller but do not cache it against the new generation
-                self.metrics.counter("serve.plan_cache.misses").inc()
-                return plan, False
-            self._plans[plan_key] = plan
-            self._plans.move_to_end(plan_key)
+            self._plans[dispatch] = plan
+            self._plans.move_to_end(dispatch)
             while len(self._plans) > self.capacity:
                 self._plans.popitem(last=False)
                 self.metrics.counter("serve.plan_cache.evictions").inc()
             self.metrics.counter("serve.plan_cache.misses").inc()
         return plan, False
 
-    def _resolve(self, key: BatchKey) -> ExecutionPlan:
+    @staticmethod
+    def _resolve(key: BatchKey) -> ExecutionPlan:
         factory = BatchSolverFactory(
             solver=key.solver,
             preconditioner=key.preconditioner,
@@ -150,14 +93,7 @@ class PlanCache:
             tolerance=key.tolerance,
             max_iterations=key.max_iterations,
         )
-        resolved = factory.resolve(key.matrix_format)
-        geometry = LaunchConfigurator(self.device, tuning_db=self.tuning_db).geometry(
-            key.num_rows,
-            solver=key.solver,
-            preconditioner=key.preconditioner,
-            precision=key.precision,
-        )
-        return ExecutionPlan(resolved=resolved, geometry=geometry)
+        return ExecutionPlan(resolved=factory.resolve(key.matrix_format))
 
     # -- introspection -----------------------------------------------------------
 

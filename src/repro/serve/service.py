@@ -43,7 +43,7 @@ from repro.exceptions import (
     ServiceSaturatedError,
 )
 from repro.instruments import current, use
-from repro.kernels import KERNEL_PRECONDITIONERS, KERNEL_SOLVERS, queue_for, solve_fused
+from repro.kernels import KERNEL_PRECONDITIONERS, KERNEL_SOLVERS, solve_fused
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracer import Tracer, current_tracer
 from repro.recorder.classify import solve_summary
@@ -109,7 +109,6 @@ class SolverService:
         config: ServeConfig | None = None,
         device: SyclDevice | None = None,
         tracer: Tracer | None = None,
-        tuning_db: object | None = None,
         chaos: ChaosInjector | None = None,
         recorder: FlightRecorder | None = None,
     ) -> None:
@@ -120,7 +119,6 @@ class SolverService:
         )
         self.chaos = self._instruments.chaos
         self.recorder = self._instruments.recorder
-        self.device = device if device is not None else queue_for(self.config.backend).device
         self.metrics = MetricsRegistry()
         if self._instruments.hub is not None:
             self._instruments.hub.register(self.metrics)
@@ -130,22 +128,7 @@ class SolverService:
             # so a fleet shard's events land in its per-shard black box
             self.events = EventLog(capacity=EVENT_LOG_CAPACITY)
             self.events.recorder = self.recorder
-        if tuning_db is None and self.config.tuning_db_path is not None:
-            from repro.tune.db import TuningDB
-
-            tuning_db = TuningDB(
-                self.config.tuning_db_path,
-                metrics=self.metrics,
-                event_log=self.events,
-            )
-        self.tuning_db = tuning_db
-        self.plan_cache = PlanCache(
-            self.device,
-            metrics=self.metrics,
-            capacity=PLAN_CACHE_CAPACITY,
-            tuning_db=tuning_db,
-            event_log=self.events,
-        )
+        self.plan_cache = PlanCache(metrics=self.metrics, capacity=PLAN_CACHE_CAPACITY)
         self.batcher = MicroBatcher(
             self.config.max_batch_size,
             self.config.max_wait_ns,
@@ -413,7 +396,6 @@ class SolverService:
                         category="serve",
                         tid=worker.lane,
                         device=worker.device_name,
-                        **plan.launch_plan(matrix.num_batch).__dict__,
                     ):
                         result = self._solve_batch(plan, matrix, b, x0, worker)
                     solve_ms = (monotonic_ns() - solve_start) / 1e6

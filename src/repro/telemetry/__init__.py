@@ -45,7 +45,6 @@ from repro.observability.context import (
 from repro.telemetry.dashboard import dashboard_text, sparkline
 from repro.telemetry.events import (
     EVENT_TYPES,
-    PLAN_CACHE_INVALIDATED,
     REQUEST_ADMITTED,
     REQUEST_FAILED,
     REQUEST_FALLBACK,
@@ -56,7 +55,6 @@ from repro.telemetry.events import (
     SANITIZER_TRIP,
     SCHEMA_VERSION,
     SLO_ALERT,
-    TUNING_GENERATION_BUMP,
     EventLog,
     TelemetryEvent,
     emit_event,
@@ -84,7 +82,6 @@ __all__ = [
     "DEFAULT_WINDOWS",
     "EVENT_TYPES",
     "EventLog",
-    "PLAN_CACHE_INVALIDATED",
     "REQUEST_ADMITTED",
     "REQUEST_FAILED",
     "REQUEST_FALLBACK",
@@ -95,7 +92,6 @@ __all__ = [
     "SANITIZER_TRIP",
     "SCHEMA_VERSION",
     "SLO_ALERT",
-    "TUNING_GENERATION_BUMP",
     "SloMonitor",
     "SloSpec",
     "SloStatus",

@@ -47,8 +47,6 @@ __all__ = [
     "REQUEST_FAILED",
     "REQUEST_TIMED_OUT",
     "SANITIZER_TRIP",
-    "PLAN_CACHE_INVALIDATED",
-    "TUNING_GENERATION_BUMP",
     "SLO_ALERT",
     "FLEET_REBALANCE",
     "REQUEST_REROUTED",
@@ -71,8 +69,6 @@ REQUEST_FALLBACK = "request.fallback"
 REQUEST_FAILED = "request.failed"
 REQUEST_TIMED_OUT = "request.timed_out"
 SANITIZER_TRIP = "sanitizer.trip"
-PLAN_CACHE_INVALIDATED = "plan_cache.invalidated"
-TUNING_GENERATION_BUMP = "tuning.generation_bump"
 SLO_ALERT = "slo.alert"
 FLEET_REBALANCE = "fleet.rebalance"
 REQUEST_REROUTED = "request.rerouted"
@@ -92,8 +88,6 @@ EVENT_TYPES = frozenset(
         REQUEST_FAILED,
         REQUEST_TIMED_OUT,
         SANITIZER_TRIP,
-        PLAN_CACHE_INVALIDATED,
-        TUNING_GENERATION_BUMP,
         SLO_ALERT,
         FLEET_REBALANCE,
         REQUEST_REROUTED,
@@ -276,7 +270,7 @@ def emit_event(
 ) -> TelemetryEvent | None:
     """Emit into the installed log, if any (the library-code entry point).
 
-    Deep layers (sanitizer, tuning database) call this so they cost one
+    Deep layers (the sanitizer) call this so they cost one
     context-variable read when no event log is installed.
     """
     log = current().events

@@ -15,18 +15,18 @@ Triton/TVM tuning caches:
   cost-model pre-pruning;
 * :mod:`repro.tune.db` — the persistent, versioned, atomically-written
   TuningDB keyed by (device, solver, preconditioner, rows bucket,
-  precision), with staleness detection and a generation counter that
-  downstream caches (``repro.serve.PlanCache``) watch;
+  precision), with staleness detection;
 * :mod:`repro.tune.tuner` — the :class:`Autotuner` orchestrator and the
   :func:`derive_threshold` device-threshold extractor.
 
-Consumption: ``LaunchConfigurator(device, tuning_db=db)`` consults the
-database before its heuristic, ``SolverService(..., tuning_db=db)``
-serves tuned geometry through its plan cache, and ``python -m repro
-tune`` drives searches from the command line.
+The tuner is an offline tool: ``python -m repro tune`` drives searches
+and prints the records and the derived sub-group threshold. No launch
+path reads the database; the fused kernels launch with the Section-3.6
+heuristic, whose threshold a device may carry in
+``device.extra['sub_group_threshold_rows']``.
 """
 
-from repro.tune.db import ANY, TuningDB, TuningKey, TuningRecord, bucket_rows
+from repro.tune.db import TuningDB, TuningKey, TuningRecord, bucket_rows
 from repro.tune.evaluate import (
     CandidateEvaluator,
     TuneWorkload,
@@ -55,7 +55,6 @@ from repro.tune.space import (
 from repro.tune.tuner import Autotuner, TuneOutcome, derive_threshold
 
 __all__ = [
-    "ANY",
     "Autotuner",
     "CandidateEvaluator",
     "COORDINATE",

@@ -3,23 +3,26 @@
 Tuned launch configurations are keyed by the tuple that determines the
 optimum — ``(device, solver, preconditioner, num_rows bucket, precision)``
 — in the style of Triton/TVM tuning caches. Row counts are bucketed to
-the next power of two so a record tuned at 60 rows also serves 64-row
-systems (the launch geometry is identical after sub-group rounding).
+the next power of two so a record tuned at 60 rows also answers for
+64-row systems (the launch geometry is identical after sub-group
+rounding).
+
+The records are an offline report: ``python -m repro tune`` writes and
+shows them, and :func:`~repro.tune.tuner.derive_threshold` reads the
+device's sub-group crossover from them. No launch path reads the
+database; every fused kernel launches with the Section-3.6 heuristic.
 
 Durability contract:
 
 * the on-disk format is versioned JSON; loading a file of a different
   schema version, or one failing validation, raises
-  :class:`~repro.exceptions.TuningDBError` rather than silently steering
-  launches with garbage;
+  :class:`~repro.exceptions.TuningDBError` rather than silently loading
+  garbage;
 * every mutation rewrites the file atomically (temp file +
   ``os.replace``), so a crash mid-write never corrupts the database;
 * each record carries the :func:`~repro.tune.space.space_signature` of
   the device it was tuned on; lookups against a device whose capability
-  surface changed count as *stale* and miss;
-* a monotonically increasing **generation** number changes on every
-  mutation — consumers that cache derived state (the serving layer's
-  plan cache) watch it to invalidate.
+  surface changed count as *stale* and miss.
 
 Lookup/hit/stale counts land on a
 :class:`~repro.observability.metrics.MetricsRegistry` so tuning-cache
@@ -31,21 +34,16 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.core.launch import LaunchGeometry
 from repro.exceptions import TuningDBError
-from repro.instruments import current
 from repro.observability.metrics import MetricsRegistry
-from repro.sycl.device import SyclDevice
-from repro.tune.space import TuneCandidate, space_signature
+from repro.tune.space import TuneCandidate
 
 #: On-disk schema version; bump on incompatible format changes.
 SCHEMA_VERSION = 1
-
-#: Wildcard for key fields (device-wide records any solver may use).
-ANY = "*"
 
 
 def bucket_rows(num_rows: int) -> int:
@@ -82,10 +80,6 @@ class TuningKey:
             rows_bucket=bucket_rows(num_rows),
             precision=precision,
         )
-
-    def generalized(self) -> "TuningKey":
-        """The device-wide wildcard key of the same (device, rows) class."""
-        return replace(self, solver=ANY, preconditioner=ANY, precision=ANY)
 
     def as_str(self) -> str:
         """The stable string form used as the JSON object key."""
@@ -204,13 +198,10 @@ class TuningDB:
         self,
         path: str | os.PathLike | None = None,
         metrics: MetricsRegistry | None = None,
-        event_log: object | None = None,
     ) -> None:
         self.path = None if path is None else Path(path)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.event_log = event_log
         self._records: dict[TuningKey, TuningRecord] = {}
-        self._generation = 0
         if self.path is not None and self.path.exists():
             self._load()
 
@@ -237,14 +228,12 @@ class TuningDB:
             key = TuningKey.from_str(key_text)
             records[key] = TuningRecord.from_json(key, payload)
         self._records = records
-        self._generation = int(raw.get("generation", 0))
 
     def _save(self) -> None:
         if self.path is None:
             return
         payload = {
             "version": SCHEMA_VERSION,
-            "generation": self._generation,
             "entries": {
                 key.as_str(): record.as_json()
                 for key, record in sorted(
@@ -272,18 +261,15 @@ class TuningDB:
     # -- mutation ------------------------------------------------------------
 
     def put(self, record: TuningRecord) -> None:
-        """Insert/replace one record; bumps the generation and persists."""
+        """Insert/replace one record and persist."""
         self._records[record.key] = record
-        self._generation += 1
         self.metrics.counter("tune.db.writes").inc()
-        self._emit_generation_bump("put", str(record.key))
         self._save()
 
     def clear(self, device: str | None = None, solver: str | None = None) -> int:
         """Drop records (all, or filtered by device and/or solver).
 
-        Returns how many were removed; any removal bumps the generation so
-        dependent caches re-resolve against the heuristic.
+        Returns how many were removed.
         """
         doomed = [
             key
@@ -294,91 +280,27 @@ class TuningDB:
         for key in doomed:
             del self._records[key]
         if doomed:
-            self._generation += 1
-            self._emit_generation_bump("clear", f"{len(doomed)} records")
             self._save()
         return len(doomed)
-
-    def _emit_generation_bump(self, reason: str, detail: str) -> None:
-        """Record the mutation on the structured event log, when one exists.
-
-        Pinned (critical) because a generation bump invalidates every
-        dependent plan cache — exactly the control-plane change an SLO
-        investigation wants on the timeline.
-        """
-        log = self.event_log if self.event_log is not None else current().events
-        if log is not None:
-            from repro.telemetry.events import TUNING_GENERATION_BUMP
-
-            log.emit(
-                TUNING_GENERATION_BUMP,
-                critical=True,
-                generation=self._generation,
-                reason=reason,
-                detail=detail,
-            )
 
     # -- lookup --------------------------------------------------------------
 
     def lookup(self, key: TuningKey, signature: str | None = None) -> TuningRecord | None:
-        """The record for ``key`` (exact, then device-wide wildcard).
+        """The record for ``key``, or ``None``.
 
         ``signature`` is the live device's space signature; a record tuned
         under a different signature is *stale*: counted, skipped, and the
-        lookup falls through as a miss.
+        lookup counts as a miss.
         """
         self.metrics.counter("tune.db.lookups").inc()
-        for probe in (key, key.generalized()):
-            record = self._records.get(probe)
-            if record is None:
-                continue
-            if signature is not None and record.space_signature != signature:
-                self.metrics.counter("tune.db.stale").inc()
-                continue
-            self.metrics.counter("tune.db.hits").inc()
-            return record
-        self.metrics.counter("tune.db.misses").inc()
-        return None
-
-    def lookup_geometry(
-        self,
-        device: SyclDevice,
-        solver: str,
-        preconditioner: str,
-        num_rows: int,
-        precision: str,
-    ) -> LaunchGeometry | None:
-        """The tuned launch geometry for a concrete problem, if any.
-
-        This is the hook :class:`~repro.core.launch.LaunchConfigurator`
-        consults before its heuristic: staleness is checked against the
-        live device and the returned geometry is re-validated against its
-        capabilities (a record can never force an illegal launch).
-        """
-        key = TuningKey.for_problem(
-            device.name, solver, preconditioner, num_rows, precision
-        )
-        record = self.lookup(key, signature=space_signature(device))
-        if record is None:
-            return None
-        candidate = record.candidate
-        if not device.supports_sub_group_size(candidate.sub_group_size):
-            return None
-        if candidate.work_group_size > device.max_work_group_size:
-            return None
-        return LaunchGeometry(
-            work_group_size=candidate.work_group_size,
-            sub_group_size=candidate.sub_group_size,
-            reduction_scope=candidate.reduction_scope,
-            device_name=device.name,
-        )
+        record = self._records.get(key)
+        if record is not None and signature not in (None, record.space_signature):
+            self.metrics.counter("tune.db.stale").inc()
+            record = None
+        self.metrics.counter("tune.db.misses" if record is None else "tune.db.hits").inc()
+        return record
 
     # -- introspection -------------------------------------------------------
-
-    @property
-    def generation(self) -> int:
-        """Mutation counter; changes whenever any record is added/removed."""
-        return self._generation
 
     def records(self) -> list[TuningRecord]:
         """All records, sorted by key string."""

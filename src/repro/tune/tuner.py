@@ -73,17 +73,10 @@ class Autotuner:
             workload.precision,
         )
 
-    def tune(
-        self,
-        workload: TuneWorkload,
-        force: bool = False,
-        store_generic: bool = False,
-    ) -> TuneOutcome:
+    def tune(self, workload: TuneWorkload, force: bool = False) -> TuneOutcome:
         """The tuned record for ``workload`` — cached, or freshly searched.
 
-        ``force`` re-searches even on a database hit. ``store_generic``
-        additionally stores the winner under the device-wide wildcard key,
-        so launch paths without a full dispatch context still benefit.
+        ``force`` re-searches even on a database hit.
         """
         key = self.key_for(workload)
         signature = space_signature(self.spec.device)
@@ -131,19 +124,6 @@ class Autotuner:
             space_signature=signature,
         )
         self.db.put(record)
-        if store_generic:
-            self.db.put(
-                TuningRecord(
-                    key=key.generalized(),
-                    candidate=result.best,
-                    modeled_seconds=result.best_seconds,
-                    default_seconds=result.default_seconds,
-                    strategy=result.strategy,
-                    evaluations=result.evaluations,
-                    seed=result.seed,
-                    space_signature=signature,
-                )
-            )
         self.db.metrics.counter("tune.runs_searched").inc()
         if tracer.enabled:
             tracer.instant(

@@ -64,17 +64,6 @@ class TestRouting:
             outcome = fleet.solve(_request(rng), timeout=60.0)
             assert outcome.converged
 
-    def test_per_shard_tuning_namespace(self, tmp_path):
-        base = tmp_path / "tuning.json"
-        with FleetService(_config(tuning_db_path=str(base))) as fleet:
-            paths = {
-                shard.name: shard.service.config.tuning_db_path
-                for shard in fleet.shards()
-            }
-        assert paths["shard-0"] == str(tmp_path / "tuning.shard-0.json")
-        assert paths["shard-1"] == str(tmp_path / "tuning.shard-1.json")
-        assert len(set(paths.values())) == 2
-
     def test_wide_backend_shards(self):
         rng = np.random.default_rng(2)
         config = _config(

@@ -11,6 +11,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.core.launch import LaunchConfigurator
+from repro.kernels import queue_for
+from repro.observability.tracer import Tracer
 from repro.serve import ServeConfig, SolveRequest, SolverService
 from repro.workloads.arrivals import stencil_pattern
 
@@ -18,7 +21,7 @@ N = 16
 TOLERANCE = 1e-8
 
 
-def _serve_one_flush(backend, solver, pattern=None, **request_kwargs):
+def _serve_one_flush(backend, solver, pattern=None, tracer=None, **request_kwargs):
     """Four requests, one size-triggered flush; returns (requests, outcomes, metrics)."""
     config = ServeConfig(
         max_batch_size=4,
@@ -41,7 +44,7 @@ def _serve_one_flush(backend, solver, pattern=None, **request_kwargs):
         )
         for _ in range(4)
     ]
-    with SolverService(config) as service:
+    with SolverService(config, tracer=tracer) as service:
         tickets = [service.submit(r) for r in requests]
         outcomes = [t.result(timeout=60.0) for t in tickets]
     return requests, outcomes, service.metrics
@@ -63,6 +66,30 @@ def test_flush_runs_on_the_fused_kernels(backend, solver):
         a = sp.csr_matrix((request.values, request.col_idxs, request.row_ptrs), shape=(N, N))
         residual = np.linalg.norm(request.b - a @ outcome.x) / np.linalg.norm(request.b)
         assert residual <= 10 * TOLERANCE
+
+
+@pytest.mark.parametrize("backend", ["wide", "sycl"])
+@pytest.mark.parametrize("solver", ["cg", "bicgstab"])
+def test_flush_geometry_sits_on_its_kernel_span_only(backend, solver):
+    tracer = Tracer()
+    _serve_one_flush(backend, solver, tracer=tracer)
+    (solve,) = [s for s in tracer.spans if s.name == "serve.solve"]
+
+    def under_solve(span):
+        while span.parent is not None:
+            span = span.parent
+            if span is solve:
+                return True
+        return False
+
+    kernels = [s for s in tracer.spans if s.category == "kernel" and under_solve(s)]
+    assert len(kernels) == 1
+    expected = LaunchConfigurator(queue_for(backend).device).configure(N, 4)
+    assert kernels[0].args["work_group_size"] == expected.work_group_size
+    assert kernels[0].args["sub_group_size"] == expected.sub_group_size
+    # serve.solve carries no geometry of its own to disagree with the launch
+    assert "work_group_size" not in solve.args
+    assert "slm_bytes_per_group" not in solve.args
 
 
 def test_warm_start_falls_back_to_the_vectorized_path():

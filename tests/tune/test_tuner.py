@@ -71,13 +71,6 @@ class TestAutotuner:
         forced = tuner.tune(stencil_workload(16, nb_solve=4), force=True)
         assert not forced.from_cache
 
-    def test_store_generic_adds_wildcard_record(self):
-        tuner = Autotuner(SPEC, db=TuningDB())
-        tuner.tune(stencil_workload(16, nb_solve=4), store_generic=True)
-        key = tuner.key_for(stencil_workload(16, nb_solve=4))
-        assert key in tuner.db
-        assert key.generalized() in tuner.db
-
     def test_tuned_beats_default_on_small_system(self):
         # the paper's Section-3.6 claim: below the threshold the sub-group
         # fast path (sg 32, sub-group reductions) beats the heuristic
