@@ -80,9 +80,9 @@ def _record_one_flush(recorder, registry, curves, converged, iterations, nb) -> 
     """Exactly the forensic work the serving layer adds per recorded flush."""
     from repro.recorder.classify import solve_summary
 
-    # the event-tap side: three retained lifecycle events ring per request
-    # on the sampled path; ring one flush's worth here
-    for i in range(3):
+    # the event-tap side: two retained lifecycle events (admitted, solved)
+    # ring per request on the sampled path
+    for i in range(2):
         recorder.record_event(
             {
                 "schema_version": 1,
@@ -95,16 +95,6 @@ def _record_one_flush(recorder, registry, curves, converged, iterations, nb) -> 
                 "fields": {"latency_ms": 2.5, "iterations": 40, "converged": True},
             }
         )
-    recorder.record_flush(
-        flush_id="flush-bench",
-        reason="size",
-        batch_size=nb,
-        worker="worker-0",
-        solver="cg",
-        solve_ms=2.5,
-        cache_hit=True,
-        trace_ids=["bench-trace"] * nb,
-    )
     summary = solve_summary(
         curves,
         converged=converged,
@@ -113,9 +103,15 @@ def _record_one_flush(recorder, registry, curves, converged, iterations, nb) -> 
         solver="cg",
         backend="sycl",
     )
-    summary["flush_id"] = "flush-bench"
-    summary["trace_ids"] = ["bench-trace"] * nb
-    recorder.record_solve(summary)
+    recorder.record_flush(
+        summary,
+        flush_id="flush-bench",
+        reason="size",
+        worker="worker-0",
+        solve_ms=2.5,
+        cache_hit=True,
+        trace_ids=["bench-trace"] * nb,
+    )
     recorder.observe_registry(registry)
 
 
@@ -129,7 +125,7 @@ def bench_micro(repeats: int, rounds: int, num_rows: int, nb: int) -> dict:
 
     factory, matrix, rhs = _make_workload(num_rows, nb)
 
-    recorder = FlightRecorder(capacity=1024, solve_capacity=256)
+    recorder = FlightRecorder(capacity=1024)
     registry = MetricsRegistry()
     registry.counter("serve.flushes").inc()
     registry.gauge("serve.queue_depth").set(0)
@@ -175,8 +171,8 @@ def bench_micro(repeats: int, rounds: int, num_rows: int, nb: int) -> dict:
     plumb_s = (time.perf_counter() - start) / plumb_iters
     baseline_per_solve_s = baseline_s / repeats
 
-    assert recorder.solves_seen > 0 and recorder.flushes_seen > 0
-    assert len(recorder.snapshot()["solves"]) <= recorder.solve_capacity
+    assert recorder.flushes_seen > 0
+    assert len(recorder.snapshot()["flushes"]) <= recorder.capacity
 
     return {
         "baseline_per_solve_ms": baseline_per_solve_s * 1e3,
@@ -187,7 +183,7 @@ def bench_micro(repeats: int, rounds: int, num_rows: int, nb: int) -> dict:
         * (recorded_s - baseline_s)
         / baseline_s,
         "events_ringed": recorder.events_seen,
-        "solves_ringed": recorder.solves_seen,
+        "flushes_ringed": recorder.flushes_seen,
     }
 
 
@@ -229,14 +225,14 @@ def bench_serve(num_requests: int, size: int) -> dict:
         return elapsed
 
     off_s = run(None)
-    recorder = FlightRecorder(capacity=4096, solve_capacity=1024)
+    recorder = FlightRecorder(capacity=4096)
     on_s = run(recorder)
     return {
         "requests": num_requests,
         "off_per_request_ms": off_s / num_requests * 1e3,
         "on_per_request_ms": on_s / num_requests * 1e3,
         "on_overhead_pct": 100.0 * (on_s - off_s) / off_s,
-        "solves_recorded": recorder.solves_seen,
+        "flushes_recorded": recorder.flushes_seen,
     }
 
 
@@ -252,7 +248,7 @@ def bench_attribution(tmp_dir: Path, num_requests: int, seed: int) -> dict:
     chaos = ChaosInjector(FaultPlan.battery(seed=seed))
     items = build_trace(seed=seed, num_requests=num_requests, rate_rps=400.0)
     config = ServeConfig(max_batch_size=8, max_wait_ms=2.0, num_workers=2)
-    recorder = FlightRecorder(capacity=8192, solve_capacity=2048, shard="bench-attr")
+    recorder = FlightRecorder(capacity=8192, shard="bench-attr")
     with use(recorder=recorder):
         report = run_replay(
             items,

@@ -94,18 +94,10 @@ def _make_workload(num_rows: int, nb: int):
 
 def _emit_request_lifecycle(events, ctx) -> None:
     """The serving layer's per-request emit sites, with realistic fields."""
-    from repro.telemetry import REQUEST_ADMITTED, REQUEST_FLUSHED, REQUEST_SOLVED
+    from repro.telemetry import REQUEST_ADMITTED, REQUEST_SOLVED
 
     events.emit(
         REQUEST_ADMITTED, ctx=ctx, solver="cg", num_rows=32, matrix_format="csr"
-    )
-    events.emit(
-        REQUEST_FLUSHED,
-        ctx=ctx,
-        flush_id="flush-bench",
-        reason="size",
-        batch_size=16,
-        queue_wait_ms=0.5,
     )
     events.emit(
         REQUEST_SOLVED,
@@ -115,6 +107,8 @@ def _emit_request_lifecycle(events, ctx) -> None:
         converged=True,
         fallback=False,
         batch_size=16,
+        flush_id="flush-bench",
+        queue_wait_ms=0.5,
         tail=False,
     )
 

@@ -1124,9 +1124,7 @@ def _chaos_battery(args) -> int:
         f"chaos battery: {len(items)} requests under "
         f"{len(chaos.plan.specs)} fault specs, {args.shards} shard(s)"
     )
-    recorder = FlightRecorder(
-        capacity=4096, solve_capacity=1024, shard="chaos-battery"
-    )
+    recorder = FlightRecorder(capacity=4096, shard="chaos-battery")
     with use(recorder=recorder):
         report = run_replay(
             items,

@@ -116,18 +116,21 @@ class ChaosInjector:
         with self._lock:
             index = self._seq
             self._seq += 1
-            firing: list[tuple[int, FaultSpec]] = []
-            for j, spec in enumerate(self.plan.specs):
-                if not spec.fires_at(self.plan.seed, j, index):
-                    continue
-                if spec.max_faults is not None and self._spent.get(j, 0) >= spec.max_faults:
-                    continue
+            due = [
+                (j, spec)
+                for j, spec in enumerate(self.plan.specs)
+                if spec.fires_at(self.plan.seed, j, index)
+                and (spec.max_faults is None or self._spent.get(j, 0) < spec.max_faults)
+            ]
+            # delays first, so a flush scheduled for both a delay and a kill
+            # dwells before it dies (the nastier interleaving); the first
+            # raising fault ends the flush, so any later one never fires and
+            # neither counts nor spends its budget
+            firing = [js for js in due if js[1].kind == DEVICE_DELAY]
+            firing += [js for js in due if js[1].kind != DEVICE_DELAY][:1]
+            for j, spec in firing:
                 self._spent[j] = self._spent.get(j, 0) + 1
                 self.injected[spec.kind] = self.injected.get(spec.kind, 0) + 1
-                firing.append((j, spec))
-        # delays first, so a flush scheduled for both a delay and a kill
-        # dwells before it dies (the nastier interleaving)
-        firing.sort(key=lambda js: js[1].kind != DEVICE_DELAY)
         for _j, spec in firing:
             self._record(service, spec, flush, worker, index)
             self._realize(spec, flush, matrix, b)

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 from repro.core.workspace import WorkspacePlan
 from repro.exceptions import DeviceCapabilityError
-from repro.observability.tracer import current_tracer
 from repro.sycl.device import SyclDevice
 from repro.sycl.ndrange import NDRange
 from repro.utils.validation import round_up
@@ -165,20 +164,7 @@ class LaunchConfigurator:
             raise ValueError(
                 f"num_rows and num_batch must be positive, got ({num_rows}, {num_batch})"
             )
-        plan = self.geometry(num_rows).plan(
+        return self.geometry(num_rows).plan(
             num_batch,
             slm_bytes_per_group=0 if workspace is None else workspace.slm_bytes_used,
         )
-        tracer = current_tracer()
-        if tracer.enabled:
-            # decorate whatever span surrounds the configuration (a solve,
-            # a hw estimate, a kernel launch) with the Section 3.6 choices
-            tracer.annotate(
-                num_groups=plan.num_groups,
-                work_group_size=plan.work_group_size,
-                sub_group_size=plan.sub_group_size,
-                reduction_scope=plan.reduction_scope,
-                slm_bytes_per_group=plan.slm_bytes_per_group,
-                launch_device=self.device.name,
-            )
-        return plan

@@ -80,27 +80,6 @@ class BatchSolveResult:
         """Largest per-system iteration count."""
         return int(self.iterations.max())
 
-    def select(self, indices) -> "BatchSolveResult":
-        """A sub-result holding only the systems at ``indices``.
-
-        The serving layer uses this to scatter one flushed batch solve back
-        into per-request responses. The per-system arrays are sliced
-        (copies); the ``logger`` and ``ledger`` stay those of the
-        originating batch solve, since convergence history and traffic
-        accounting belong to the fused kernel launch, not to any single
-        system.
-        """
-        idx = np.atleast_1d(np.asarray(indices))
-        return BatchSolveResult(
-            x=self.x[idx],
-            iterations=self.iterations[idx],
-            residual_norms=self.residual_norms[idx],
-            converged=self.converged[idx],
-            logger=self.logger,
-            ledger=self.ledger,
-            solver_name=self.solver_name,
-        )
-
     def __repr__(self) -> str:
         return (
             f"BatchSolveResult(solver={self.solver_name!r}, "

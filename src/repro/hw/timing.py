@@ -200,9 +200,15 @@ def estimate_solve(
             flop_rate_scale=8.0 / matrix.value_bytes,
         )
         if tracer.enabled:
-            # the modeled device time next to the host wall-clock spans —
+            # the modeled launch and device time next to the host spans —
             # a trace shows both what ran here and what the GPU would cost
             span.set_args(
+                num_groups=plan.num_groups,
+                work_group_size=plan.work_group_size,
+                sub_group_size=plan.sub_group_size,
+                reduction_scope=plan.reduction_scope,
+                slm_bytes_per_group=plan.slm_bytes_per_group,
+                launch_device=spec.device.name,
                 modeled_total_s=timing.total_seconds,
                 modeled_iteration_s=timing.iteration_seconds,
                 binding_component=timing.binding_component,

@@ -6,8 +6,8 @@ Three pieces, layered bottom-up:
   batched solve did (converged / breakdown / stagnation / divergence /
   NaN residual) from its residual trajectories.
 * :mod:`repro.recorder.recorder` — the always-on, bounded
-  :class:`FlightRecorder`: ring buffers of recent events, flushes,
-  solves and metric deltas, dumped to a schema-versioned bundle
+  :class:`FlightRecorder`: ring buffers of recent events, solved
+  flushes and metric deltas, dumped to a schema-versioned bundle
   (:mod:`repro.recorder.bundle`) when a trigger fires.
 * :mod:`repro.recorder.postmortem` — cross-shard analysis over one or
   more bundles (``python -m repro postmortem {analyze,timeline,diff}``).

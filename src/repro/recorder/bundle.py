@@ -1,7 +1,7 @@
 """Diagnostic bundles: the flight recorder's on-disk snapshot format.
 
 A bundle is one directory holding a ``manifest.json`` plus one JSONL
-file per recorder stream (events, flushes, solves, metrics, triggers).
+file per recorder stream (events, flushes, metrics, triggers).
 It is deliberately self-contained: schema-versioned, shard-stamped,
 and pinned to the trigger's ``trace_id``, so a bundle copied off a
 machine (or uploaded as a CI artifact) can be analyzed with nothing but
@@ -30,7 +30,7 @@ __all__ = [
 ]
 
 #: Version stamped into every manifest; bump on incompatible change.
-BUNDLE_SCHEMA_VERSION = 1
+BUNDLE_SCHEMA_VERSION = 2
 
 #: Discriminator so foreign JSON directories are rejected early.
 BUNDLE_KIND = "repro.recorder.bundle"
@@ -38,7 +38,7 @@ BUNDLE_KIND = "repro.recorder.bundle"
 MANIFEST_NAME = "manifest.json"
 
 #: The recorder's ring buffers, in manifest order.
-STREAMS = ("events", "flushes", "solves", "metrics", "triggers")
+STREAMS = ("events", "flushes", "metrics", "triggers")
 
 
 def write_bundle(
@@ -106,7 +106,8 @@ def load_bundle(path: str | Path) -> dict[str, Any]:
     """Read one bundle back: ``{"path", "manifest", <stream>: [records]}``.
 
     Raises ``ValueError`` on a missing/foreign manifest and on a
-    schema version newer than this reader understands.
+    schema version newer than this reader understands. A v1 bundle reads
+    in the v2 layout.
     """
     path = Path(path)
     manifest_path = path / MANIFEST_NAME
@@ -122,19 +123,27 @@ def load_bundle(path: str | Path) -> dict[str, Any]:
             f"bundle schema v{version} is newer than this reader "
             f"(v{BUNDLE_SCHEMA_VERSION}): {path}"
         )
+    files = manifest.get("streams", {})
     out: dict[str, Any] = {"path": str(path), "manifest": manifest}
     for name in STREAMS:
-        filename = manifest.get("streams", {}).get(name, f"{name}.jsonl")
-        stream_path = path / filename
-        records: list[dict] = []
-        if stream_path.is_file():
-            with stream_path.open() as fh:
-                for line in fh:
-                    line = line.strip()
-                    if line:
-                        records.append(json.loads(line))
-        out[name] = records
+        out[name] = _read_jsonl(path / files.get(name, f"{name}.jsonl"))
+    if version < 2:
+        # v1 rang each flush's forensics in a separate "solves" stream:
+        # fold them into the flush records (the flush's own fields win)
+        flushes = {rec.get("flush_id"): rec for rec in out["flushes"]}
+        for rec in _read_jsonl(path / files.get("solves", "solves.jsonl")):
+            fid = rec.get("flush_id")
+            flushes[fid] = {**rec, **flushes.get(fid, {})}
+        out["flushes"] = list(flushes.values())
     return out
+
+
+def _read_jsonl(path: Path) -> list[dict]:
+    """One record per non-blank line; a missing file reads empty."""
+    if not path.is_file():
+        return []
+    with path.open() as fh:
+        return [json.loads(line) for line in fh if line.strip()]
 
 
 def find_bundles(root: str | Path) -> list[Path]:

@@ -41,7 +41,6 @@ __all__ = [
 
 # -- wire-format event types (mirrors repro.telemetry.events) -----------------
 
-EVT_FLUSHED = "request.flushed"
 EVT_SOLVED = "request.solved"
 EVT_FAILED = "request.failed"
 EVT_TIMED_OUT = "request.timed_out"
@@ -93,23 +92,17 @@ def analyze_bundles(bundles: list[dict[str, Any]]) -> dict[str, Any]:
     assigned to an infrastructure fault class, a convergence class, or
     left unattributed), and the aggregate convergence class mix.
     """
-    # trace joins: flush_id -> victim traces, from flush events and
-    # chaos triggers (the trigger carries the authoritative victim list)
+    # trace joins: flush_id -> victim traces, from the solved-flush
+    # records and the chaos triggers (a faulted flush never solves, and
+    # its trigger carries the authoritative victim list)
     flush_traces: dict[str, list[str]] = {}
     for bundle in bundles:
-        for ev in bundle["events"]:
-            if ev.get("type") == EVT_FLUSHED and ev.get("trace_id"):
-                fid = ev.get("fields", {}).get("flush_id", "")
-                traces = flush_traces.setdefault(fid, [])
-                if ev["trace_id"] not in traces:
-                    traces.append(ev["trace_id"])
-        for trig in bundle["triggers"]:
-            if trig.get("reason") == "chaos_fault" and trig.get("trace_ids"):
-                fid = trig.get("flush_id", "")
-                traces = flush_traces.setdefault(fid, [])
-                for tid in trig["trace_ids"]:
-                    if tid not in traces:
-                        traces.append(tid)
+        chaos = [t for t in bundle["triggers"] if t.get("reason") == "chaos_fault"]
+        for rec in bundle["flushes"] + chaos:
+            traces = flush_traces.setdefault(rec.get("flush_id", ""), [])
+            for tid in rec.get("trace_ids") or ():
+                if tid not in traces:
+                    traces.append(tid)
 
     # incidents: chaos faults first (deduped across bundles), then
     # sanitizer trips not already explained by a chaos fault, then
@@ -171,15 +164,15 @@ def analyze_bundles(bundles: list[dict[str, Any]]) -> dict[str, Any]:
     # convergence: aggregate class mix, plus per-trace bad classes
     class_counts: dict[str, int] = {}
     trace_class: dict[str, str] = {}
-    seen_solves: set[tuple] = set()
-    bad_solves: list[dict[str, Any]] = []
+    seen_flushes: set[tuple] = set()
+    bad_flushes: list[dict[str, Any]] = []
     for bundle in bundles:
         shard = _shard_of(bundle)
-        for rec in bundle["solves"]:
+        for rec in bundle["flushes"]:
             key = (rec.get("flush_id"), rec.get("ts"))
-            if key in seen_solves:
+            if key in seen_flushes:
                 continue
-            seen_solves.add(key)
+            seen_flushes.add(key)
             for cls, n in rec.get("class_counts", {}).items():
                 class_counts[cls] = class_counts.get(cls, 0) + int(n)
             classes = rec.get("classes", [])
@@ -192,7 +185,7 @@ def analyze_bundles(bundles: list[dict[str, Any]]) -> dict[str, Any]:
                     trace_class[traces[i]] = cls
             worst = rec.get("worst_class", CONVERGED)
             if worst != CONVERGED and rec.get("flush_id") not in chaos_flushes:
-                bad_solves.append(
+                bad_flushes.append(
                     {
                         "source": ATTR_CONVERGENCE,
                         "fault_class": worst,
@@ -208,7 +201,7 @@ def analyze_bundles(bundles: list[dict[str, Any]]) -> dict[str, Any]:
                         "worst_curve": rec.get("worst_curve"),
                     }
                 )
-    incidents.extend(bad_solves)
+    incidents.extend(bad_flushes)
 
     # failure attribution: infrastructure (victim of a fault) beats
     # convergence (the request's own numerics went bad) beats nothing
@@ -295,7 +288,7 @@ def render_analysis(analysis: dict[str, Any]) -> str:
                     "reason": b["reason"],
                     "pinned_trace": _short(b["trace_id"]),
                     "events": b["counts"].get("events", 0),
-                    "solves": b["counts"].get("solves", 0),
+                    "flushes": b["counts"].get("flushes", 0),
                 }
                 for b in analysis["bundles"]
             ],
@@ -352,7 +345,7 @@ def render_analysis(analysis: dict[str, Any]) -> str:
             )
         )
     else:
-        lines.append("## Convergence class mix\n(no solve records)")
+        lines.append("## Convergence class mix\n(no flush records)")
     return "\n".join(lines) + "\n"
 
 
@@ -426,7 +419,7 @@ def _event_counts(bundle: dict[str, Any]) -> dict[str, int]:
 
 def _class_counts(bundle: dict[str, Any]) -> dict[str, int]:
     counts: dict[str, int] = {}
-    for rec in bundle["solves"]:
+    for rec in bundle["flushes"]:
         for cls, n in rec.get("class_counts", {}).items():
             counts[cls] = counts.get(cls, 0) + int(n)
     return counts

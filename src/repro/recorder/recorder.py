@@ -3,9 +3,9 @@
 Aircraft keep a flight recorder running at all times precisely because
 nobody knows *when* the interesting thirty seconds will happen. The
 :class:`FlightRecorder` does the same for a solver shard: fixed-size
-ring buffers of the most recent telemetry events, flush/span records,
-per-solve convergence forensics, and metric-registry deltas. Normal
-operation costs a few deque appends; nothing is written anywhere.
+ring buffers of the most recent telemetry events, solved flushes (each
+with its convergence forensics), metric-registry deltas and triggers.
+Normal operation costs a few deque appends; nothing is written anywhere.
 
 When something goes wrong — a 5xx :class:`~repro.exceptions.ReproError`,
 a sanitizer trip, a breaker opening, an SLO burn alert, a chaos fault,
@@ -75,9 +75,6 @@ class FlightRecorder:
     capacity:
         Ring size for telemetry events, flush records, metric deltas and
         triggers.
-    solve_capacity:
-        Ring size for per-solve convergence summaries (denser records,
-        kept separately so a chatty event stream cannot evict them).
     metric_interval:
         :meth:`observe_registry` snapshots the registry on every
         ``metric_interval``-th call — per-flush observation stays O(1)
@@ -104,7 +101,6 @@ class FlightRecorder:
         self,
         *,
         capacity: int = 1024,
-        solve_capacity: int = 256,
         metric_interval: int = 16,
         dump_dir: str | Path | None = None,
         max_dumps: int = 16,
@@ -114,12 +110,9 @@ class FlightRecorder:
     ) -> None:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
-        if solve_capacity <= 0:
-            raise ValueError(f"solve_capacity must be positive, got {solve_capacity}")
         if metric_interval <= 0:
             raise ValueError(f"metric_interval must be positive, got {metric_interval}")
         self.capacity = capacity
-        self.solve_capacity = solve_capacity
         self.metric_interval = metric_interval
         self.dump_dir = None if dump_dir is None else Path(dump_dir)
         self.max_dumps = max_dumps
@@ -128,7 +121,6 @@ class FlightRecorder:
         self._clock = clock
         self._events: deque[dict] = deque(maxlen=capacity)
         self._flushes: deque[dict] = deque(maxlen=capacity)
-        self._solves: deque[dict] = deque(maxlen=solve_capacity)
         self._metrics: deque[dict] = deque(maxlen=capacity)
         self._triggers: deque[dict] = deque(maxlen=capacity)
         self._lock = threading.Lock()
@@ -137,7 +129,6 @@ class FlightRecorder:
         self._last_dump_ts: dict[str, float] = {}
         self.events_seen = 0
         self.flushes_seen = 0
-        self.solves_seen = 0
         self.dumps_written = 0
         self.triggers_fired: dict[str, int] = {}
 
@@ -151,7 +142,6 @@ class FlightRecorder:
         """
         return FlightRecorder(
             capacity=self.capacity,
-            solve_capacity=self.solve_capacity,
             metric_interval=self.metric_interval,
             dump_dir=self.dump_dir,
             max_dumps=self.max_dumps,
@@ -168,20 +158,14 @@ class FlightRecorder:
             self.events_seen += 1
             self._events.append(record)
 
-    def record_flush(self, **fields: Any) -> None:
-        """Ring one flush/span record (the serving layer's per-flush facts)."""
-        record = {"ts": self._clock(), **fields}
+    def record_flush(self, summary: dict, **fields: Any) -> None:
+        """Ring one solved flush: its convergence forensics (see
+        :func:`repro.recorder.classify.solve_summary`) plus the flush
+        facts and victim ``trace_ids`` in ``fields``."""
+        record = {"ts": self._clock(), **summary, **fields}
         with self._lock:
             self.flushes_seen += 1
             self._flushes.append(record)
-
-    def record_solve(self, summary: dict) -> None:
-        """Ring one convergence-forensics record (see
-        :func:`repro.recorder.classify.solve_summary`)."""
-        record = {"ts": self._clock(), **summary}
-        with self._lock:
-            self.solves_seen += 1
-            self._solves.append(record)
 
     def observe_registry(self, registry: Any) -> None:
         """Ring the registry's scalar deltas, one snapshot per
@@ -282,7 +266,6 @@ class FlightRecorder:
         return {
             "events": list(self._events),
             "flushes": list(self._flushes),
-            "solves": list(self._solves),
             "metrics": list(self._metrics),
             "triggers": list(self._triggers),
         }
@@ -298,10 +281,8 @@ class FlightRecorder:
             return {
                 "events_seen": self.events_seen,
                 "flushes_seen": self.flushes_seen,
-                "solves_seen": self.solves_seen,
                 "events_retained": len(self._events),
                 "flushes_retained": len(self._flushes),
-                "solves_retained": len(self._solves),
                 "metric_snapshots": len(self._metrics),
                 "triggers": dict(self.triggers_fired),
                 "dumps_written": self.dumps_written,
@@ -310,5 +291,5 @@ class FlightRecorder:
     def __repr__(self) -> str:
         return (
             f"FlightRecorder(events={self.events_seen}, "
-            f"solves={self.solves_seen}, dumps={self.dumps_written})"
+            f"flushes={self.flushes_seen}, dumps={self.dumps_written})"
         )

@@ -16,12 +16,13 @@ import hashlib
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.core.dispatch import CRITERIA, FORMATS, PRECISIONS, PRECONDITIONERS, SOLVERS
+from repro.core.solver.base import BatchSolveResult
 from repro.observability.context import TraceContext, mint_context
 from repro.serve.qos import DEFAULT_TENANT, PRIORITIES
 from repro.core.matrix import BatchCsr, BatchDense, BatchedMatrix
@@ -30,6 +31,9 @@ from repro.exceptions import (
     DimensionMismatchError,
     UnsupportedCombinationError,
 )
+
+if TYPE_CHECKING:
+    from repro.serve.workers import Worker
 
 #: Ticket lifecycle states.
 PENDING = "pending"
@@ -305,12 +309,51 @@ class SolveOutcome:
     trace_id: str = ""
     request_id: str = ""
 
+    @classmethod
+    def answering(
+        cls, ticket: SolveTicket, result: BatchSolveResult, j: int, **facts: Any
+    ) -> SolveOutcome:
+        """System ``j`` of ``result`` answers ``ticket`` (``x`` copied, never
+        a view into the batch); ``facts`` are the flush-level fields."""
+        return cls(
+            x=result.x[j].copy(),
+            iterations=int(result.iterations[j]),
+            residual_norm=float(result.residual_norms[j]),
+            converged=bool(result.converged[j]),
+            solver_name=result.solver_name,
+            queue_wait_ms=(ticket.queue_wait_ns or 0) / 1e6,
+            **facts,
+        )
+
     def __repr__(self) -> str:
         return (
             f"SolveOutcome(solver={self.solver_name!r}, converged={self.converged}, "
             f"iterations={self.iterations}, batch_size={self.batch_size}, "
             f"fallback={self.used_fallback}, request_id={self.request_id!r})"
         )
+
+
+@dataclass(frozen=True)
+class FlushRecord:
+    """One solved flush, built right after its batch solve: the value its
+    recorder entry (so the postmortem's flush -> victims join), direct-LU
+    fallbacks and scatter are built from. Its span args and metrics are
+    still written separately. A flush that fails as a whole builds none.
+    """
+
+    flush_id: str
+    reason: str
+    worker: Worker
+    #: the live (not timed-out) tickets, in batch order
+    tickets: tuple[SolveTicket, ...]
+    plan_cache_hit: bool
+    solve_ms: float
+    result: BatchSolveResult
+
+    @property
+    def trace_ids(self) -> list[str]:
+        """The victims' trace ids, one per system, in batch order."""
+        return [t.trace_context.trace_id for t in self.tickets]
 
 
 class SolveTicket:

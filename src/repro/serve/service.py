@@ -60,7 +60,6 @@ from repro.telemetry.events import (
     REQUEST_ADMITTED,
     REQUEST_FAILED,
     REQUEST_FALLBACK,
-    REQUEST_FLUSHED,
     REQUEST_REJECTED,
     REQUEST_SOLVED,
     REQUEST_TIMED_OUT,
@@ -78,6 +77,7 @@ from repro.serve.config import (
 from repro.serve.plan_cache import ExecutionPlan, PlanCache
 from repro.serve.request import (
     TIMED_OUT,
+    FlushRecord,
     SolveOutcome,
     SolveRequest,
     SolveTicket,
@@ -355,22 +355,13 @@ class SolverService:
                             status=TIMED_OUT,
                         )
                     else:
-                        wait_ms = (now - ticket.submitted_ns) / 1e6
                         self.metrics.log_histogram("serve.queue_wait_hdr_ms").observe(
-                            wait_ms
+                            (now - ticket.submitted_ns) / 1e6
                         )
                         # batch fan-in: the shared flush span belongs to no
                         # single request, so it *links* every live request's
                         # root context (OpenTelemetry span links)
                         span.link(ticket.trace_context)
-                        self.events.emit(
-                            REQUEST_FLUSHED,
-                            ctx=ticket.trace_context,
-                            flush_id=flush.flush_id,
-                            reason=flush.reason,
-                            batch_size=flush.size,
-                            queue_wait_ms=round(wait_ms, 3),
-                        )
                         live.append(ticket)
                 if not live:
                     span.set("all_timed_out", True)
@@ -405,85 +396,81 @@ class SolverService:
                     self.metrics.counter("serve.flush_solves").labels(
                         backend=self.config.backend, solver=key.solver
                     ).inc()
-                    if self.recorder is not None:
-                        self._record_forensics(
-                            flush, worker, live, result, plan, solve_ms, cache_hit
-                        )
                 except Exception as exc:  # whole-flush failure → per-request rescue
                     self.metrics.counter("serve.flush_failures").inc()
                     span.set("error", type(exc).__name__)
                     self._attribute_failure(exc, live, flush)
-                    self._rescue_flush(live, exc, worker, cache_hit=False)
+                    self._rescue_flush(live, exc, worker, flush)
                     return
 
-                overrides = self._apply_fallbacks(
-                    live, matrix, b, result, worker, tracer, flush
+                record = FlushRecord(
+                    flush_id=flush.flush_id,
+                    reason=flush.reason,
+                    worker=worker,
+                    tickets=tuple(live),
+                    plan_cache_hit=cache_hit,
+                    solve_ms=solve_ms,
+                    result=result,
                 )
+                if self.recorder is not None:
+                    self._record_forensics(record, plan)
+                fallbacks = self._apply_fallbacks(record, tracer)
+                self._scatter(record, fallbacks, tracer)
 
-                with tracer.span("serve.scatter", category="serve", tid=worker.lane):
-                    for i, ticket in enumerate(live):
-                        if i in overrides:
-                            outcome_src, used_fallback = overrides[i]
-                        else:
-                            outcome_src, used_fallback = result.select([i]), False
-                        # the per-request leg of the journey: pinned to the
-                        # request's own trace, inside the shared flush
-                        with tracer.span(
-                            "serve.request",
-                            category="serve.request",
-                            tid=worker.lane,
-                            context=ticket.trace_context,
-                            request_id=ticket.request.request_id,
-                            flush_id=flush.flush_id,
-                            index=i,
-                        ):
-                            self._finish_ok(
-                                ticket,
-                                SolveOutcome(
-                                    x=outcome_src.x[0],
-                                    iterations=int(outcome_src.iterations[0]),
-                                    residual_norm=float(outcome_src.residual_norms[0]),
-                                    converged=bool(outcome_src.converged[0]),
-                                    solver_name=outcome_src.solver_name,
-                                    used_fallback=used_fallback,
-                                    batch_size=len(live),
-                                    queue_wait_ms=(ticket.queue_wait_ns or 0) / 1e6,
-                                    solve_ms=solve_ms,
-                                    worker=worker.device_name,
-                                    plan_cache_hit=cache_hit,
-                                ),
-                            )
-
-    def _record_forensics(
-        self,
-        flush: FlushBatch,
-        worker: Worker,
-        live: list[SolveTicket],
-        result: BatchSolveResult,
-        plan: ExecutionPlan,
-        solve_ms: float,
-        cache_hit: bool,
+    def _scatter(
+        self, record: FlushRecord, fallbacks: dict[int, BatchSolveResult], tracer: Tracer
     ) -> None:
-        """Feed the flight recorder's rings after a flushed batch solve.
+        """System i answers ticket i unless its direct-LU retry did; then
+        the answered tickets' slots free in one pass, even if one raised."""
+        lane = record.worker.lane
+        with tracer.span("serve.scatter", category="serve", tid=lane):
+            answered: list[SolveTicket] = []
+            try:
+                for i, ticket in enumerate(record.tickets):
+                    if ticket.done():  # its direct-LU retry failed or was shed
+                        continue
+                    fallback = fallbacks.get(i)
+                    source, j = (record.result, i) if fallback is None else (fallback, 0)
+                    # the per-request leg of the journey: pinned to the
+                    # request's own trace, inside the shared flush
+                    with tracer.span(
+                        "serve.request",
+                        category="serve.request",
+                        tid=lane,
+                        context=ticket.trace_context,
+                        request_id=ticket.request.request_id,
+                        flush_id=record.flush_id,
+                        index=i,
+                    ):
+                        self._finish_ok(
+                            ticket,
+                            SolveOutcome.answering(
+                                ticket,
+                                source,
+                                j,
+                                used_fallback=fallback is not None,
+                                batch_size=len(record.tickets),
+                                solve_ms=record.solve_ms,
+                                worker=record.worker.device_name,
+                                plan_cache_hit=record.plan_cache_hit,
+                            ),
+                            record.flush_id,
+                        )
+                    answered.append(ticket)
+            finally:
+                self._release(answered)
 
-        One flush record (the span-level facts plus victim trace links),
-        one convergence-forensics record (per-system classes and the
-        worst system's downsampled residual curve), and a rate-limited
-        metric-registry delta. Never raises into the flush path — a
-        recorder bug must not fail a solve that already succeeded.
+    def _record_forensics(self, record: FlushRecord, plan: ExecutionPlan) -> None:
+        """Ring one entry for a solved flush in the flight recorder.
+
+        The entry joins the flush facts and victim trace ids with the
+        convergence forensics (per-system classes and the worst system's
+        downsampled residual curve); a rate-limited metric-registry delta
+        follows. Never raises into the flush path — a recorder bug must
+        not fail a solve that already succeeded.
         """
         try:
-            trace_ids = [t.trace_context.trace_id for t in live]
-            self.recorder.record_flush(
-                flush_id=flush.flush_id,
-                reason=flush.reason,
-                batch_size=flush.size,
-                worker=worker.name,
-                solver=result.solver_name,
-                solve_ms=round(solve_ms, 3),
-                cache_hit=cache_hit,
-                trace_ids=trace_ids,
-            )
+            result = record.result
             summary = solve_summary(
                 result.logger.residual_curves(),
                 converged=result.converged,
@@ -493,9 +480,15 @@ class SolverService:
                 solver=result.solver_name,
                 backend=self.config.backend,
             )
-            summary["flush_id"] = flush.flush_id
-            summary["trace_ids"] = trace_ids
-            self.recorder.record_solve(summary)
+            self.recorder.record_flush(
+                summary,
+                flush_id=record.flush_id,
+                reason=record.reason,
+                worker=record.worker.name,
+                solve_ms=round(record.solve_ms, 3),
+                cache_hit=record.plan_cache_hit,
+                trace_ids=record.trace_ids,
+            )
             self.recorder.observe_registry(self.metrics)
         except Exception:
             self.metrics.counter("serve.recorder_errors").inc()
@@ -643,74 +636,42 @@ class SolverService:
 
     # -- graceful degradation ----------------------------------------------------------
 
-    def _apply_fallbacks(
-        self,
-        live: list[SolveTicket],
-        matrix,
-        b: np.ndarray,
-        result: BatchSolveResult,
-        worker: Worker,
-        tracer,
-        flush: FlushBatch | None = None,
-    ) -> dict[int, tuple[BatchSolveResult, bool]]:
-        """Retry non-converged systems one-by-one with the direct-LU solver.
+    def _apply_fallbacks(self, record: FlushRecord, tracer: Tracer) -> dict[int, BatchSolveResult]:
+        """Retry non-converged systems one by one with the direct-LU solver.
 
-        Returns per-index overrides; failed retries complete their tickets
-        here (and are returned as overrides pointing at the iterative
-        result so the scatter loop skips them — finished tickets ignore
-        further completion).
+        Returns the one-system result of each successful retry, by batch
+        index. A shed or failed retry finishes its ticket here.
         """
-        overrides: dict[int, tuple[BatchSolveResult, bool]] = {}
-        if not self.config.fallback:
-            return overrides
-        bad = [i for i in range(len(live)) if not bool(result.converged[i])]
-        if not bad:
-            return overrides
+        fallbacks: dict[int, BatchSolveResult] = {}
+        if not self.config.fallback or record.result.all_converged:
+            return fallbacks
+        bad = np.flatnonzero(~record.result.converged).tolist()
         if not self._allow_degraded():
             # fallback storm: the breaker is open, shed the degraded work
             # fast instead of amplifying overload with per-request LU solves
             for i in bad:
-                self._shed_degraded(live[i])
-                overrides[i] = (result.select([i]), False)
-            return overrides
-        fallback_key = dc_replace(
-            live[0].request.batch_key, solver="direct", preconditioner="identity"
-        )
-        plan, _hit = self.plan_cache.plan_for(fallback_key)
+                self._shed_degraded(record.tickets[i])
+            return fallbacks
         for i in bad:
-            ctx = live[i].trace_context
+            ticket = record.tickets[i]
             with tracer.span(
                 "serve.fallback",
                 category="serve",
-                tid=worker.lane,
-                context=ctx,
+                tid=record.worker.lane,
+                context=ticket.trace_context,
                 index=i,
                 solver="direct",
-                request_id=live[i].request.request_id,
+                request_id=ticket.request.request_id,
             ):
-                try:
-                    solver = plan.build_solver(matrix.take_batch(slice(i, i + 1)))
-                    fallback_result = solver.solve(b[i : i + 1])
-                except Exception as exc:
-                    self.metrics.counter("serve.fallback_failures").inc()
-                    if self.breaker is not None:
-                        self.breaker.record(bad=True)
-                    self._finish_fail(live[i], exc)
-                    overrides[i] = (result.select([i]), False)
-                    continue
-            self.metrics.counter("serve.fallbacks").inc()
-            self.events.emit(
-                REQUEST_FALLBACK,
-                ctx=ctx,
-                critical=True,
-                reason="not_converged",
-                flush_id=flush.flush_id if flush is not None else "",
-            )
-            overrides[i] = (fallback_result, True)
-        return overrides
+                result = self._direct_solve(
+                    ticket, reason="not_converged", flush_id=record.flush_id
+                )
+            if result is not None:
+                fallbacks[i] = result
+        return fallbacks
 
     def _rescue_flush(
-        self, live: list[SolveTicket], error: Exception, worker: Worker, cache_hit: bool
+        self, live: list[SolveTicket], error: Exception, worker: Worker, flush: FlushBatch
     ) -> None:
         """Whole-flush failure: retry each request alone with the fallback."""
         if not self.config.fallback:
@@ -722,44 +683,48 @@ class SolverService:
                 self._shed_degraded(ticket)
             return
         for ticket in live:
-            try:
-                matrix, b, _x0 = assemble_batch([ticket.request])
-                fallback_key = dc_replace(
-                    ticket.request.batch_key, solver="direct", preconditioner="identity"
-                )
-                plan, _hit = self.plan_cache.plan_for(fallback_key)
-                solver = plan.build_solver(matrix)
-                result = solver.solve(b)
-            except Exception as exc:
-                self.metrics.counter("serve.fallback_failures").inc()
-                if self.breaker is not None:
-                    self.breaker.record(bad=True)
-                self._finish_fail(ticket, exc)
-                continue
-            self.metrics.counter("serve.fallbacks").inc()
-            self.events.emit(
-                REQUEST_FALLBACK,
-                ctx=ticket.trace_context,
-                critical=True,
-                reason="flush_failed",
-                error=type(error).__name__,
+            result = self._direct_solve(
+                ticket, reason="flush_failed", error=type(error).__name__
             )
+            if result is None:
+                continue
             self._finish_ok(
                 ticket,
-                SolveOutcome(
-                    x=result.x[0],
-                    iterations=int(result.iterations[0]),
-                    residual_norm=float(result.residual_norms[0]),
-                    converged=bool(result.converged[0]),
-                    solver_name=result.solver_name,
+                SolveOutcome.answering(
+                    ticket,
+                    result,
+                    0,
                     used_fallback=True,
                     batch_size=1,
-                    queue_wait_ms=(ticket.queue_wait_ns or 0) / 1e6,
                     solve_ms=0.0,
                     worker=worker.device_name,
-                    plan_cache_hit=cache_hit,
+                    plan_cache_hit=False,
                 ),
+                flush.flush_id,
             )
+            self._release([ticket])
+
+    def _direct_solve(self, ticket: SolveTicket, **event_fields) -> BatchSolveResult | None:
+        """Solve one request alone with the direct-LU fallback; on failure
+        record a bad breaker outcome, fail the ticket and return ``None``.
+        ``event_fields`` go on the success's ``request.fallback`` event."""
+        request = ticket.request
+        try:
+            matrix, b, _x0 = assemble_batch([request])
+            key = dc_replace(request.batch_key, solver="direct", preconditioner="identity")
+            plan, _hit = self.plan_cache.plan_for(key)
+            result = plan.build_solver(matrix).solve(b)
+        except Exception as exc:
+            if self.breaker is not None:
+                self.breaker.record(bad=True)
+            self.metrics.counter("serve.fallback_failures").inc()
+            self._finish_fail(ticket, exc)
+            return None
+        self.metrics.counter("serve.fallbacks").inc()
+        self.events.emit(
+            REQUEST_FALLBACK, ctx=ticket.trace_context, critical=True, **event_fields
+        )
+        return result
 
     # -- circuit breaking --------------------------------------------------------------
 
@@ -803,9 +768,8 @@ class SolverService:
 
     # -- completion --------------------------------------------------------------------
 
-    def _finish_ok(self, ticket: SolveTicket, outcome: SolveOutcome) -> None:
-        if ticket.done():
-            return
+    def _finish_ok(self, ticket: SolveTicket, outcome: SolveOutcome, flush_id: str) -> None:
+        """Complete one ticket; the caller releases its admission slot."""
         if self.breaker is not None:
             self.breaker.record(bad=outcome.used_fallback)
         ctx = ticket.trace_context
@@ -830,10 +794,11 @@ class SolverService:
             converged=outcome.converged,
             fallback=outcome.used_fallback,
             batch_size=outcome.batch_size,
+            flush_id=flush_id,
+            queue_wait_ms=round(outcome.queue_wait_ms, 3),
             tail=tail,
         )
         ticket._complete(outcome)
-        self._release_one(ticket)
 
     def _finish_fail(self, ticket: SolveTicket, error: Exception, status: str = "failed") -> None:
         if ticket.done():
@@ -858,22 +823,30 @@ class SolverService:
                 status_code=status_code,
             )
         ticket._fail(error, status=status)
-        self._release_one(ticket)
+        self._release([ticket])
 
-    def _release_one(self, ticket: SolveTicket) -> None:
-        tenant = getattr(ticket.request, "tenant", "default")
+    def _release(self, tickets: list[SolveTicket]) -> None:
+        """Free finished tickets' admission slots in one ``_state``
+        acquisition: one gauge set per tenant, one wake-up."""
+        if not tickets:
+            return
+        by_tenant: dict[str, int] = {}
+        for ticket in tickets:
+            tenant = ticket.request.tenant
+            by_tenant[tenant] = by_tenant.get(tenant, 0) + 1
         with self._state:
-            self._pending -= 1
-            remaining = self._tenant_pending.get(tenant, 1) - 1
-            if remaining <= 0:
-                self._tenant_pending.pop(tenant, None)
-                remaining = 0
-            else:
-                self._tenant_pending[tenant] = remaining
+            self._pending -= len(tickets)
             self.metrics.gauge("serve.pending").set(self._pending)
-            self.metrics.gauge("serve.tenant_pending").labels(tenant=tenant).set(
-                remaining
-            )
+            for tenant, n in by_tenant.items():
+                remaining = self._tenant_pending.get(tenant, n) - n
+                if remaining <= 0:
+                    self._tenant_pending.pop(tenant, None)
+                    remaining = 0
+                else:
+                    self._tenant_pending[tenant] = remaining
+                self.metrics.gauge("serve.tenant_pending").labels(tenant=tenant).set(
+                    remaining
+                )
             self._state.notify_all()
 
     # -- lifecycle ---------------------------------------------------------------------

@@ -48,7 +48,6 @@ from repro.telemetry.events import (
     REQUEST_ADMITTED,
     REQUEST_FAILED,
     REQUEST_FALLBACK,
-    REQUEST_FLUSHED,
     REQUEST_REJECTED,
     REQUEST_SOLVED,
     REQUEST_TIMED_OUT,
@@ -85,7 +84,6 @@ __all__ = [
     "REQUEST_ADMITTED",
     "REQUEST_FAILED",
     "REQUEST_FALLBACK",
-    "REQUEST_FLUSHED",
     "REQUEST_REJECTED",
     "REQUEST_SOLVED",
     "REQUEST_TIMED_OUT",

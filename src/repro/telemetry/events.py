@@ -41,7 +41,6 @@ __all__ = [
     "emit_event",
     "REQUEST_ADMITTED",
     "REQUEST_REJECTED",
-    "REQUEST_FLUSHED",
     "REQUEST_SOLVED",
     "REQUEST_FALLBACK",
     "REQUEST_FAILED",
@@ -63,7 +62,6 @@ SCHEMA_VERSION = 1
 
 REQUEST_ADMITTED = "request.admitted"
 REQUEST_REJECTED = "request.rejected"
-REQUEST_FLUSHED = "request.flushed"
 REQUEST_SOLVED = "request.solved"
 REQUEST_FALLBACK = "request.fallback"
 REQUEST_FAILED = "request.failed"
@@ -82,7 +80,6 @@ EVENT_TYPES = frozenset(
     {
         REQUEST_ADMITTED,
         REQUEST_REJECTED,
-        REQUEST_FLUSHED,
         REQUEST_SOLVED,
         REQUEST_FALLBACK,
         REQUEST_FAILED,

@@ -149,6 +149,29 @@ class TestInjectorBookkeeping:
         assert injector.flushes_seen == 5
         assert injector.total_injected == 2
 
+    def test_only_the_first_raising_fault_counts(self):
+        # flush 0 is due both a kill and a poison: the kill ends the flush,
+        # so the poison neither counts nor spends its one-fault budget and
+        # fires on flush 1 instead
+        rng = np.random.default_rng(3)
+        plan = FaultPlan(
+            0,
+            (
+                FaultSpec(WORKER_DIE, at=(0,)),
+                FaultSpec(POISON_BATCH, every=1, max_faults=1),
+            ),
+        )
+        injector = ChaosInjector(plan)
+        config = ServeConfig(max_batch_size=2, max_wait_ms=60_000.0, num_workers=1)
+        with SolverService(config, chaos=injector) as service:
+            tickets = [service.submit(_request(rng)) for _ in range(4)]
+            assert all(t.exception(timeout=30.0) is None for t in tickets)
+        events = [e for e in service.events.records() if e["type"] == CHAOS_INJECTED]
+        assert injector.total_injected == len(events) == 2
+        assert injector.injected_by_kind() == {WORKER_DIE: 1, POISON_BATCH: 1}
+        by_kind = {e["fields"]["kind"]: e["fields"]["flush_index"] for e in events}
+        assert by_kind == {WORKER_DIE: 0, POISON_BATCH: 1}
+
     def test_flush_sequence_is_monotone(self):
         injector, _, _, _ = _run_with_fault(FaultSpec(DEVICE_DELAY, at=(0,)))
         assert injector.flushes_seen == 1

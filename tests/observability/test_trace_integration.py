@@ -43,6 +43,18 @@ class TestSolverPath:
         assert kspan.parent is not None and kspan.parent.name == f"solve.{solver}"
         assert kspan.parent.parent.name == "dispatch.solve"
 
+    @pytest.mark.parametrize("solver", ["cg", "bicgstab"])
+    def test_geometry_sits_on_the_fused_kernel_span_only(
+        self, solver, stencil16, stencil16_rhs
+    ):
+        tracer = Tracer()
+        dispatch_solve(
+            stencil16, stencil16_rhs, solver=solver, tolerance=1e-10, tracer=tracer
+        )
+        geometry = {"work_group_size", "slm_bytes_per_group"}
+        carriers = [s.name for s in tracer.spans if geometry & set(s.args)]
+        assert carriers == [f"batch_{solver}_fused"]
+
     def test_dispatch_span_carries_resolved_tuple(self, stencil16, stencil16_rhs):
         tracer = Tracer()
         dispatch_solve(
@@ -176,6 +188,7 @@ class TestHwPath:
             timing = estimate_solve(gpu("pvc1"), solver, result)
         span = next(s for s in tracer.spans if s.name == "hw.estimate_solve")
         assert span.args["platform"] == "pvc1"
+        assert _LAUNCH_ARG_KEYS <= set(span.args)  # the modeled launch's plan
         assert span.args["modeled_total_s"] == pytest.approx(timing.total_seconds)
         instant = next(
             e for e in tracer.events if e.name == "hw.modeled_device_time"

@@ -63,9 +63,9 @@ class TestSolveRecordsPerBackend:
         ]
         recorder, outcomes = self._run(backend, requests)
         assert all(o.converged for o in outcomes)
-        solves = recorder.snapshot()["solves"]
-        assert len(solves) == 1
-        record = solves[0]
+        flushes = recorder.snapshot()["flushes"]
+        assert len(flushes) == 1
+        record = flushes[0]
         assert record["backend"] == backend
         assert record["class_counts"] == {CONVERGED: 4}
         assert record["worst_class"] == CONVERGED
@@ -92,7 +92,7 @@ class TestSolveRecordsPerBackend:
         ]
         recorder, outcomes = self._run(backend, requests)
         assert all(o.converged for o in outcomes)  # fallback saved it
-        [record] = recorder.snapshot()["solves"]
+        [record] = recorder.snapshot()["flushes"]
         assert record["num_systems"] == 2
         assert record["worst_class"] != CONVERGED
         assert SEVERITY[record["worst_class"]] > SEVERITY[CONVERGED]
@@ -115,8 +115,8 @@ class TestSolveRecordsPerBackend:
                 tickets = [service.submit(r) for r in requests]
                 for t in tickets:
                     t.result(timeout=30.0)
-        assert recorder.solves_seen == 3  # three size-triggered flushes of 2
-        assert recorder.flushes_seen == 3
+        assert recorder.flushes_seen == 3  # three size-triggered flushes of 2
+        assert len(recorder.snapshot()["flushes"]) == 3
         assert recorder.summary()["events_seen"] > 0
 
 
@@ -138,7 +138,7 @@ class TestKernelPathSolveRecords:
             backend="wide", solver="cg"
         )
         assert kernel_solves.value == 1  # the fused kernel ran the flush
-        [record] = recorder.snapshot()["solves"]
+        [record] = recorder.snapshot()["flushes"]
         return record, outcomes
 
     def test_converged_pair_recorded_as_converged(self):

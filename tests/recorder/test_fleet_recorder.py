@@ -50,7 +50,7 @@ def _requests(count, sizes=(8, 9)):
 
 class TestFleetRecorders:
     def test_each_shard_gets_its_own_recorder(self):
-        ambient = FlightRecorder(capacity=512, solve_capacity=128, shard="fleet")
+        ambient = FlightRecorder(capacity=512, shard="fleet")
         with use(recorder=ambient):
             with FleetService(_fleet_config()) as fleet:
                 shards = fleet.shards()
@@ -61,7 +61,6 @@ class TestFleetRecorders:
                     assert recorder is not ambient
                     assert recorder.shard == shard.name
                     assert recorder.capacity == 512
-                    assert recorder.solve_capacity == 128
                     # the shard's private event log taps its own box
                     assert shard.service.events.recorder is recorder
                 assert len(names) == len(shards)
@@ -99,15 +98,15 @@ class TestFleetRecorders:
                 for t in tickets:
                     assert t.result(timeout=30.0).converged
                 busy = [
-                    s for s in fleet.shards() if s.service.recorder.solves_seen
+                    s for s in fleet.shards() if s.service.recorder.flushes_seen
                 ]
-                assert busy, "no shard recorded a solve"
+                assert busy, "no shard recorded a flush"
                 for shard in busy:
                     snapshot = shard.service.recorder.snapshot()
-                    assert snapshot["solves"]
+                    assert snapshot["flushes"]
                     assert snapshot["events"]
-        # the fleet-wide ambient box never saw the per-shard solves
-        assert ambient.solves_seen == 0
+        # the fleet-wide ambient box never saw the per-shard flushes
+        assert ambient.flushes_seen == 0
 
     def test_dump_recorders_feeds_cross_shard_postmortem(self, tmp_path):
         ambient = FlightRecorder(shard="fleet")

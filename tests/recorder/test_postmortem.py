@@ -36,10 +36,14 @@ def _event(type, trace_id, ts_ns, **fields):
 
 
 def _chaos_bundle(tmp_path, name="shard-a"):
-    """A shard that lost flush f1 to an injected worker death."""
+    """A shard that lost flush f1 to an injected worker death.
+
+    The faulted flush never solved, so no flush record names its
+    victims: the chaos trigger does.
+    """
     events = [
-        _event("request.flushed", "t1", 100, flush_id="f1", batch_size=2),
-        _event("request.flushed", "t2", 110, flush_id="f1", batch_size=2),
+        _event("request.admitted", "t1", 100, solver="cg"),
+        _event("request.admitted", "t2", 110, solver="cg"),
         _event("chaos.injected", None, 120, kind="worker_die", flush_id="f1", flush_index=0),
         _event("request.failed", "t1", 200, error="WorkerDiedError", status_code=503),
         _event("request.failed", "t2", 210, error="WorkerDiedError", status_code=503),
@@ -64,15 +68,21 @@ def _chaos_bundle(tmp_path, name="shard-a"):
 
 
 def _divergence_bundle(tmp_path, name="shard-b"):
-    """A shard whose flush f2 failed on its own numerics (divergence)."""
+    """A shard whose flush f2 failed on its own numerics (divergence).
+
+    Its one flush record carries both the forensics and the victims.
+    """
     events = [
-        _event("request.flushed", "t3", 300, flush_id="f2", batch_size=1),
+        _event("request.admitted", "t3", 300, solver="bicgstab"),
         _event("request.failed", "t3", 400, error="SolveFailedError", status_code=500),
     ]
-    solves = [
+    flushes = [
         {
             "ts": 2.0,
             "flush_id": "f2",
+            "reason": "size",
+            "worker": "serve-worker-0",
+            "solve_ms": 1.5,
             "solver": "bicgstab",
             "classes": ["divergence"],
             "class_counts": {"divergence": 1},
@@ -84,11 +94,86 @@ def _divergence_bundle(tmp_path, name="shard-b"):
     ]
     return write_bundle(
         tmp_path / name,
-        {"events": events, "solves": solves},
+        {"events": events, "flushes": flushes},
         reason="error_5xx",
         trace_id="t3",
         shard=name,
     )
+
+
+def _v1_divergence_bundle(tmp_path, name="shard-v1"):
+    """``_divergence_bundle``'s story in the v1 layout, written by hand.
+
+    v1 rang a flush's facts and its convergence forensics as two
+    records in two streams (``flushes`` and ``solves``) and logged a
+    ``request.flushed`` event per request. Flush f3's facts were
+    evicted from the ring; only its forensics survive.
+    """
+    import json
+
+    path = tmp_path / name
+    path.mkdir()
+    streams = {
+        "events": [
+            _event("request.admitted", "t3", 300, solver="bicgstab"),
+            _event("request.flushed", "t3", 310, flush_id="f2", reason="size"),
+            _event("request.failed", "t3", 400, error="SolveFailedError", status_code=500),
+        ],
+        "flushes": [
+            {
+                "ts": 2.0,
+                "flush_id": "f2",
+                "reason": "size",
+                "batch_size": 1,
+                "worker": "serve-worker-0",
+                "solver": "bicgstab",
+                "solve_ms": 1.5,
+                "cache_hit": False,
+                "trace_ids": ["t3"],
+            }
+        ],
+        "solves": [
+            {
+                "ts": 2.1,
+                "flush_id": "f2",
+                "solver": "bicgstab",
+                "classes": ["divergence"],
+                "class_counts": {"divergence": 1},
+                "trace_ids": ["t3"],
+                "worst_index": 0,
+                "worst_class": "divergence",
+                "worst_curve": [1.0, 100.0],
+            },
+            {
+                "ts": 2.5,
+                "flush_id": "f3",
+                "solver": "cg",
+                "classes": ["converged", "converged"],
+                "class_counts": {"converged": 2},
+                "trace_ids": ["t4", "t5"],
+                "worst_index": 0,
+                "worst_class": "converged",
+            },
+        ],
+        "metrics": [],
+        "triggers": [],
+    }
+    for stream, records in streams.items():
+        with (path / f"{stream}.jsonl").open("w") as fh:
+            fh.writelines(json.dumps(record) + "\n" for record in records)
+    manifest = {
+        "schema_version": 1,
+        "kind": "repro.recorder.bundle",
+        "recorder_schema_version": 1,
+        "reason": "error_5xx",
+        "trace_id": "t3",
+        "shard": name,
+        "created_unix": 0.0,
+        "counts": {stream: len(records) for stream, records in streams.items()},
+        "streams": {stream: f"{stream}.jsonl" for stream in streams},
+    }
+    (path / "manifest.json").write_text(json.dumps(manifest))
+    return path
 
 
 class TestAnalyze:
@@ -116,6 +201,26 @@ class TestAnalyze:
         [failure] = analysis["failures"]
         assert failure["attribution"] == ATTR_CONVERGENCE
         assert failure["fault_class"] == "divergence"
+
+    def test_v1_bundle_folds_its_solves_into_flush_records(self, tmp_path):
+        from repro.recorder.bundle import load_bundle
+
+        bundle = load_bundle(_v1_divergence_bundle(tmp_path))
+        assert "solves" not in bundle
+        f2, f3 = bundle["flushes"]
+        assert (f2["flush_id"], f2["reason"], f2["ts"]) == ("f2", "size", 2.0)
+        assert f2["worst_class"] == "divergence"  # forensics folded in
+        assert f3["flush_id"] == "f3" and f3["class_counts"] == {"converged": 2}
+        analysis = analyze_bundles([bundle])
+        assert analysis["class_counts"] == {"divergence": 1, "converged": 2}
+        [incident] = analysis["incidents"]
+        assert incident["source"] == ATTR_CONVERGENCE
+        assert incident["fault_class"] == "divergence"
+        [failure] = analysis["failures"]
+        assert failure["attribution"] == ATTR_CONVERGENCE
+        # diff reads the same folded records
+        diff = diff_bundles(load_bundle(_divergence_bundle(tmp_path)), bundle)
+        assert {row["key"] for row in diff["classes"]} == {"converged"}
 
     def test_cross_shard_merge_keeps_both_stories(self, tmp_path):
         _chaos_bundle(tmp_path, "shard-a")

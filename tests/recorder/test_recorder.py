@@ -31,24 +31,23 @@ class FakeClock:
 
 class TestRings:
     def test_rings_are_bounded(self):
-        rec = FlightRecorder(capacity=8, solve_capacity=4)
+        rec = FlightRecorder(capacity=8)
         for i in range(50):
             rec.record_event({"type": "request.solved", "i": i})
-            rec.record_flush(flush_id=f"f{i}")
-            rec.record_solve({"flush_id": f"f{i}"})
+            rec.record_flush({"classes": ["converged"]}, flush_id=f"f{i}")
         snap = rec.snapshot()
         assert len(snap["events"]) == 8
         assert len(snap["flushes"]) == 8
-        assert len(snap["solves"]) == 4
-        # newest survive, oldest evicted
+        # newest survive, oldest evicted; one entry carries both halves
         assert snap["events"][-1]["i"] == 49
-        assert rec.events_seen == 50 and rec.solves_seen == 50
+        assert snap["flushes"][-1]["flush_id"] == "f49"
+        assert snap["flushes"][-1]["classes"] == ["converged"]
+        assert rec.events_seen == 50 and rec.flushes_seen == 50
+        assert set(snap) == {"events", "flushes", "metrics", "triggers"}
 
     def test_invalid_capacities_rejected(self):
         with pytest.raises(ValueError):
             FlightRecorder(capacity=0)
-        with pytest.raises(ValueError):
-            FlightRecorder(solve_capacity=0)
         with pytest.raises(ValueError):
             FlightRecorder(metric_interval=0)
 
@@ -139,10 +138,15 @@ class TestTriggersAndDumps:
 
     def test_bundle_is_json_clean(self, tmp_path):
         rec = FlightRecorder()
-        rec.record_solve({"classes": ["converged"], "worst_curve": [1.0, None]})
+        rec.record_flush(
+            {"classes": ["converged"], "worst_curve": [1.0, None]}, trace_ids=["t1"]
+        )
         bundle = rec.dump(tmp_path)
-        for line in (bundle / "solves.jsonl").read_text().splitlines():
+        lines = (bundle / "flushes.jsonl").read_text().splitlines()
+        assert len(lines) == 1
+        for line in lines:
             json.loads(line)
+        assert not (bundle / "solves.jsonl").exists()
 
 
 class TestBundleFormat:
@@ -166,7 +170,8 @@ class TestBundleFormat:
         path = write_bundle(tmp_path / "b", {"events": [{"a": 1}]}, reason="manual")
         loaded = load_bundle(path)
         assert loaded["events"] == [{"a": 1}]
-        assert loaded["solves"] == [] and loaded["metrics"] == []
+        assert loaded["flushes"] == [] and loaded["metrics"] == []
+        assert "solves" not in loaded
         assert loaded["manifest"]["counts"]["triggers"] == 0
         assert loaded["manifest"]["kind"] == BUNDLE_KIND
 

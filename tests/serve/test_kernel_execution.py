@@ -90,6 +90,10 @@ def test_flush_geometry_sits_on_its_kernel_span_only(backend, solver):
     # serve.solve carries no geometry of its own to disagree with the launch
     assert "work_group_size" not in solve.args
     assert "slm_bytes_per_group" not in solve.args
+    # nor does any other span (the host task): neither key sits anywhere
+    # but the kernel span
+    geometry = {"work_group_size", "slm_bytes_per_group"}
+    assert [s for s in tracer.spans if geometry & set(s.args)] == kernels
 
 
 def test_warm_start_falls_back_to_the_vectorized_path():

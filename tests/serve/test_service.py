@@ -1,5 +1,6 @@
 """SolverService end-to-end: correctness, backpressure, timeouts, fallback."""
 
+import sys
 import threading
 import time
 
@@ -151,6 +152,74 @@ class TestBackpressure:
             service.wait_idle(timeout=30.0)
             # pending slot released → next submit admitted
             service.submit(SolveRequest(_tridiag(8), np.ones(8))).result(timeout=30.0)
+
+    def test_flush_release_keeps_pending_exact_under_contention(self):
+        # four workers on two cores, three clients, three tenants and a
+        # tiny switch interval: a lost update in a flush's one-pass release
+        # would leave a pending count or a tenant gauge above zero
+        config = ServeConfig(max_batch_size=4, max_wait_ms=1.0, num_workers=4)
+        tickets = []
+        lock = threading.Lock()
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with SolverService(config) as service:
+
+                def client(tenant):
+                    for _ in range(24):
+                        ticket = service.submit(
+                            SolveRequest(_tridiag(8), np.ones(8), tenant=tenant)
+                        )
+                        with lock:
+                            tickets.append(ticket)
+
+                clients = [
+                    threading.Thread(target=client, args=(f"t{i}",)) for i in range(3)
+                ]
+                for thread in clients:
+                    thread.start()
+                for thread in clients:
+                    thread.join(timeout=60.0)
+                    assert not thread.is_alive()
+                outcomes = [t.result(timeout=60.0) for t in tickets]
+                assert service.wait_idle(timeout=30.0)
+                assert service.pending == 0
+                assert service.metrics.gauge("serve.pending").value == 0
+                for i in range(3):
+                    gauge = service.metrics.gauge("serve.tenant_pending")
+                    assert gauge.labels(tenant=f"t{i}").value == 0
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert len(outcomes) == 72 and all(o.converged for o in outcomes)
+        # every answer owns its x: none is a view into its flush's batch
+        assert all(o.x.flags.owndata for o in outcomes)
+
+    def test_answered_tickets_release_when_the_scatter_raises(self, monkeypatch, capsys):
+        # completing a ticket can raise (a breaker opening dumps a recorder
+        # bundle to disk); the tickets the scatter already answered must
+        # still free their slots
+        config = ServeConfig(max_batch_size=4, max_wait_ms=10_000.0, num_workers=1)
+        with SolverService(config) as service:
+            finish_ok = service._finish_ok
+            calls = []
+
+            def flaky_finish_ok(ticket, outcome, flush_id):
+                calls.append(ticket)
+                if len(calls) == 3:
+                    raise RuntimeError("bundle write failed")
+                finish_ok(ticket, outcome, flush_id)
+
+            monkeypatch.setattr(service, "_finish_ok", flaky_finish_ok)
+            tickets = [
+                service.submit(SolveRequest(_tridiag(8), np.ones(8))) for _ in range(4)
+            ]
+            for ticket in tickets[:2]:
+                assert ticket.result(timeout=30.0).converged
+            service.pool.join()
+            assert [t.done() for t in tickets] == [True, True, False, False]
+            assert service.pending == 2  # exactly the two never answered
+            assert service.metrics.gauge("serve.pending").value == 2
+        assert "bundle write failed" in capsys.readouterr().err
 
     def test_submit_after_close_rejected(self):
         service = SolverService(ServeConfig(num_workers=1))

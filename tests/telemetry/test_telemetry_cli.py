@@ -207,7 +207,8 @@ class TestServeDemoDumps:
         assert records
         assert all(r["schema_version"] == 1 for r in records)
         types = {r["type"] for r in records}
-        assert {"request.admitted", "request.flushed", "request.solved"} <= types
+        assert {"request.admitted", "request.solved"} <= types
+        assert "request.flushed" not in types
         # the dump is scoreable offline
         code = repro_main(["slo", "report", "--metrics-in", str(metrics_out)])
         assert code == 0

@@ -18,7 +18,6 @@ from repro.serve import ServeConfig, SolveRequest, SolverService
 from repro.telemetry import (
     REQUEST_ADMITTED,
     REQUEST_FALLBACK,
-    REQUEST_FLUSHED,
     REQUEST_SOLVED,
     SANITIZER_TRIP,
     mint_context,
@@ -148,20 +147,18 @@ class TestPathReconstruction:
             assert flush in _ancestors(leg)
             assert leg.args["flush_id"] == flush.args["flush_id"]
 
-            # and the event log tells the same story
+            # and the event log tells the same story: admitted, then solved
             types = [rec["type"] for rec in events.records_for(tid)]
-            assert types.count(REQUEST_ADMITTED) == 1
-            assert types.count(REQUEST_FLUSHED) == 1
-            assert types.count(REQUEST_SOLVED) == 1
+            assert types == [REQUEST_ADMITTED, REQUEST_SOLVED]
 
     def test_flush_events_name_the_flush(self, served):
         requests, _outcomes, tracer, events = served
-        flush_ids = {
-            s.args["flush_id"] for s in tracer.spans if s.name == "serve.flush"
-        }
-        for rec in events.records():
-            if rec["type"] == REQUEST_FLUSHED:
-                assert rec["fields"]["flush_id"] in flush_ids
+        legs = {s.trace_id: s for s in tracer.spans if s.name == "serve.request"}
+        solved = [rec for rec in events.records() if rec["type"] == REQUEST_SOLVED]
+        assert len(solved) == len(requests)
+        for rec in solved:
+            assert rec["fields"]["flush_id"] == legs[rec["trace_id"]].args["flush_id"]
+            assert rec["fields"]["queue_wait_ms"] >= 0.0
 
 
 class TestHeadSampling:
