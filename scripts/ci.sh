@@ -4,7 +4,10 @@
 #
 # Mirrors what must hold before a change lands: the full test suite
 # green (tests/bench/test_paper_artifacts.py among it: the committed
-# paper tables and figures in results/ regenerate byte for byte), the
+# paper tables and figures in results/ regenerate byte for byte; and
+# tests/serve/test_service.py::TestPerFlushAccounting::
+# test_a_full_size_flush_writes_each_kind_once, which guards the serving
+# layer's per-flush accounting by count, not by time), the
 # lint gate clean, the tracing pipeline producing valid Chrome
 # traces through `repro run --with trace` (whose observer options never
 # reach the wrapped command), the serving layer honouring its contracts,

@@ -241,8 +241,19 @@ class LogHistogram:
         self._exemplars: dict[int, tuple[str, float]] = {}
         self._lock = threading.Lock()
 
-    def _index(self, value: float) -> int:
-        return math.floor(math.log(value) / math.log(self.growth))
+    def _fold(self, value: float, trace_id: str | None) -> None:
+        """Fold one float sample in (the lock is held)."""
+        self._count += 1
+        self._sum += value
+        self._min = min(self._min, value)
+        self._max = max(self._max, value)
+        if value <= 0.0:
+            self._zero += 1
+        else:
+            idx = math.floor(math.log(value) / math.log(self.growth))
+            self._buckets[idx] = self._buckets.get(idx, 0) + 1
+            if trace_id is not None:
+                self._exemplars[idx] = (trace_id, value)
 
     def observe(self, value: float, trace_id: str | None = None) -> None:
         """Record one sample in O(1) time and O(buckets) total memory.
@@ -253,22 +264,26 @@ class LogHistogram:
         """
         value = float(value)
         with self._lock:
-            self._count += 1
-            self._sum += value
-            self._min = min(self._min, value)
-            self._max = max(self._max, value)
-            if value <= 0.0:
-                self._zero += 1
-            else:
-                idx = self._index(value)
-                self._buckets[idx] = self._buckets.get(idx, 0) + 1
-                if trace_id is not None:
-                    self._exemplars[idx] = (trace_id, value)
+            self._fold(value, trace_id)
 
-    def observe_many(self, values: Iterable[float]) -> None:
-        """Record a batch of samples."""
-        for value in values:
-            self.observe(value)
+    def observe_many(
+        self, values: Iterable[float], trace_ids: Iterable[str | None] | None = None
+    ) -> None:
+        """Record a batch of samples under one lock acquisition.
+
+        Equal to :meth:`observe` on each value in order, ``trace_ids``
+        (when given) pairing one exemplar id or ``None`` with each value.
+        """
+        values = [float(v) for v in values]
+        ids = [None] * len(values) if trace_ids is None else list(trace_ids)
+        if len(ids) != len(values):
+            raise ValueError(
+                f"log histogram {self.name!r}: {len(values)} values but "
+                f"{len(ids)} trace ids"
+            )
+        with self._lock:
+            for value, trace_id in zip(values, ids):
+                self._fold(value, trace_id)
 
     @property
     def count(self) -> int:

@@ -110,9 +110,12 @@ class MicroBatcher:
 
     # -- intake ----------------------------------------------------------------
 
-    def offer(self, ticket: SolveTicket) -> FlushBatch | None:
-        """Add one ticket; return a size-triggered flush if it fills a bucket.
+    def offer(self, ticket: SolveTicket) -> tuple[FlushBatch | None, bool]:
+        """Add one ticket; return ``(flush, opened)``.
 
+        ``flush`` is the size-triggered flush when the ticket fills its
+        bucket, else ``None``; ``opened`` says the ticket started a new
+        bucket, and so gave the batcher a deadline it did not have.
         With ``max_batch_size == 1`` every offer flushes immediately — the
         unbatched baseline the benchmark compares against.
         """
@@ -121,7 +124,8 @@ class MicroBatcher:
         now = self._clock()
         with self._lock:
             bucket = self._buckets.get((key, priority))
-            if bucket is None:
+            opened = bucket is None
+            if opened:
                 bucket = self._buckets[(key, priority)] = _Bucket(opened_ns=now)
             bucket.tickets.append(ticket)
             if len(bucket.tickets) >= self.max_batch_size:
@@ -130,8 +134,8 @@ class MicroBatcher:
                     key, bucket.tickets, SIZE, bucket.opened_ns, now, priority=priority
                 )
                 self._charge(flush)
-                return flush
-        return None
+                return flush, opened
+        return None, opened
 
     # -- deadline handling -------------------------------------------------------
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Callable
+from typing import Callable, Iterable
 
 __all__ = ["CLOSED", "OPEN", "HALF_OPEN", "CircuitBreaker"]
 
@@ -64,6 +64,7 @@ class CircuitBreaker:
         self._on_open = on_open
         self._on_close = on_close
         self._outcomes: deque[bool] = deque(maxlen=window)
+        self._bad = 0  # bad outcomes in the window, kept as they slide
         self._state = CLOSED
         self._opened_at = 0.0
         self._opens = 0
@@ -96,7 +97,7 @@ class CircuitBreaker:
         with self._lock:
             if not self._outcomes:
                 return 0.0
-            return sum(self._outcomes) / len(self._outcomes)
+            return self._bad / len(self._outcomes)
 
     # -- the protocol ----------------------------------------------------------
 
@@ -117,31 +118,45 @@ class CircuitBreaker:
         a single good outcome closes the breaker, a bad one re-opens it
         and restarts the cooldown.
         """
-        fire_open = fire_close = False
+        self.record_many((bad,))
+
+    def record_many(self, outcomes: Iterable[bool]) -> None:
+        """Fold several outcomes in, in order, under one lock acquisition.
+
+        Leaves the same state, window and counts as one :meth:`record`
+        per outcome. The open/close callbacks fire in the same order, but
+        after the last outcome is folded, so they read the final state.
+        """
+        fired: list[Callable[["CircuitBreaker"], None] | None] = []
         with self._lock:
-            self._maybe_half_open()
-            self._outcomes.append(bool(bad))
-            if self._state == HALF_OPEN:
-                if bad:
-                    self._trip()
-                    fire_open = True
-                else:
-                    self._state = CLOSED
-                    self._closes += 1
-                    self._outcomes.clear()
-                    fire_close = True
-            elif self._state == CLOSED:
-                if (
-                    len(self._outcomes) >= self.min_events
-                    and sum(self._outcomes) / len(self._outcomes) >= self.threshold
-                ):
-                    self._trip()
-                    fire_open = True
+            for bad in outcomes:
+                bad = bool(bad)
+                self._maybe_half_open()
+                if len(self._outcomes) == self.window:
+                    self._bad -= self._outcomes[0]  # about to slide out
+                self._outcomes.append(bad)
+                self._bad += bad
+                if self._state == HALF_OPEN:
+                    if bad:
+                        self._trip()
+                        fired.append(self._on_open)
+                    else:
+                        self._state = CLOSED
+                        self._closes += 1
+                        self._outcomes.clear()
+                        self._bad = 0
+                        fired.append(self._on_close)
+                elif self._state == CLOSED:
+                    if (
+                        len(self._outcomes) >= self.min_events
+                        and self._bad / len(self._outcomes) >= self.threshold
+                    ):
+                        self._trip()
+                        fired.append(self._on_open)
         # callbacks run outside the lock: they emit events / take other locks
-        if fire_open and self._on_open is not None:
-            self._on_open(self)
-        if fire_close and self._on_close is not None:
-            self._on_close(self)
+        for callback in fired:
+            if callback is not None:
+                callback(self)
 
     # -- internals (lock held) -------------------------------------------------
 

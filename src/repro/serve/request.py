@@ -212,8 +212,9 @@ class SolveRequest:
                 raise DimensionMismatchError(
                     f"request matrix must be square, got shape {csr.shape}"
                 )
-            csr = csr.sorted_indices()
-            csr.eliminate_zeros()
+            if not _is_canonical_csr(csr.indptr, csr.indices, csr.data):
+                csr = csr.sorted_indices()
+                csr.eliminate_zeros()
             if csr.nnz == 0:
                 raise BadSparsityPatternError("request matrix has no stored entries")
             self.dense = None
@@ -248,6 +249,26 @@ class SolveRequest:
         )
 
 
+def _is_canonical_csr(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray) -> bool:
+    """True when sorting and pruning would leave a CSR triplet unchanged.
+
+    That is: ``indptr`` starts at 0 and never decreases, nothing is stored
+    past ``indptr[-1]``, no stored value is zero (``-0.0`` included; NaN
+    is not zero) and column indices never decrease within a row. Reads
+    the arrays, never SciPy's cached ``has_sorted_indices`` flag, which
+    goes stale when a caller edits ``indices`` in place.
+    """
+    nnz = indices.size
+    if not (indptr[0] == 0 and indptr[-1] == nnz == data.size):
+        return False
+    if np.count_nonzero(data) != nnz or not (indptr[1:] >= indptr[:-1]).all():
+        return False
+    ascending = np.empty(nnz + 1, dtype=bool)
+    np.greater_equal(indices[1:], indices[:-1], out=ascending[1:nnz])
+    ascending[indptr] = True  # a row may start below where the last one ended
+    return bool(ascending.all())
+
+
 def assemble_batch(
     requests: list[SolveRequest],
 ) -> tuple[BatchedMatrix, np.ndarray, np.ndarray | None]:
@@ -266,15 +287,12 @@ def assemble_batch(
     if first.matrix_format == "dense":
         matrix: BatchedMatrix = BatchDense(np.stack([r.dense for r in requests]))
     else:
-        for i, req in enumerate(requests[1:], start=1):
-            if not (
-                np.array_equal(req.row_ptrs, first.row_ptrs)
-                and np.array_equal(req.col_idxs, first.col_idxs)
-            ):
-                raise BadSparsityPatternError(
-                    f"request {i} does not share the sparsity pattern of request 0 "
-                    "(pattern-digest collision)"
-                )
+        i = _first_pattern_mismatch(requests)
+        if i is not None:
+            raise BadSparsityPatternError(
+                f"request {i} does not share the sparsity pattern of request 0 "
+                "(pattern-digest collision)"
+            )
         matrix = BatchCsr(
             first.row_ptrs,
             first.col_idxs,
@@ -289,6 +307,31 @@ def assemble_batch(
     else:
         x0 = None
     return matrix, b, x0
+
+
+def _first_pattern_mismatch(requests: list[SolveRequest]) -> int | None:
+    """Index of the first CSR request whose pattern differs from request 0's.
+
+    Each array is checked with one stacked comparison. Equal row pointers
+    mean an equal stored-entry count (their last entry), so the column
+    indices of the requests before the first row-pointer mismatch stack.
+    """
+    first = requests[0]
+    end = next(
+        (
+            i
+            for i, r in enumerate(requests)
+            if r.row_ptrs is None or r.num_rows != first.num_rows
+        ),
+        len(requests),
+    )
+    same = (np.stack([r.row_ptrs for r in requests[:end]]) == first.row_ptrs).all(axis=1)
+    if not same.all():
+        end = int(np.argmin(same))
+    same = (np.stack([r.col_idxs for r in requests[:end]]) == first.col_idxs).all(axis=1)
+    if not same.all():
+        end = int(np.argmin(same))
+    return None if end == len(requests) else end
 
 
 @dataclass

@@ -25,6 +25,7 @@ Robustness behaviours:
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import replace as dc_replace
@@ -152,7 +153,6 @@ class SolverService:
         self._pending = 0
         self._tenant_pending: dict[str, int] = {}
         self._closed = False
-        self._abort_close = False
         self._pool_closing = False
         self._state = threading.Condition()
         self._flusher = threading.Thread(
@@ -173,6 +173,10 @@ class SolverService:
         """
         self._stamp_sampling(request)
         tenant = request.tenant
+        # one critical section admits, parks and (on a size flush) enqueues
+        # the request: close() sets _closed under the same lock, so every
+        # ticket it does not refuse is in the batcher or the pool before
+        # close() drains them
         with self._state:
             if self._closed:
                 raise ServiceClosedError("service is closed")
@@ -217,40 +221,27 @@ class SolverService:
                 self._tenant_pending[tenant]
             )
 
-        now = monotonic_ns()
-        timeout_ns = self.config.request_timeout_ns
-        ticket = SolveTicket(
-            request,
-            submitted_ns=now,
-            deadline_ns=None if timeout_ns is None else now + timeout_ns,
-        )
-        self.metrics.counter("serve.accepted").inc()
-        self.events.emit(
-            REQUEST_ADMITTED,
-            ctx=request.trace_context,
-            solver=request.solver,
-            num_rows=request.num_rows,
-            matrix_format=request.matrix_format,
-        )
-        flush = self.batcher.offer(ticket)
-        if flush is not None:
-            self._dispatch(flush)
-        else:
-            with self._state:
-                self._state.notify_all()  # flusher re-arms its deadline
-        # close-race sweep: if close() ran between the admission check above
-        # and the offer, the flusher is gone and a parked ticket would hang
-        # forever. Whoever observes the race clears the stragglers — failed
-        # fast on an abort close, dispatched on a drain close (idempotent:
-        # finished tickets ignore further completion, and _dispatch fails
-        # tickets itself once the pool is shutting down).
-        with self._state:
-            closed, abort = self._closed, self._abort_close
-        if closed:
-            if abort:
-                self._fail_parked()
-            else:
-                self.flush()
+            now = monotonic_ns()
+            timeout_ns = self.config.request_timeout_ns
+            ticket = SolveTicket(
+                request,
+                submitted_ns=now,
+                deadline_ns=None if timeout_ns is None else now + timeout_ns,
+            )
+            self.metrics.counter("serve.accepted").inc()
+            self.events.emit(
+                REQUEST_ADMITTED,
+                ctx=request.trace_context,
+                solver=request.solver,
+                num_rows=request.num_rows,
+                matrix_format=request.matrix_format,
+            )
+            flush, opened = self.batcher.offer(ticket)
+            if flush is not None:
+                self._dispatch(flush)
+            elif opened:
+                # only a new bucket can give the flusher an earlier deadline
+                self._state.notify_all()
         return ticket
 
     def solve(self, request: SolveRequest, timeout: float | None = None) -> SolveOutcome:
@@ -299,19 +290,20 @@ class SolverService:
                 self._dispatch(flush)
 
     def _dispatch(self, flush: FlushBatch) -> None:
+        # enqueue under the same lock close() raises _pool_closing under:
+        # a job enqueued once the pool's stop sentinels are queued would
+        # never run and its tickets would hang
         with self._state:
             if self._pool_closing:
-                # the pool's stop sentinels are already queued: a job enqueued
-                # now would never run and its tickets would hang
                 for ticket in flush.tickets:
                     self._finish_fail(
                         ticket, ServiceClosedError("service closed before flush")
                     )
                 return
-        self.metrics.counter("serve.flushes").inc()
-        self.metrics.counter(f"serve.flushes.{flush.reason}").inc()
-        self.metrics.log_histogram("serve.batch_size").observe(flush.size)
-        self.pool.submit(lambda worker: self._execute_flush(flush, worker))
+            self.metrics.counter("serve.flushes").inc()
+            self.metrics.counter(f"serve.flushes.{flush.reason}").inc()
+            self.metrics.log_histogram("serve.batch_size").observe(flush.size)
+            self.pool.submit(lambda worker: self._execute_flush(flush, worker))
 
     def _fail_parked(self) -> None:
         """Fail every ticket still parked in the batcher (abort/close paths)."""
@@ -342,6 +334,7 @@ class SolverService:
                 worker=worker.name,
             ) as span:
                 live: list[SolveTicket] = []
+                waits_ms: list[float] = []
                 for ticket in flush.tickets:
                     ticket.flushed_ns = now
                     if ticket.expired(now):
@@ -355,9 +348,7 @@ class SolverService:
                             status=TIMED_OUT,
                         )
                     else:
-                        self.metrics.log_histogram("serve.queue_wait_hdr_ms").observe(
-                            (now - ticket.submitted_ns) / 1e6
-                        )
+                        waits_ms.append((now - ticket.submitted_ns) / 1e6)
                         # batch fan-in: the shared flush span belongs to no
                         # single request, so it *links* every live request's
                         # root context (OpenTelemetry span links)
@@ -366,6 +357,7 @@ class SolverService:
                 if not live:
                     span.set("all_timed_out", True)
                     return
+                self.metrics.log_histogram("serve.queue_wait_hdr_ms").observe_many(waits_ms)
 
                 try:
                     with tracer.span("serve.assembly", category="serve", tid=worker.lane):
@@ -400,7 +392,7 @@ class SolverService:
                     self.metrics.counter("serve.flush_failures").inc()
                     span.set("error", type(exc).__name__)
                     self._attribute_failure(exc, live, flush)
-                    self._rescue_flush(live, exc, worker, flush)
+                    self._rescue_flush(live, exc, worker, flush, tracer)
                     return
 
                 record = FlushRecord(
@@ -414,51 +406,91 @@ class SolverService:
                 )
                 if self.recorder is not None:
                     self._record_forensics(record, plan)
-                fallbacks = self._apply_fallbacks(record, tracer)
-                self._scatter(record, fallbacks, tracer)
+                fallbacks, failed_retries = self._apply_fallbacks(record, tracer)
+                self._scatter(record, fallbacks, failed_retries, tracer)
 
     def _scatter(
-        self, record: FlushRecord, fallbacks: dict[int, BatchSolveResult], tracer: Tracer
+        self,
+        record: FlushRecord,
+        fallbacks: dict[int, BatchSolveResult],
+        failed_retries: int,
+        tracer: Tracer,
     ) -> None:
-        """System i answers ticket i unless its direct-LU retry did; then
-        the answered tickets' slots free in one pass, even if one raised."""
-        lane = record.worker.lane
-        with tracer.span("serve.scatter", category="serve", tid=lane):
-            answered: list[SolveTicket] = []
-            try:
-                for i, ticket in enumerate(record.tickets):
-                    if ticket.done():  # its direct-LU retry failed or was shed
-                        continue
-                    fallback = fallbacks.get(i)
-                    source, j = (record.result, i) if fallback is None else (fallback, 0)
-                    # the per-request leg of the journey: pinned to the
-                    # request's own trace, inside the shared flush
-                    with tracer.span(
-                        "serve.request",
-                        category="serve.request",
-                        tid=lane,
-                        context=ticket.trace_context,
-                        request_id=ticket.request.request_id,
-                        flush_id=record.flush_id,
-                        index=i,
-                    ):
-                        self._finish_ok(
-                            ticket,
-                            SolveOutcome.answering(
-                                ticket,
-                                source,
-                                j,
-                                used_fallback=fallback is not None,
-                                batch_size=len(record.tickets),
-                                solve_ms=record.solve_ms,
-                                worker=record.worker.device_name,
-                                plan_cache_hit=record.plan_cache_hit,
-                            ),
-                            record.flush_id,
-                        )
-                    answered.append(ticket)
-            finally:
-                self._release(answered)
+        """System i answers ticket i unless its direct-LU retry did."""
+        with tracer.span("serve.scatter", category="serve", tid=record.worker.lane):
+            answers = []
+            for i, ticket in enumerate(record.tickets):
+                if ticket.done():  # its direct-LU retry failed or was shed
+                    continue
+                fallback = fallbacks.get(i)
+                source, j = (record.result, i) if fallback is None else (fallback, 0)
+                outcome = SolveOutcome.answering(
+                    ticket,
+                    source,
+                    j,
+                    used_fallback=fallback is not None,
+                    batch_size=len(record.tickets),
+                    solve_ms=record.solve_ms,
+                    worker=record.worker.device_name,
+                    plan_cache_hit=record.plan_cache_hit,
+                )
+                answers.append((i, ticket, outcome))
+            self._answer(answers, record.flush_id, failed_retries, tracer, record.worker.lane)
+
+    def _answer(
+        self,
+        answers: list[tuple[int, SolveTicket, SolveOutcome]],
+        flush_id: str,
+        failed_retries: int,
+        tracer: Tracer,
+        lane: int,
+    ) -> None:
+        """Complete a flush's answered tickets, accounting for them once.
+
+        ``answers`` holds ``(batch index, ticket, outcome)``;
+        ``failed_retries`` counts the flush's failed direct-LU retries,
+        whose tickets are already failed. The latencies, ``serve.served``
+        and the breaker's outcomes (the failed retries first, as they
+        happened) fold in before the first ticket completes. Answered
+        tickets free their slots in one pass, even if completing one raised.
+        """
+        hdr = self.metrics.log_histogram("serve.latency_hdr_ms")
+        # tail-based sampling: one p99 for the whole flush, read before its
+        # latencies fold in, once enough history makes p99 meaningful
+        tail_ms = hdr.percentile(99.0) if hdr.count >= 64 else math.inf
+        now = monotonic_ns()
+        latencies_ms = [(now - ticket.submitted_ns) / 1e6 for _, ticket, _ in answers]
+        # bounded memory, mergeable, and what the Prometheus exposition
+        # renders as a classic histogram — with the trace id as the
+        # bucket's exemplar, so p99 names a real request
+        hdr.observe_many(
+            latencies_ms, [ticket.trace_context.trace_id for _, ticket, _ in answers]
+        )
+        self.metrics.counter("serve.served").inc(len(answers))
+        if self.breaker is not None:
+            self.breaker.record_many(
+                [True] * failed_retries + [outcome.used_fallback for _, _, outcome in answers]
+            )
+        answered: list[SolveTicket] = []
+        try:
+            for (i, ticket, outcome), latency_ms in zip(answers, latencies_ms):
+                # the per-request leg of the journey: pinned to the
+                # request's own trace, inside the shared flush
+                with tracer.span(
+                    "serve.request",
+                    category="serve.request",
+                    tid=lane,
+                    context=ticket.trace_context,
+                    request_id=ticket.request.request_id,
+                    flush_id=flush_id,
+                    index=i,
+                ):
+                    self._finish_ok(
+                        ticket, outcome, flush_id, latency_ms, latency_ms >= tail_ms
+                    )
+                answered.append(ticket)
+        finally:
+            self._release(answered)
 
     def _record_forensics(self, record: FlushRecord, plan: ExecutionPlan) -> None:
         """Ring one entry for a solved flush in the flight recorder.
@@ -636,22 +668,25 @@ class SolverService:
 
     # -- graceful degradation ----------------------------------------------------------
 
-    def _apply_fallbacks(self, record: FlushRecord, tracer: Tracer) -> dict[int, BatchSolveResult]:
+    def _apply_fallbacks(
+        self, record: FlushRecord, tracer: Tracer
+    ) -> tuple[dict[int, BatchSolveResult], int]:
         """Retry non-converged systems one by one with the direct-LU solver.
 
         Returns the one-system result of each successful retry, by batch
-        index. A shed or failed retry finishes its ticket here.
+        index, and how many retries failed. A shed or failed retry
+        finishes its ticket here.
         """
         fallbacks: dict[int, BatchSolveResult] = {}
         if not self.config.fallback or record.result.all_converged:
-            return fallbacks
+            return fallbacks, 0
         bad = np.flatnonzero(~record.result.converged).tolist()
         if not self._allow_degraded():
             # fallback storm: the breaker is open, shed the degraded work
             # fast instead of amplifying overload with per-request LU solves
             for i in bad:
                 self._shed_degraded(record.tickets[i])
-            return fallbacks
+            return fallbacks, 0
         for i in bad:
             ticket = record.tickets[i]
             with tracer.span(
@@ -668,10 +703,15 @@ class SolverService:
                 )
             if result is not None:
                 fallbacks[i] = result
-        return fallbacks
+        return fallbacks, len(bad) - len(fallbacks)
 
     def _rescue_flush(
-        self, live: list[SolveTicket], error: Exception, worker: Worker, flush: FlushBatch
+        self,
+        live: list[SolveTicket],
+        error: Exception,
+        worker: Worker,
+        flush: FlushBatch,
+        tracer: Tracer,
     ) -> None:
         """Whole-flush failure: retry each request alone with the fallback."""
         if not self.config.fallback:
@@ -682,15 +722,13 @@ class SolverService:
             for ticket in live:
                 self._shed_degraded(ticket)
             return
-        for ticket in live:
+        answers = []
+        for i, ticket in enumerate(live):
             result = self._direct_solve(
                 ticket, reason="flush_failed", error=type(error).__name__
             )
-            if result is None:
-                continue
-            self._finish_ok(
-                ticket,
-                SolveOutcome.answering(
+            if result is not None:
+                outcome = SolveOutcome.answering(
                     ticket,
                     result,
                     0,
@@ -699,15 +737,15 @@ class SolverService:
                     solve_ms=0.0,
                     worker=worker.device_name,
                     plan_cache_hit=False,
-                ),
-                flush.flush_id,
-            )
-            self._release([ticket])
+                )
+                answers.append((i, ticket, outcome))
+        self._answer(answers, flush.flush_id, len(live) - len(answers), tracer, worker.lane)
 
     def _direct_solve(self, ticket: SolveTicket, **event_fields) -> BatchSolveResult | None:
         """Solve one request alone with the direct-LU fallback; on failure
-        record a bad breaker outcome, fail the ticket and return ``None``.
-        ``event_fields`` go on the success's ``request.fallback`` event."""
+        fail the ticket and return ``None`` (the caller hands the breaker
+        that bad outcome with its flush's others). ``event_fields`` go on
+        the success's ``request.fallback`` event."""
         request = ticket.request
         try:
             matrix, b, _x0 = assemble_batch([request])
@@ -715,8 +753,6 @@ class SolverService:
             plan, _hit = self.plan_cache.plan_for(key)
             result = plan.build_solver(matrix).solve(b)
         except Exception as exc:
-            if self.breaker is not None:
-                self.breaker.record(bad=True)
             self.metrics.counter("serve.fallback_failures").inc()
             self._finish_fail(ticket, exc)
             return None
@@ -768,23 +804,19 @@ class SolverService:
 
     # -- completion --------------------------------------------------------------------
 
-    def _finish_ok(self, ticket: SolveTicket, outcome: SolveOutcome, flush_id: str) -> None:
-        """Complete one ticket; the caller releases its admission slot."""
-        if self.breaker is not None:
-            self.breaker.record(bad=outcome.used_fallback)
+    def _finish_ok(
+        self,
+        ticket: SolveTicket,
+        outcome: SolveOutcome,
+        flush_id: str,
+        latency_ms: float,
+        tail: bool,
+    ) -> None:
+        """Complete one ticket; :meth:`_answer` accounts for it and frees
+        its admission slot."""
         ctx = ticket.trace_context
         outcome.trace_id = ctx.trace_id
         outcome.request_id = ctx.request_id
-        self.metrics.counter("serve.served").inc()
-        latency_ms = (monotonic_ns() - ticket.submitted_ns) / 1e6
-        hdr = self.metrics.log_histogram("serve.latency_hdr_ms")
-        # tail-based sampling: judge against the p99 *before* folding this
-        # sample in, once enough history exists to make p99 meaningful
-        tail = hdr.count >= 64 and latency_ms >= hdr.percentile(99.0)
-        # bounded memory, mergeable, and what the Prometheus exposition
-        # renders as a classic histogram — with the trace id as the
-        # bucket's exemplar, so p99 names a real request
-        hdr.observe(latency_ms, trace_id=ctx.trace_id)
         self.events.emit(
             REQUEST_SOLVED,
             ctx=ctx,
@@ -872,15 +904,15 @@ class SolverService:
         hang), while flushes already handed to the worker pool run out.
 
         A :meth:`submit` racing with either close never leaves a ticket
-        hanging: whichever side observes the race sweeps the batcher (the
-        straggler is failed fast on an abort, dispatched — or failed once
-        the pool is already stopping — on a drain).
+        hanging: it admits and parks its ticket under ``_state``, where
+        close sets ``_closed``, so the ticket is refused or already parked
+        when close sweeps the batcher. A flush dispatched once the pool is
+        stopping fails its tickets with :class:`ServiceClosedError`.
         """
         with self._state:
             if self._closed:
                 return
             self._closed = True
-            self._abort_close = not drain
             self._state.notify_all()
         if drain:
             self.flush()
@@ -890,13 +922,6 @@ class SolverService:
         self._flusher.join(timeout=timeout)
         with self._state:
             self._pool_closing = True
-        # one last sweep: a racing submit may have parked a ticket between
-        # the drain/fail above and the pool-closing flag being raised
-        if drain:
-            self.flush()
-            self.pool.join()
-        else:
-            self._fail_parked()
         self.pool.close()
 
     def __enter__(self) -> "SolverService":

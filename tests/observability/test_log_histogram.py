@@ -28,6 +28,30 @@ class TestLogHistogram:
         assert h.max == 100.0
         assert h.mean == pytest.approx(sum(samples) / 5)
 
+    def test_observe_many_equals_repeated_observe(self):
+        """One locked fold of a batch lands exactly as one observe per value."""
+        rng = random.Random(7)
+        values = [rng.lognormvariate(0.0, 2.0) for _ in range(300)]
+        values += [0.0, -1.0, 5.0, 5.0, 1e-9, 1e9]
+        ids = [None if i % 3 == 0 else f"trace-{i}" for i in range(len(values))]
+        one, many = LogHistogram("one"), LogHistogram("many")
+        for value, trace_id in zip(values, ids):
+            one.observe(value, trace_id=trace_id)
+        many.observe_many(values[:100], ids[:100])
+        many.observe_many(values[100:], ids[100:])
+        assert many.bucket_bounds() == one.bucket_bounds()
+        assert many.count == one.count == len(values)
+        assert many.total == one.total  # same order, so bit-equal
+        assert (many.min, many.max) == (one.min, one.max)
+        assert many.exemplars() == one.exemplars()
+        assert many.exemplar_for(99.0) == one.exemplar_for(99.0)
+
+    def test_observe_many_needs_one_trace_id_per_value(self):
+        h = LogHistogram("t")
+        with pytest.raises(ValueError):
+            h.observe_many([1.0, 2.0], ["only-one"])
+        assert h.count == 0
+
     def test_percentile_relative_error_bound(self):
         """Every quantile is within one growth step of the exact value."""
         rng = random.Random(42)

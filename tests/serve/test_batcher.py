@@ -42,10 +42,10 @@ class TestSizeFlush:
         clock = FakeClock()
         batcher = MicroBatcher(max_batch_size=3, max_wait_ns=10**9, clock=clock)
         tickets = [_ticket(clock) for _ in range(3)]
-        assert batcher.offer(tickets[0]) is None
-        assert batcher.offer(tickets[1]) is None
-        flush = batcher.offer(tickets[2])
-        assert flush is not None
+        assert batcher.offer(tickets[0]) == (None, True)  # opens the bucket
+        assert batcher.offer(tickets[1]) == (None, False)  # joins it
+        flush, opened = batcher.offer(tickets[2])
+        assert flush is not None and not opened
         assert flush.reason == SIZE
         assert flush.tickets == tickets
         assert batcher.pending == 0
@@ -55,8 +55,9 @@ class TestSizeFlush:
         clock = FakeClock()
         batcher = MicroBatcher(max_batch_size=1, max_wait_ns=10**9, clock=clock)
         for _ in range(4):
-            flush = batcher.offer(_ticket(clock))
+            flush, opened = batcher.offer(_ticket(clock))
             assert flush is not None and flush.size == 1 and flush.reason == SIZE
+            assert opened
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -94,7 +95,7 @@ class TestDeadlineFlush:
         clock = FakeClock()
         batcher = MicroBatcher(max_batch_size=2, max_wait_ns=int(1e6), clock=clock)
         batcher.offer(_ticket(clock))
-        assert batcher.offer(_ticket(clock)) is not None  # size flush
+        assert batcher.offer(_ticket(clock))[0] is not None  # size flush
         clock.advance_ms(10.0)
         assert batcher.due() == []
 
@@ -121,7 +122,7 @@ class TestCompatibility:
             _ticket(clock, n=8),                  # different size
         ]
         for ticket in variants:
-            assert batcher.offer(ticket) is None
+            assert batcher.offer(ticket) == (None, True)
         assert batcher.num_buckets == len(variants)
         flushes = batcher.drain()
         assert len(flushes) == len(variants)

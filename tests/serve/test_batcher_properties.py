@@ -82,7 +82,7 @@ def test_no_ticket_lost_or_double_flushed(
         if kind == "offer":
             ticket = SolveTicket(_request(arg, priority, tenant), submitted_ns=clock.now)
             offered.append(ticket)
-            flush = batcher.offer(ticket)
+            flush, _opened = batcher.offer(ticket)
             if flush is not None:
                 flushes.append(flush)
         else:

@@ -94,6 +94,30 @@ class TestAbortClose:
         assert all(t.result(timeout=30.0).converged for t in tickets)
 
 
+class TestDispatchRacingClose:
+    def test_size_flush_enqueued_while_drain_close_runs_is_served(self, monkeypatch):
+        # the hook lets a drain close() run between _dispatch's closing
+        # check and the enqueue; enqueued behind the workers' stop
+        # sentinels, the flush would never run and its tickets would hang
+        rng = np.random.default_rng(6)
+        config = ServeConfig(max_batch_size=2, max_wait_ms=60_000.0, num_workers=1)
+        service = SolverService(config)
+        closer = threading.Thread(target=service.close)
+        submit = service.pool.submit
+
+        def racing_submit(job):
+            closer.start()
+            closer.join(timeout=1.0)  # returns at once if close() can finish now
+            return submit(job)
+
+        monkeypatch.setattr(service.pool, "submit", racing_submit)
+        tickets = [service.submit(_request(rng)) for _ in range(2)]
+        closer.join(timeout=30.0)
+        assert not closer.is_alive()
+        assert all(t.result(timeout=5.0).converged for t in tickets)
+        assert service.pending == 0
+
+
 class TestCloseUnderChaos:
     """Pins for the close(drain=False) vs in-flight chaos race.
 

@@ -1,5 +1,7 @@
 """SolveRequest normalization, BatchKey compatibility, ticket semantics."""
 
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -10,7 +12,7 @@ from repro.exceptions import (
     UnsupportedCombinationError,
 )
 from repro.serve import SolveRequest, SolveTicket, assemble_batch
-from repro.serve.request import DONE, FAILED, PENDING, SolveOutcome
+from repro.serve.request import DONE, FAILED, PENDING, BatchKey, SolveOutcome
 
 
 def _tridiag(n=6, scale=1.0):
@@ -52,6 +54,117 @@ class TestBatchKey:
         r = SolveRequest(np.eye(5), np.ones(5))
         assert r.matrix_format == "dense"
         assert r.batch_key.pattern_token == "dense:5"
+
+
+def _reference_csr(a):
+    """The full canonicalisation every CSR input got before canonical
+    input was taken as is: copy, sort, prune, cast."""
+    csr = a.tocsr() if sp.issparse(a) else sp.csr_matrix(np.asarray(a, dtype=np.float64))
+    csr = csr.sorted_indices()
+    csr.eliminate_zeros()
+    return (
+        csr.indptr.astype(np.int32),
+        csr.indices.astype(np.int32),
+        csr.data.astype(np.float64),
+    )
+
+
+def _triplet(data, indices, indptr, n=4, cls=sp.csr_matrix):
+    return cls((np.asarray(data), np.asarray(indices), np.asarray(indptr)), shape=(n, n))
+
+
+def _stale_sorted_flag():
+    a = _tridiag(4)
+    assert a.has_sorted_indices  # computed and cached
+    a.indices[[0, 1]] = a.indices[[1, 0]]  # scrambled in place; the cache says sorted
+    assert a.has_sorted_indices
+    return a
+
+
+def _storage_past_nnz():
+    a = _tridiag(4)  # then two entries past indptr[-1] that read as sorted
+    a.indices = np.concatenate([a.indices, [3, 3]]).astype(a.indices.dtype)
+    a.data = np.concatenate([a.data, [9.0, 9.0]])
+    return a
+
+
+_PTRS = [0, 2, 4, 6, 8]
+_INGEST_CASES = {
+    "canonical": lambda: _tridiag(6),
+    "unsorted_rows": lambda: _triplet(
+        [2.0, -1.0, 4.0, -1.0, 3.0, 1.0, 5.0, -2.0], [1, 0, 2, 1, 3, 2, 3, 1], _PTRS
+    ),
+    "explicit_zeros": lambda: _triplet(
+        [2.0, 0.0, 4.0, -1.0, 3.0, 0.0, 5.0, 1.0], [0, 1, 1, 2, 2, 3, 1, 3], _PTRS
+    ),
+    "negative_zero": lambda: _triplet(
+        [2.0, -0.0, 4.0, -1.0, 3.0, 1.0, 5.0, 1.0], [0, 1, 1, 2, 2, 3, 1, 3], _PTRS
+    ),
+    "nan_values": lambda: _triplet(
+        [2.0, np.nan, 4.0, -1.0, 3.0, 1.0, 5.0, 1.0], [0, 1, 1, 2, 2, 3, 1, 3], _PTRS
+    ),
+    "duplicates_sorted": lambda: _triplet(
+        [2.0, 1.0, 4.0, -1.0, 3.0, 1.0, 5.0, 1.0], [0, 0, 1, 2, 2, 3, 3, 3], _PTRS
+    ),
+    "duplicates_unsorted": lambda: _triplet(
+        [2.0, 1.0, 4.0, -1.0, 3.0, 1.0, 5.0, 7.0], [1, 0, 2, 1, 3, 2, 3, 3], _PTRS
+    ),
+    "empty_rows": lambda: _triplet([2.0, 1.0, 3.0], [0, 2, 2], [0, 0, 2, 3, 3]),
+    "int64_indices": lambda: _triplet(
+        [2.0, -1.0, 4.0, -1.0, 3.0, 1.0, 5.0, 1.0],
+        np.array([0, 1, 1, 2, 2, 3, 1, 3], dtype=np.int64),
+        np.array(_PTRS, dtype=np.int64),
+    ),
+    "float32_data": lambda: _tridiag(5).astype(np.float32),
+    "int_data": lambda: _triplet(
+        np.array([2, -1, 4, 1, 3, 1, 5, 1]), [0, 1, 1, 2, 2, 3, 1, 3], _PTRS
+    ),
+    "csr_array": lambda: sp.csr_array(_tridiag(5)),
+    "coo": lambda: sp.coo_matrix(
+        ([1.0, 2.0, 3.0, 4.0, 0.0, 5.0], ([2, 0, 1, 2, 1, 0], [2, 0, 1, 0, 0, 0])), shape=(3, 3)
+    ),
+    "dense": lambda: np.array([[4.0, 0.0, 1.0], [0.0, 3.0, 0.0], [-0.0, 2.0, 5.0]]),
+    "stale_sorted_flag": _stale_sorted_flag,
+    "storage_past_nnz": _storage_past_nnz,
+}
+
+
+class TestIngest:
+    @pytest.mark.parametrize("case", sorted(_INGEST_CASES))
+    def test_same_pattern_values_and_key_as_full_canonicalisation(self, case):
+        a = _INGEST_CASES[case]()
+        row_ptrs, col_idxs, values = _reference_csr(a)
+        n = len(row_ptrs) - 1
+        request = SolveRequest(a, np.ones(n), matrix_format="csr", solver="cg")
+        for got, want in zip(
+            (request.row_ptrs, request.col_idxs, request.values), (row_ptrs, col_idxs, values)
+        ):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        digest = hashlib.sha1(row_ptrs.tobytes())
+        digest.update(col_idxs.tobytes())
+        assert request.batch_key == BatchKey(
+            matrix_format="csr",
+            num_rows=n,
+            pattern_token=digest.hexdigest()[:16],
+            solver="cg",
+            preconditioner="identity",
+            criterion="relative",
+            precision="double",
+            tolerance=1e-8,
+            max_iterations=500,
+        )
+
+    def test_request_owns_its_arrays(self):
+        a = _tridiag(6)
+        request = SolveRequest(a, np.ones(6))
+        kept = [arr.copy() for arr in (request.row_ptrs, request.col_idxs, request.values)]
+        a.data[:] = 7.0
+        a.indices[:] = 0
+        a.indptr[:] = 0
+        got = (request.row_ptrs, request.col_idxs, request.values)
+        assert all(np.array_equal(g, k) for g, k in zip(got, kept))
+        assert all(arr.flags.owndata for arr in got)
 
 
 class TestValidation:
@@ -108,6 +221,28 @@ class TestAssembleBatch:
         r2 = SolveRequest(sp.csr_matrix(np.eye(6)), np.ones(6))
         with pytest.raises(BadSparsityPatternError):
             assemble_batch([r1, r2])
+
+    @pytest.mark.parametrize(
+        "odd",
+        [
+            lambda: _tridiag() + sp.eye(6, k=3, format="csr"),  # more entries
+            lambda: _triplet(  # same nnz, moved entries
+                np.ones(16), [0, 1, 0, 1, 3, 2, 3, 4, 3, 4, 5, 4, 5, 2, 4, 5],
+                [0, 2, 5, 8, 11, 14, 16], n=6,
+            ),
+            lambda: _tridiag(7),  # another size
+            lambda: np.eye(6),  # dense
+        ],
+        ids=["more_entries", "moved_entries", "other_size", "dense"],
+    )
+    @pytest.mark.parametrize("at", [1, 3])
+    def test_error_names_the_first_mismatching_request(self, odd, at):
+        requests = [SolveRequest(_tridiag(), np.ones(6)) for _ in range(5)]
+        a = odd()
+        requests[at] = SolveRequest(a, np.ones(a.shape[0]))
+        requests[4] = SolveRequest(sp.csr_matrix(np.eye(6)), np.ones(6))  # a later mismatch
+        with pytest.raises(BadSparsityPatternError, match=f"request {at} does not share"):
+            assemble_batch(requests)
 
     def test_dense_requests_assemble_to_batch_dense(self):
         requests = [SolveRequest(np.eye(4) * s, np.ones(4)) for s in (1.0, 2.0)]

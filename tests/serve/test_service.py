@@ -1,5 +1,6 @@
 """SolverService end-to-end: correctness, backpressure, timeouts, fallback."""
 
+import collections
 import sys
 import threading
 import time
@@ -203,11 +204,11 @@ class TestBackpressure:
             finish_ok = service._finish_ok
             calls = []
 
-            def flaky_finish_ok(ticket, outcome, flush_id):
+            def flaky_finish_ok(ticket, *args):
                 calls.append(ticket)
                 if len(calls) == 3:
                     raise RuntimeError("bundle write failed")
-                finish_ok(ticket, outcome, flush_id)
+                finish_ok(ticket, *args)
 
             monkeypatch.setattr(service, "_finish_ok", flaky_finish_ok)
             tickets = [
@@ -226,6 +227,121 @@ class TestBackpressure:
         service.close()
         with pytest.raises(ServiceClosedError):
             service.submit(SolveRequest(_tridiag(8), np.ones(8)))
+
+
+class _Clock:
+    """A settable stand-in for the service clock (integer nanoseconds)."""
+
+    def __init__(self) -> None:
+        self.now = 0
+
+    def __call__(self) -> int:
+        return self.now
+
+
+class _Counting:
+    """Forwards to ``target``, counting calls to the methods named in ``kinds``."""
+
+    def __init__(self, target, label, calls, kinds) -> None:
+        self._target, self._label, self._calls, self._kinds = target, label, calls, kinds
+
+    def __getattr__(self, attr):
+        value = getattr(self._target, attr)
+        if attr not in self._kinds:
+            return value
+
+        def counted(*args, **kwargs):
+            self._calls[(self._label, attr)] += 1
+            return value(*args, **kwargs)
+
+        return counted
+
+
+class _CountingRegistry:
+    """A metrics registry whose instruments count their record calls."""
+
+    WRITES = ("inc", "set", "add", "observe", "observe_many")
+
+    def __init__(self, registry, calls) -> None:
+        self._registry, self._calls = registry, calls
+
+    def __getattr__(self, attr):
+        make = getattr(self._registry, attr)
+        if attr not in ("counter", "gauge", "log_histogram"):
+            return make
+        return lambda name: _Counting(make(name), name, self._calls, self.WRITES)
+
+
+class _CountingCondition(_Counting):
+    """A condition variable whose ``notify_all`` calls are counted."""
+
+    def __enter__(self):
+        return self._target.__enter__()
+
+    def __exit__(self, *exc):
+        return self._target.__exit__(*exc)
+
+
+class TestPerFlushAccounting:
+    def test_a_full_size_flush_writes_each_kind_once(self):
+        """CI guard by count: one fold per flush, not one write per request."""
+        calls = collections.Counter()
+        config = ServeConfig(max_batch_size=64, max_wait_ms=60_000.0, num_workers=1)
+        with SolverService(config) as service:
+            service.metrics = _CountingRegistry(service.metrics, calls)
+            service.breaker = _Counting(
+                service.breaker, "breaker", calls, ("record", "record_many")
+            )
+            service._state = _CountingCondition(service._state, "state", calls, ("notify_all",))
+            tickets = [service.submit(SolveRequest(_tridiag(8), np.ones(8)))]
+            opened = calls[("state", "notify_all")]
+            tickets += [service.submit(SolveRequest(_tridiag(8), np.ones(8))) for _ in range(62)]
+            # offers that join the open bucket leave the flusher asleep
+            assert calls[("state", "notify_all")] == opened
+            tickets.append(service.submit(SolveRequest(_tridiag(8), np.ones(8))))
+            outcomes = [t.result(timeout=60.0) for t in tickets]
+            assert service.wait_idle(timeout=30.0)
+        assert all(o.converged and o.batch_size == 64 for o in outcomes)
+        for name in ("serve.latency_hdr_ms", "serve.queue_wait_hdr_ms"):
+            assert calls[(name, "observe_many")] == 1, name
+            assert calls[(name, "observe")] == 0, name
+        assert calls[("serve.served", "inc")] == 1
+        assert calls[("breaker", "record_many")] == 1
+        assert calls[("breaker", "record")] == 0
+        assert service.metrics.counter("serve.served").value == 64
+
+    def test_tail_is_judged_against_the_p99_before_the_flush(self, monkeypatch):
+        clock = _Clock()
+        monkeypatch.setattr("repro.serve.service.monotonic_ns", clock)
+        # head sampling off: only critical events survive, so a request.solved
+        # event exists exactly for the requests judged tail
+        config = ServeConfig(
+            max_batch_size=64, max_wait_ms=60_000.0, num_workers=1,
+            telemetry_sample_rate=0.0,
+        )
+        with SolverService(config) as service:
+            hdr = service.metrics.log_histogram("serve.latency_hdr_ms")
+            hdr.observe_many([10.0] * 100)
+            assert hdr.percentile(99.0) == 10.0
+            tickets = {}
+            # latencies at 100 ms: 100, 10.2, 10.0 and 5 ms; folding the
+            # first one in would lift p99 to its bucket midpoint, 10.37 ms
+            for name, submitted_ms in (("slow", 0.0), ("above", 89.8), ("at", 90.0),
+                                       ("fast", 95.0)):
+                clock.now = round(submitted_ms * 1e6)
+                tickets[name] = service.submit(SolveRequest(_tridiag(8), np.ones(8)))
+            clock.now = 100_000_000
+            service.flush()
+            assert all(t.result(timeout=30.0).converged for t in tickets.values())
+        solved = {
+            r["trace_id"]: r for r in service.events.records() if r["type"] == "request.solved"
+        }
+        judged = {
+            name for name, t in tickets.items() if t.trace_context.trace_id in solved
+        }
+        assert judged == {"slow", "above", "at"}
+        assert all(r["fields"]["tail"] and r["keep"] == "tail" for r in solved.values())
+        assert hdr.count == 104
 
 
 class TestTimeout:
