@@ -11,10 +11,13 @@
 # lint gate clean, the tracing pipeline producing valid Chrome
 # traces through `repro run --with trace` (whose observer options never
 # reach the wrapped command), the serving layer honouring its contracts,
-# the profiler attributing counters on both backends with green model
-# drift, the one fused-kernel dispatch agreeing with the reference on all
-# three backends (the CUDA reduction path included), the CUDA-spelled
-# kernel tour running, the committed benchmark artifacts within
+# the fused kernels sanitizer-clean and agreeing with the reference at
+# every launch geometry other than the heuristic's (a work-group smaller
+# than the system included), the profiler attributing counters on both
+# backends with green model drift, the one fused-kernel dispatch
+# agreeing with the reference on all three backends (the CUDA reduction
+# path included), the CUDA-spelled kernel tour running, the committed
+# benchmark artifacts within
 # tolerance of the baseline manifest, and the repo benchmark's own
 # checks passing. Every
 # stage is a hard gate: set -e aborts the script (and fails CI) on the
@@ -53,8 +56,11 @@ echo "== fleet smoke =="
 python scripts/smoke_fleet.py
 
 echo
-echo "== tune smoke =="
-python scripts/smoke_tune.py --sanitize
+echo "== geometry diff =="
+# at 24 rows the differential grid's geometry axis runs every fused
+# kernel at each (sub-group, work-group) pair the Sec. 3.6 heuristic does
+# not pick, including a work-group smaller than the system
+python -m repro sanitize diff --backends sycl,wide --rows 24
 
 echo
 echo "== profile smoke =="

@@ -129,28 +129,6 @@ def main(argv=None) -> int:
         f"({time.perf_counter() - start:.1f} s)"
     )
 
-    # autotuning smoke + benchmark: contracts, then tuned-vs-default artifact
-    import bench_autotune
-    import smoke_tune
-
-    start = time.perf_counter()
-    code = smoke_tune.main([])
-    if code != 0:
-        return code
-    print(f"tune smoke OK ({time.perf_counter() - start:.1f} s)")
-
-    start = time.perf_counter()
-    tune_args = ["--out", str(out / "BENCH_autotune.json")]
-    if args.quick:
-        tune_args.append("--quick")
-    code = bench_autotune.main(tune_args)
-    if code != 0:
-        return code
-    print(
-        f"wrote {out / 'BENCH_autotune.json'} "
-        f"({time.perf_counter() - start:.1f} s)"
-    )
-
     # profiling smoke + overhead benchmark: measured-counter attribution,
     # model drift, and the disabled-path cost bound
     import bench_profile_overhead

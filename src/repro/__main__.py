@@ -16,10 +16,6 @@ Commands:
   a scale-up + graceful-drain lifecycle demonstration (or the live
   ``Autoscaler`` with ``--autoscale``), per-shard counters and ring
   occupancy.
-* ``tune``     — drive the empirical autotuner (``repro.tune``): search
-  launch configurations for a workload (``tune tune``), inspect the
-  persistent tuning database (``tune show``), or drop records
-  (``tune clear``).
 * ``run``      — run any other command under observers, e.g.
   ``python -m repro run --with trace,profile --trace-out t.json stencil``:
   ``trace`` exports a Chrome trace (open it in Perfetto), ``sanitize``
@@ -52,7 +48,8 @@ Commands:
   ``sanitize selftest`` runs the seeded-mutation detector battery,
   ``sanitize check <case>`` runs one battery kernel (violations print a
   structured report and exit 1), and ``sanitize diff`` runs the backend
-  differential grid.
+  differential grid, at the Sec. 3.6 launch geometry and at every other
+  legal (sub-group, work-group) pair for ``--rows``.
 * ``postmortem`` — flight-recorder bundles (``repro.recorder``):
   ``analyze`` attributes incidents, ``timeline`` merges the cross-shard
   event stream and ``diff`` shows what changed between two bundles.
@@ -439,99 +436,6 @@ def _cmd_fleet_demo(args) -> int:
     return 0 if converged == len(outcomes) else 1
 
 
-def _cmd_tune(args) -> int:
-    """Drive the autotuner / inspect the persistent tuning database."""
-    from repro.bench.report import print_table
-    from repro.hw.specs import gpu
-    from repro.tune import (
-        Autotuner,
-        TuningDB,
-        derive_threshold,
-        pele_workload,
-        stencil_workload,
-    )
-
-    db = TuningDB(args.db)
-
-    if args.action == "show":
-        records = db.records()
-        if not records:
-            print(f"tuning DB {args.db}: no records")
-            return 0
-        rows = [
-            {
-                "device": r.key.device,
-                "solver": r.key.solver,
-                "precond": r.key.preconditioner,
-                "rows": r.key.rows_bucket,
-                "precision": r.key.precision,
-                "sg": r.candidate.sub_group_size,
-                "wg": r.candidate.work_group_size,
-                "reduce": r.candidate.reduction_scope,
-                "slm": r.candidate.slm_strategy,
-                "tuned_us": round(r.modeled_seconds * 1e6, 2),
-                "speedup": round(r.speedup, 3),
-                "strategy": r.strategy,
-                "evals": r.evaluations,
-            }
-            for r in records
-        ]
-        print_table(rows, f"tuning DB {args.db}")
-        for device_name in sorted({r.key.device for r in records}):
-            threshold = derive_threshold(db, device_name)
-            if threshold is not None:
-                print(
-                    f"derived sub-group threshold for {device_name}: "
-                    f"{threshold} rows"
-                )
-        return 0
-
-    if args.action == "clear":
-        device = None if args.platform is None else gpu(args.platform).device.name
-        removed = db.clear(device=device, solver=args.solver)
-        print(f"removed {removed} record(s) from {args.db}")
-        return 0
-
-    # action == "tune": search (or fetch) the configuration for one workload
-    if args.platform is None:
-        raise SystemExit("repro tune tune: --platform is required")
-    spec = gpu(args.platform)
-    if args.workload == "stencil":
-        workload = stencil_workload(args.rows, nb_solve=args.nb_solve)
-    else:
-        workload = pele_workload(args.workload, nb_solve=args.nb_solve)
-    tuner = Autotuner(
-        spec,
-        db=db,
-        strategy=args.strategy,
-        budget=args.budget,
-        patience=args.patience,
-        seed=args.seed,
-        prune_fraction=args.prune_fraction,
-    )
-    outcome = tuner.tune(workload, force=args.force)
-    record = outcome.record
-    source = "cache hit (no measurements)" if outcome.from_cache else (
-        f"searched {record.evaluations} candidates ({record.strategy})"
-    )
-    print(
-        f"{spec.key} / {workload.name} ({workload.solver}, "
-        f"{workload.num_rows} rows): {source}"
-    )
-    print(
-        f"  tuned:   sg={record.candidate.sub_group_size} "
-        f"wg={record.candidate.work_group_size} "
-        f"reduce={record.candidate.reduction_scope} "
-        f"slm={record.candidate.slm_strategy} "
-        f"-> {record.modeled_seconds * 1e6:.2f} us"
-    )
-    print(
-        f"  default: {record.default_seconds * 1e6:.2f} us  "
-        f"(speedup {record.speedup:.3f}x)"
-    )
-    return 0
-
-
 def _cmd_advisor(args) -> None:
     from repro.bench.figures import fig8_roofline
 
@@ -607,7 +511,7 @@ def _sanitize_diff(args) -> int:
         dense[k] = np.eye(n) + a @ a.T
     b = rng.standard_normal((nb, n))
 
-    cases = kernel_grid(f"seed{args.seed}", backends=backends)
+    cases = kernel_grid(f"seed{args.seed}", n, backends=backends)
     disagreements = 0
     for case in cases:
         outcome = run_differential(dense, b, case)
@@ -1525,39 +1429,6 @@ def build_parser() -> argparse.ArgumentParser:
     _dump_telemetry_args(fleet_demo)
     fleet_demo.set_defaults(fn=_cmd_fleet_demo)
 
-    tune = sub.add_parser(
-        "tune", help="empirical launch-parameter autotuning (repro.tune)"
-    )
-    tune.add_argument(
-        "action",
-        choices=["tune", "show", "clear"],
-        help="tune = search one workload; show = list records; clear = drop records",
-    )
-    tune.add_argument("--db", default="tuning_db.json", help="TuningDB file path")
-    tune.add_argument(
-        "--platform",
-        default=None,
-        help="platform key (pvc1/pvc2/a100/h100); required for 'tune', "
-        "filters for 'clear'",
-    )
-    tune.add_argument(
-        "--workload",
-        default="stencil",
-        help="'stencil' (with --rows) or a PeleLM mechanism name",
-    )
-    tune.add_argument("--rows", type=int, default=32)
-    tune.add_argument("--nb-solve", type=int, default=8)
-    tune.add_argument("--strategy", choices=["grid", "coordinate", "random"], default="grid")
-    tune.add_argument("--budget", type=int, default=16)
-    tune.add_argument("--patience", type=int, default=8)
-    tune.add_argument("--seed", type=int, default=0)
-    tune.add_argument("--prune-fraction", type=float, default=1.0)
-    tune.add_argument("--force", action="store_true", help="re-search even on a DB hit")
-    tune.add_argument(
-        "--solver", dest="solver", default=None, help="solver filter for 'clear'"
-    )
-    tune.set_defaults(fn=_cmd_tune)
-
     top = sub.add_parser(
         "top",
         help="live text dashboard over a synthetic serve workload: metrics, "
@@ -1594,7 +1465,12 @@ def build_parser() -> argparse.ArgumentParser:
     diff = verbs.add_parser("diff", help="backend differential grid on a seeded SPD batch")
     diff.add_argument("--seed", type=int, default=0)
     diff.add_argument("--batch", type=int, default=3)
-    diff.add_argument("--rows", type=int, default=16)
+    diff.add_argument(
+        "--rows",
+        type=int,
+        default=16,
+        help="rows per system; the launch geometries checked follow from it",
+    )
     diff.add_argument(
         "--backends",
         default="sycl,cuda,wide",

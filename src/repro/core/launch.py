@@ -13,8 +13,9 @@ matrix size:
   the SLM"), and at work-group scope otherwise.
 
 The small/large threshold "needs to be determined experimentally for each
-targeted device"; devices may carry a tuned value in
-``device.extra['sub_group_threshold_rows']``, with a conservative default.
+targeted device"; ``benchmarks/bench_ablation_subgroup_size.py`` runs that
+study, and the configurator takes the threshold as an argument with a
+conservative default.
 """
 
 from __future__ import annotations
@@ -59,15 +60,14 @@ class KernelLaunchPlan:
 class LaunchGeometry:
     """The matrix-size-dependent part of a launch plan (Section 3.6).
 
-    The heuristic makes it a pure function of ``(device, num_rows)``;
-    the autotuner's candidates are geometries too. :meth:`plan` stamps
-    out the :class:`KernelLaunchPlan` for a batch of systems.
+    The heuristic makes it a pure function of ``(device, num_rows)``.
+    :meth:`plan` stamps out the :class:`KernelLaunchPlan` for a batch of
+    systems.
     """
 
     work_group_size: int
     sub_group_size: int
     reduction_scope: str
-    device_name: str
 
     def plan(self, num_batch: int, slm_bytes_per_group: int = 0) -> KernelLaunchPlan:
         """A concrete launch plan for ``num_batch`` systems of this geometry."""
@@ -88,21 +88,9 @@ class LaunchConfigurator:
     def __init__(
         self,
         device: SyclDevice,
-        sub_group_threshold_rows: int | None = None,
+        sub_group_threshold_rows: int = DEFAULT_SUB_GROUP_THRESHOLD_ROWS,
     ) -> None:
         self.device = device
-        if sub_group_threshold_rows is None:
-            raw = device.extra.get(
-                "sub_group_threshold_rows", DEFAULT_SUB_GROUP_THRESHOLD_ROWS
-            )
-            try:
-                sub_group_threshold_rows = int(raw)
-            except (TypeError, ValueError):
-                raise ValueError(
-                    f"device {device.name!r} carries a non-integer "
-                    f"extra['sub_group_threshold_rows'] value {raw!r}; expected "
-                    "a positive row count"
-                ) from None
         if sub_group_threshold_rows <= 0:
             raise ValueError(
                 f"sub_group_threshold_rows must be positive, got {sub_group_threshold_rows}"
@@ -150,7 +138,6 @@ class LaunchConfigurator:
             work_group_size=wg,
             sub_group_size=sg,
             reduction_scope=self.pick_reduction_scope(num_rows, sg),
-            device_name=self.device.name,
         )
 
     def configure(

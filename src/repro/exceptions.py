@@ -142,20 +142,6 @@ class CollectiveMisuseError(SanitizerError):
 
 
 # --------------------------------------------------------------------------
-# Autotuning errors (repro.tune)
-# --------------------------------------------------------------------------
-
-
-class TuningError(ReproError):
-    """Base class for errors raised by the autotuning subsystem."""
-
-
-class TuningDBError(TuningError, ValueError):
-    """The persistent tuning database is corrupt, unreadable or of an
-    incompatible schema version."""
-
-
-# --------------------------------------------------------------------------
 # Serving-layer errors (repro.serve)
 # --------------------------------------------------------------------------
 

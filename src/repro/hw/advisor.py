@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 from repro.core.solver.base import BatchIterativeSolver, BatchSolveResult
 from repro.hw.memmodel import TrafficSplit
-from repro.hw.occupancy import GREEDY
 from repro.hw.roofline import Roofline, RooflinePoint
 from repro.hw.specs import GpuSpec
 from repro.hw.timing import TimingBreakdown, estimate_solve
@@ -73,10 +72,9 @@ def analyze_solve(
     solver: BatchIterativeSolver,
     result: BatchSolveResult,
     num_batch: int | None = None,
-    policy: str = GREEDY,
 ) -> AdvisorReport:
     """Produce the Fig. 8-style report for a measured solve on ``spec``."""
-    timing = estimate_solve(spec, solver, result, num_batch=num_batch, policy=policy)
+    timing = estimate_solve(spec, solver, result, num_batch=num_batch)
     groups_total = num_batch if num_batch is not None else solver.matrix.num_batch
     total_split = timing.split_per_group_iter.scaled(groups_total * timing.iterations)
     # the one-time cold footprint (first touch of A and b, write of x) is

@@ -3,11 +3,8 @@
 Section 4.4 of the paper explains the solvers' ~50% XVE threading
 occupancy: "we let each work-group use the maximum amount of shared local
 memory available regardless of the work-group size", so SLM capacity — not
-the thread slots — limits how many work-groups an Xe-core hosts. The
-``greedy`` policy models exactly that (one group per compute unit); the
-``exact`` policy allocates only the planned workspace bytes and lets
-residency rise until the thread-capacity or SLM limit binds — this is the
-knob the SLM-ablation bench turns.
+the thread slots — limits how many work-groups an Xe-core hosts. The model
+is exactly that greedy allocation: one resident group per compute unit.
 """
 
 from __future__ import annotations
@@ -17,25 +14,14 @@ from dataclasses import dataclass
 from repro.core.launch import KernelLaunchPlan
 from repro.hw.specs import GpuSpec
 
-#: SLM allocation policies.
-GREEDY = "greedy"
-EXACT = "exact"
 
+def resident_groups(spec: GpuSpec, plan: KernelLaunchPlan) -> int:
+    """Work-groups simultaneously resident on one compute unit.
 
-def resident_groups(spec: GpuSpec, plan: KernelLaunchPlan, policy: str = GREEDY) -> int:
-    """Work-groups simultaneously resident on one compute unit."""
-    if policy == GREEDY:
-        # each group claims the whole SLM, so exactly one fits
-        return 1
-    if policy != EXACT:
-        raise ValueError(f"unknown SLM policy {policy!r}; use 'greedy' or 'exact'")
-    slm_limit = (
-        spec.slm_bytes_per_cu // plan.slm_bytes_per_group
-        if plan.slm_bytes_per_group > 0
-        else spec.device.max_work_items_per_cu
-    )
-    thread_limit = spec.device.max_work_items_per_cu // plan.work_group_size
-    return max(1, min(int(slm_limit), int(thread_limit)))
+    Each group claims the whole SLM, so exactly one fits, whatever
+    ``spec`` and ``plan``.
+    """
+    return 1
 
 
 @dataclass(frozen=True)
@@ -63,7 +49,6 @@ def occupancy_report(
     spec: GpuSpec,
     plan: KernelLaunchPlan,
     num_batch: int,
-    policy: str = GREEDY,
 ) -> OccupancyReport:
     """Residency, threading occupancy and wave count of a batched launch.
 
@@ -77,7 +62,7 @@ def occupancy_report(
     """
     if num_batch <= 0:
         raise ValueError(f"num_batch must be positive, got {num_batch}")
-    r = resident_groups(spec, plan, policy)
+    r = resident_groups(spec, plan)
     threads_per_group = -(-plan.work_group_size // plan.sub_group_size)
     xve_per_cu = int(spec.device.extra.get("xve_per_core", 8))
     threads_resident = r * threads_per_group

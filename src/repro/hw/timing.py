@@ -25,13 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.launch import KernelLaunchPlan, LaunchConfigurator
 from repro.core.solver.base import BatchIterativeSolver, BatchSolveResult
 from repro.core.workspace import SlmBudget, WorkspacePlan, plan_workspace
 from repro.hw.memmodel import TrafficSplit, split_traffic
-from repro.hw.occupancy import GREEDY, OccupancyReport, occupancy_report
+from repro.hw.occupancy import OccupancyReport, occupancy_report
 from repro.hw.specs import GpuSpec
 from repro.observability.tracer import current_tracer
 
@@ -77,7 +75,6 @@ def estimate_runtime(
     num_batch: int,
     plan: KernelLaunchPlan,
     workspace: WorkspacePlan,
-    policy: str = GREEDY,
     cold_bytes_total: float = 0.0,
     flop_rate_scale: float = 1.0,
 ) -> TimingBreakdown:
@@ -91,7 +88,7 @@ def estimate_runtime(
         raise ValueError(f"iterations must be positive, got {iterations}")
     if flop_rate_scale <= 0:
         raise ValueError(f"flop_rate_scale must be positive, got {flop_rate_scale}")
-    occ = occupancy_report(spec, plan, num_batch, policy)
+    occ = occupancy_report(spec, plan, num_batch)
     r = occ.resident_groups_per_cu
 
     t_compute = per_group_iter.flops * r / (
@@ -139,8 +136,6 @@ def estimate_solve(
     solver: BatchIterativeSolver,
     result: BatchSolveResult,
     num_batch: int | None = None,
-    policy: str = GREEDY,
-    sub_group_threshold_rows: int | None = None,
 ) -> TimingBreakdown:
     """Model a measured solve on platform ``spec``.
 
@@ -171,10 +166,9 @@ def estimate_solve(
             precond_doubles=solver.preconditioner.workspace_doubles_per_system(),
             bytes_per_value=matrix.value_bytes,
         )
-        configurator = LaunchConfigurator(
-            spec.device, sub_group_threshold_rows=sub_group_threshold_rows
+        plan = LaunchConfigurator(spec.device).configure(
+            matrix.num_rows, nb_model, workspace
         )
-        plan = configurator.configure(matrix.num_rows, nb_model, workspace)
 
         iterations = solver.model_stages(result)
         full_split = split_traffic(result.ledger, workspace)
@@ -195,7 +189,6 @@ def estimate_solve(
             nb_model,
             plan,
             workspace,
-            policy=policy,
             cold_bytes_total=cold_bytes,
             flop_rate_scale=8.0 / matrix.value_bytes,
         )

@@ -17,10 +17,18 @@ the same algorithm —
 and compares per-system iteration counts, solutions and convergence
 histories. Each device run is one :func:`repro.kernels.solve_fused` on
 :func:`repro.kernels.queue_for`, the entry point every fused-kernel
-caller shares. The per-work-item backends run under an installed sanitizer;
-the wide backend runs bare, because its lockstep execution falls back to
-the faithful interpreter under a sanitizer (per-item shadow checking has
-no meaning over a collapsed lane axis — see ``docs/wide_backend.md``),
+caller shares. Besides the Section 3.6 heuristic's launch geometry, the
+grid runs each backend at every other legal (sub-group, work-group) pair
+for its row count (:func:`geometry_pairs`), so the kernels are checked at
+work-groups smaller than the system and at the other sub-group width. A
+pair is forced only through the device descriptor (:func:`forced_device`):
+the heuristic, run on a device with that one sub-group width and that
+work-group maximum, lands on the pair by itself.
+
+The per-work-item backends run under an installed sanitizer; the wide
+backend runs bare, because its lockstep execution falls back to the
+faithful interpreter under a sanitizer (per-item shadow checking has no
+meaning over a collapsed lane axis — see ``docs/wide_backend.md``),
 which would make the differential comparison vacuous. Exact bitwise
 equality across paths is *not* the contract: the paths reduce in
 different orders (NumPy pairwise summation, the SYCL group primitive
@@ -35,12 +43,14 @@ the system.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
 from repro.core.dispatch import BatchSolverFactory
+from repro.core.launch import LaunchConfigurator
 from repro.core.matrix.batch_csr import BatchCsr
 from repro.instruments import use
 from repro.kernels import (
@@ -51,6 +61,8 @@ from repro.kernels import (
     solve_fused,
 )
 from repro.sanitize.sanitizer import Sanitizer, SanitizerConfig
+from repro.sycl.device import SyclDevice
+from repro.utils.validation import round_up
 
 #: Comparison slack per precision: (history rtol, solution atol scale,
 #: allowed iteration-count delta). Single precision stores the operators
@@ -73,13 +85,44 @@ class DiffCase:
     tolerance: float = 1e-8
     max_iterations: int = 200
     omega: float = 0.9  # richardson relaxation
+    geometry: tuple[int, int] | None = None  # (sub-group, work-group); None: heuristic
 
     def label(self) -> str:
         """Stable human-readable id (test ids, CLI output)."""
-        return (
+        label = (
             f"{self.name}/{self.solver}+{self.preconditioner}"
             f"/{self.precision}/{self.backend}"
         )
+        if self.geometry is not None:
+            sg, wg = self.geometry
+            label += f"/sg{sg}-wg{wg}"
+        return label
+
+
+def geometry_pairs(backend: str, num_rows: int) -> list[tuple[int, int]]:
+    """Every legal (sub-group, work-group) pair but the heuristic's.
+
+    The sub-group sizes are those of ``backend``'s device; the work-group
+    sizes are the multiples of the sub-group from one sub-group up to
+    ``round_up(num_rows, sg)``, within the device's work-group maximum.
+    """
+    device = queue_for(backend).device
+    heuristic = LaunchConfigurator(device).geometry(num_rows)
+    chosen = (heuristic.sub_group_size, heuristic.work_group_size)
+    pairs = []
+    for sg in sorted(device.sub_group_sizes):
+        top = min(round_up(num_rows, sg), device.max_work_group_size // sg * sg)
+        pairs += [(sg, wg) for wg in range(sg, top + 1, sg) if (sg, wg) != chosen]
+    return pairs
+
+
+def forced_device(backend: str, geometry: tuple[int, int]) -> SyclDevice:
+    """``backend``'s device narrowed to one sub-group width and a
+    work-group maximum, so the heuristic picks exactly ``geometry``."""
+    sg, wg = geometry
+    return dataclasses.replace(
+        queue_for(backend).device, sub_group_sizes=(sg,), max_work_group_size=wg
+    )
 
 
 @dataclass
@@ -153,7 +196,8 @@ def run_backend(
         matrix.row_ptrs, matrix.col_idxs, values, num_cols=matrix.num_cols
     )
     history = np.full((matrix.num_batch, case.max_iterations + 1), np.nan)
-    queue = queue_for(case.backend)
+    device = None if case.geometry is None else forced_device(case.backend, case.geometry)
+    queue = queue_for(case.backend, device=device)
 
     def solve():
         return solve_fused(
@@ -258,8 +302,8 @@ def run_differential(
     residual -= np.asarray(b, dtype=np.float64)
     b_norms = np.linalg.norm(np.asarray(b, dtype=np.float64), axis=1)
     rel_res = np.linalg.norm(residual, axis=1) / np.maximum(b_norms, 1e-300)
-    # converged systems must actually solve the system (tuning/sanitizer
-    # overhead must never trade correctness — the acceptance criterion)
+    # converged systems must actually solve the system (neither a launch
+    # geometry nor the sanitizer may trade correctness)
     converged = it_dev < case.max_iterations
     tol_slack = case.tolerance * (1e3 if case.precision == "single" else 10.0)
     bad = converged & (rel_res > tol_slack)
@@ -284,26 +328,33 @@ def run_differential(
 
 def kernel_grid(
     name: str,
+    num_rows: int,
     precisions: tuple = ("double", "single"),
     backends: tuple = BACKENDS,
     tolerance: float = 1e-8,
     max_iterations: int = 200,
 ) -> list[DiffCase]:
-    """Every kernel-backed solver x preconditioner x precision x backend."""
+    """Every kernel-backed solver x preconditioner x precision x backend,
+    each at the heuristic geometry and at every other pair for ``num_rows``."""
+    geometries = {
+        backend: (None, *geometry_pairs(backend, num_rows)) for backend in backends
+    }
     cases = []
     for solver in KERNEL_SOLVERS:
         for precond in KERNEL_PRECONDITIONERS:
             for precision in precisions:
                 for backend in backends:
-                    cases.append(
-                        DiffCase(
-                            name=name,
-                            solver=solver,
-                            preconditioner=precond,
-                            precision=precision,
-                            backend=backend,
-                            tolerance=tolerance,
-                            max_iterations=max_iterations,
+                    for geometry in geometries[backend]:
+                        cases.append(
+                            DiffCase(
+                                name=name,
+                                solver=solver,
+                                preconditioner=precond,
+                                precision=precision,
+                                backend=backend,
+                                tolerance=tolerance,
+                                max_iterations=max_iterations,
+                                geometry=geometry,
+                            )
                         )
-                    )
     return cases

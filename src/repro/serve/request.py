@@ -159,14 +159,16 @@ class SolveRequest:
 
         self._ingest_matrix(a, matrix_format)
 
-        b = np.asarray(b, dtype=np.float64)
+        # copies, like the matrix arrays: a caller may reuse its buffers
+        # while the request is still queued
+        b = np.array(b, dtype=np.float64)
         if b.shape != (self.num_rows,):
             raise DimensionMismatchError(
                 f"b must have shape ({self.num_rows},), got {b.shape}"
             )
         self.b = b
         if x0 is not None:
-            x0 = np.asarray(x0, dtype=np.float64)
+            x0 = np.array(x0, dtype=np.float64)
             if x0.shape != (self.num_rows,):
                 raise DimensionMismatchError(
                     f"x0 must have shape ({self.num_rows},), got {x0.shape}"
@@ -199,7 +201,7 @@ class SolveRequest:
 
         if fmt == "dense":
             dense = a.toarray() if sp.issparse(a) else a
-            self.dense = np.ascontiguousarray(dense, dtype=np.float64)
+            self.dense = np.array(dense, dtype=np.float64, order="C")
             self.num_rows = self.dense.shape[0]
             self.row_ptrs = None
             self.col_idxs = None

@@ -1,5 +1,8 @@
 """The ASCII chart helpers and the command-line interface."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.__main__ import build_parser, main
@@ -85,6 +88,12 @@ class TestCli:
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    def test_readme_lists_exactly_the_parsers_commands(self):
+        readme = (Path(__file__).resolve().parents[2] / "README.md").read_text()
+        listed = re.search(r"``python -m repro (\{[^}]*\})``", readme).group(1)
+        commands = re.search(r"\{[^}]*\}", build_parser().format_usage()).group(0)
+        assert listed == commands
 
     def test_top_level_help_lists_run(self):
         assert "\n    run " in build_parser().format_help()

@@ -173,28 +173,6 @@ class TestLaunchConfigurator:
         with pytest.raises(ValueError):
             LaunchConfigurator(pvc_stack_device(1), sub_group_threshold_rows=0)
 
-    def test_threshold_from_device_extra(self):
-        dev = replace(pvc_stack_device(1), extra={"sub_group_threshold_rows": 10})
-        cfg = LaunchConfigurator(dev)
-        assert cfg.sub_group_threshold_rows == 10
-        assert cfg.pick_sub_group_size(22) == 32  # above the tuned threshold
-
-    def test_explicit_threshold_beats_device_extra(self):
-        dev = replace(pvc_stack_device(1), extra={"sub_group_threshold_rows": 10})
-        cfg = LaunchConfigurator(dev, sub_group_threshold_rows=100)
-        assert cfg.sub_group_threshold_rows == 100
-
-    @pytest.mark.parametrize("bad", ["not-a-number", object(), None, [64]])
-    def test_non_integer_extra_threshold_rejected_at_construction(self, bad):
-        dev = replace(pvc_stack_device(1), extra={"sub_group_threshold_rows": bad})
-        with pytest.raises(ValueError, match="sub_group_threshold_rows"):
-            LaunchConfigurator(dev)
-
-    def test_non_positive_extra_threshold_rejected(self):
-        dev = replace(pvc_stack_device(1), extra={"sub_group_threshold_rows": "-5"})
-        with pytest.raises(ValueError, match="positive"):
-            LaunchConfigurator(dev)
-
     def test_work_group_clamp_stays_sub_group_aligned(self):
         # a capability-limited device whose max is not a sub-group multiple
         dev = replace(pvc_stack_device(1), max_work_group_size=100)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.launch import KernelLaunchPlan, LaunchConfigurator
-from repro.hw.occupancy import EXACT, GREEDY, occupancy_report, resident_groups
+from repro.hw.occupancy import occupancy_report, resident_groups
 from repro.hw.specs import GPUS, TERMINOLOGY_MAP, gpu, table5_rows
 
 
@@ -57,23 +57,7 @@ def _plan(wg=64, sg=16, slm=8 * 1024, groups=1000):
 
 class TestResidency:
     def test_greedy_policy_is_one_group_per_cu(self):
-        assert resident_groups(gpu("pvc1"), _plan(), GREEDY) == 1
-
-    def test_exact_policy_slm_limited(self):
-        # 128 KB / 8 KB = 16, but thread capacity 1024/64 = 16 too
-        assert resident_groups(gpu("pvc1"), _plan(), EXACT) == 16
-
-    def test_exact_policy_thread_limited(self):
-        r = resident_groups(gpu("pvc1"), _plan(wg=512, slm=1024), EXACT)
-        assert r == 1024 // 512
-
-    def test_exact_policy_zero_slm_uses_thread_limit(self):
-        r = resident_groups(gpu("pvc1"), _plan(wg=64, slm=0), EXACT)
-        assert r == 1024 // 64
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            resident_groups(gpu("pvc1"), _plan(), "magic")
+        assert resident_groups(gpu("pvc1"), _plan()) == 1
 
 
 class TestOccupancyReport:
@@ -81,7 +65,7 @@ class TestOccupancyReport:
         # 54 rows -> wg 64, sg 16 -> 4 hardware threads on 8 XVEs = 50%
         cfg = LaunchConfigurator(gpu("pvc1").device)
         plan = cfg.configure(54, 2**17)
-        report = occupancy_report(gpu("pvc1"), plan, 2**17, GREEDY)
+        report = occupancy_report(gpu("pvc1"), plan, 2**17)
         assert report.hw_threads_per_group == 4
         assert report.xve_threading_occupancy == pytest.approx(0.5)
 

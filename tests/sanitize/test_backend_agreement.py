@@ -6,6 +6,11 @@ on a simulated backend — under an installed sanitizer — and asserts that
 convergence histories, iteration counts and solutions agree. A failing
 cell is shrunk to the minimal failing sub-batch before the assertion
 fires, so the report names a single reproducible system.
+
+The geometry cells run the fused kernels at every (sub-group,
+work-group) pair other than the Section 3.6 heuristic's, on a 24-row
+batch: a 16-item work-group whose items own two rows each, and width-32
+sub-groups with idle items.
 """
 
 from __future__ import annotations
@@ -13,7 +18,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.sanitize.diff import DiffCase, run_backend, run_differential
+from repro.core.launch import LaunchConfigurator
+from repro.kernels import BACKENDS, KERNEL_PRECONDITIONERS, KERNEL_SOLVERS, queue_for
+from repro.sanitize.diff import (
+    DiffCase,
+    forced_device,
+    geometry_pairs,
+    run_backend,
+    run_differential,
+)
 
 from tests.sanitize.generators import (
     default_problems,
@@ -62,6 +75,18 @@ def _grid() -> list[tuple]:
     for backend in ("sycl", "cuda", "wide"):
         cells.append((pele, DiffCase("pele", "bicgstab", "jacobi", "double", backend)))
 
+    # Launch geometries the heuristic never picks: sanitized sycl and wide.
+    spd24 = ("near-identity-24", lambda: gen_near_identity_spd(SEED + 4, num_rows=24))
+    for solver in KERNEL_SOLVERS:
+        for precond in KERNEL_PRECONDITIONERS:
+            for backend in ("sycl", "wide"):
+                for geometry in geometry_pairs(backend, 24):
+                    case = DiffCase(
+                        "near-identity-24", solver, precond, "double", backend,
+                        geometry=geometry,
+                    )
+                    cells.append((spd24, case))
+
     return cells
 
 
@@ -92,6 +117,27 @@ def test_backend_agrees_with_reference(cell):
     # on the stencil contracts at ~0.985/iter) only need path agreement
     if (np.asarray(outcome.iterations_dev) < case.max_iterations).all():
         assert outcome.max_residual < 1e-2
+
+
+def test_geometry_cells_cover_each_non_heuristic_pair():
+    # at 24 rows the heuristic picks (16, 32); cuda keeps warp width 32
+    assert geometry_pairs("sycl", 24) == geometry_pairs("wide", 24) == [(16, 16), (32, 32)]
+    assert geometry_pairs("cuda", 24) == []
+    assert sum(case.geometry is not None for _, case in _CELLS) == 24
+
+
+@pytest.mark.parametrize("num_rows", [1, 16, 24, 48, 100, 1100])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_forced_device_lands_the_heuristic_on_each_pair(backend, num_rows):
+    """A forced pair never silently falls back to the heuristic's."""
+    device = queue_for(backend).device
+    heuristic = LaunchConfigurator(device).geometry(num_rows)
+    pairs = geometry_pairs(backend, num_rows)
+    assert (heuristic.sub_group_size, heuristic.work_group_size) not in pairs
+    for sg, wg in pairs:
+        assert wg % sg == 0 and wg <= device.max_work_group_size
+        forced = LaunchConfigurator(forced_device(backend, (sg, wg))).geometry(num_rows)
+        assert (forced.sub_group_size, forced.work_group_size) == (sg, wg)
 
 
 def test_all_problem_generators_are_deterministic():

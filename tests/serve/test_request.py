@@ -11,7 +11,13 @@ from repro.exceptions import (
     DimensionMismatchError,
     UnsupportedCombinationError,
 )
-from repro.serve import SolveRequest, SolveTicket, assemble_batch
+from repro.serve import (
+    ServeConfig,
+    SolveRequest,
+    SolverService,
+    SolveTicket,
+    assemble_batch,
+)
 from repro.serve.request import DONE, FAILED, PENDING, BatchKey, SolveOutcome
 
 
@@ -165,6 +171,30 @@ class TestIngest:
         got = (request.row_ptrs, request.col_idxs, request.values)
         assert all(np.array_equal(g, k) for g, k in zip(got, kept))
         assert all(arr.flags.owndata for arr in got)
+
+    def test_request_copies_the_callers_float64_dense_b_and_x0(self):
+        # already float64 and C-contiguous, so a request that kept them
+        # would change when the caller reuses its buffers after submit
+        rng = np.random.default_rng(4)
+        n = 8
+        a = np.diag(np.full(n, 4.0)) + rng.uniform(-0.5, 0.5, (n, n))
+        b = rng.standard_normal(n)
+        x0 = rng.standard_normal(n)
+        expected = np.linalg.solve(a, b)
+        request = SolveRequest(a, b, x0=x0)
+        kept = [request.dense.copy(), request.b.copy(), request.x0.copy()]
+        config = ServeConfig(max_batch_size=64, max_wait_ms=60_000.0, num_workers=1)
+        with SolverService(config) as service:
+            ticket = service.submit(request)
+            a[:] = 0.0
+            b[:] = 1.0
+            x0[:] = np.nan
+            service.flush()
+            outcome = ticket.result(timeout=30.0)
+        got = (request.dense, request.b, request.x0)
+        assert all(np.array_equal(g, k) for g, k in zip(got, kept))
+        assert outcome.converged
+        np.testing.assert_allclose(outcome.x, expected, rtol=1e-6)
 
 
 class TestValidation:

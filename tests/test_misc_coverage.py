@@ -12,11 +12,9 @@ from repro.core import (
     SolverSettings,
 )
 from repro.core.dispatch import BatchSolverFactory, dispatch_solve
-from repro.core.launch import KernelLaunchPlan
 from repro.core.stop import AbsoluteResidual, RelativeResidual
 from repro.core.workspace import SlmBudget, plan_workspace
 from repro.hw.memmodel import split_traffic
-from repro.hw.occupancy import EXACT, occupancy_report
 from repro.hw.specs import gpu
 from repro.hw.timing import estimate_runtime, estimate_solve
 from repro.multi.comm import SimWorld, _payload_bytes
@@ -116,15 +114,6 @@ class TestHwModelEdges:
 
         return solver, solver.solve(stencil_rhs(32, 4))
 
-    def test_exact_policy_faster_than_greedy_for_small_workspaces(self, solved):
-        solver, result = solved
-        spec = gpu("pvc1")
-        greedy = estimate_solve(spec, solver, result, num_batch=2**15, policy="greedy")
-        exact = estimate_solve(spec, solver, result, num_batch=2**15, policy=EXACT)
-        # more resident groups -> fewer waves -> never slower
-        assert exact.occupancy.resident_groups_per_cu >= 1
-        assert exact.total_seconds <= greedy.total_seconds * 1.001
-
     def test_estimate_runtime_validates(self, solved):
         solver, result = solved
         spec = gpu("a100")
@@ -149,14 +138,6 @@ class TestHwModelEdges:
                 flop_rate_scale=0.0,
             )
 
-    def test_sub_group_threshold_override_plumbed(self, solved):
-        solver, result = solved
-        spec = gpu("pvc1")
-        small = estimate_solve(
-            spec, solver, result, num_batch=64, sub_group_threshold_rows=8
-        )
-        assert small.launch_plan.sub_group_size == 32  # 32 rows > threshold 8
-
     def test_precond_traffic_follows_plan(self):
         from repro.core.counters import TrafficLedger
 
@@ -166,18 +147,6 @@ class TestHwModelEdges:
         spilled = plan_workspace([("r", 1)], SlmBudget(8), precond_doubles=4)
         assert split_traffic(ledger, in_slm).slm_bytes == 10.0
         assert split_traffic(ledger, spilled).l2_bytes == 10.0
-
-    def test_occupancy_exact_policy_respects_wg_size(self):
-        plan = KernelLaunchPlan(
-            num_groups=100,
-            work_group_size=256,
-            sub_group_size=32,
-            reduction_scope="work_group",
-            slm_bytes_per_group=1024,
-        )
-        report = occupancy_report(gpu("pvc1"), plan, 100, EXACT)
-        assert report.resident_groups_per_cu == 1024 // 256
-
 
 class TestWorkloadKnobs:
     def test_pele_gamma_controls_difficulty(self):
