@@ -52,10 +52,6 @@ echo "== serve smoke =="
 python scripts/smoke_serve.py
 
 echo
-echo "== fleet smoke =="
-python scripts/smoke_fleet.py
-
-echo
 echo "== geometry diff =="
 # at 24 rows the differential grid's geometry axis runs every fused
 # kernel at each (sub-group, work-group) pair the Sec. 3.6 heuristic does

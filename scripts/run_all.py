@@ -106,16 +106,9 @@ def main(argv=None) -> int:
         f"({time.perf_counter() - start:.1f} s)"
     )
 
-    # fleet smoke + scaling benchmark: routing/drain/admission contracts,
-    # then the shard scale-out artifact
+    # fleet benchmark: the compute-only shard sweep, the drain and the
+    # ring remap factors
     import bench_fleet_scaling
-    import smoke_fleet
-
-    start = time.perf_counter()
-    code = smoke_fleet.main([])
-    if code != 0:
-        return code
-    print(f"fleet smoke OK ({time.perf_counter() - start:.1f} s)")
 
     start = time.perf_counter()
     fleet_args = ["--out", str(out / "BENCH_fleet_scaling.json")]

@@ -352,13 +352,11 @@ def _cmd_fleet_demo(args) -> int:
             max_pending=max(4 * args.requests, 64),
             num_workers=1,
             backend=args.backend,
-            device_dwell_ms=args.dwell_ms,
         ),
         initial_replicas=args.shards,
         max_replicas=max(args.shards + 2, 4),
         virtual_nodes=128,
         max_pending=max(8 * args.requests, 256),
-        target_p99_ms=args.threshold_ms,
         scale_up_patience=2,
         scale_down_patience=3,
         cooldown_evaluations=1,
@@ -377,7 +375,7 @@ def _cmd_fleet_demo(args) -> int:
     print(
         f"fleet-demo: {args.requests} requests over {args.keys} keys at "
         f"~{args.rate:.0f} req/s ({args.arrival} arrivals), "
-        f"{args.shards} shard(s), dwell {args.dwell_ms:g} ms/flush"
+        f"{args.shards} shard(s)"
         + (", autoscaler on" if args.autoscale else "")
     )
     with FleetService(config) as fleet:
@@ -1403,12 +1401,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--arrival", choices=["poisson", "bursty"], default="poisson"
     )
     fleet_demo.add_argument(
-        "--dwell-ms",
-        type=float,
-        default=20.0,
-        help="simulated device occupancy per flush (ms)",
-    )
-    fleet_demo.add_argument(
         "--backend", choices=["sycl", "cuda", "cudasim", "wide"], default="sycl"
     )
     fleet_demo.add_argument(
@@ -1420,10 +1412,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_demo.add_argument(
         "--autoscale-interval", type=float, default=0.25,
         help="seconds between autoscaler evaluations",
-    )
-    fleet_demo.add_argument(
-        "--threshold-ms", type=float, default=500.0,
-        help="autoscaler p99 latency objective",
     )
     fleet_demo.add_argument("--seed", type=int, default=42)
     _dump_telemetry_args(fleet_demo)

@@ -5,8 +5,8 @@ one GPU: :class:`FleetService` fronts N independent
 :class:`~repro.serve.service.SolverService` replicas behind a
 consistent-hash ring keyed on :class:`~repro.serve.request.BatchKey`
 (:class:`HashRing`), with fleet-level admission control, graceful shard
-drain, and an :class:`Autoscaler` driven by the serving layer's HDR
-latency histograms and SLO burn rates.
+drain, and an :class:`Autoscaler` driven by the fleet's admission
+utilization.
 """
 
 from repro.fleet.autoscaler import Autoscaler, FleetSignals

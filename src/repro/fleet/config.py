@@ -47,10 +47,6 @@ class FleetConfig:
         ServiceSaturatedError` before any shard sees the request —
         fleet backpressure fires first, shard-level saturation stays the
         per-shard hot-spot signal.
-    target_p99_ms:
-        The autoscaler's latency objective: scale up while any shard's
-        p99 (from its ``serve.latency_hdr_ms`` HDR histogram) sits above
-        this, scale down only while every shard sits below half of it.
     scale_up_patience / scale_down_patience:
         Consecutive pressured (resp. relaxed) evaluations required before
         acting — the hysteresis that stops one burst from thrashing the
@@ -66,7 +62,6 @@ class FleetConfig:
     max_replicas: int = 8
     virtual_nodes: int = 64
     max_pending: int = 4096
-    target_p99_ms: float = 500.0
     scale_up_patience: int = 2
     scale_down_patience: int = 4
     cooldown_evaluations: int = 2
@@ -92,8 +87,6 @@ class FleetConfig:
             raise ValueError(f"virtual_nodes must be positive, got {self.virtual_nodes}")
         if self.max_pending <= 0:
             raise ValueError(f"max_pending must be positive, got {self.max_pending}")
-        if self.target_p99_ms <= 0:
-            raise ValueError(f"target_p99_ms must be positive, got {self.target_p99_ms}")
         if self.scale_up_patience <= 0 or self.scale_down_patience <= 0:
             raise ValueError("scaling patience values must be positive")
         if self.cooldown_evaluations < 0:

@@ -21,8 +21,8 @@ Control-plane behaviours:
   key whose owner changed).
 * **Graceful drain** — :meth:`drain` removes a shard's ring range first
   (no new keys route to it), then flushes its micro-batcher, waits for
-  every in-flight ticket, and closes it: a scale-down loses zero admitted
-  requests.
+  every in-flight ticket, folds its latency histogram into the fleet's
+  rollup, and closes it: a scale-down loses zero admitted requests.
 """
 
 from __future__ import annotations
@@ -115,6 +115,7 @@ class FleetService:
         self.ring = HashRing(self.config.virtual_nodes)
         self._shards: dict[str, ShardReplica] = {}
         self._owners: OrderedDict[str, str] = OrderedDict()  # ring token -> shard
+        self._retired_latency = LogHistogram("fleet.latency_hdr_ms")  # drained shards
         self._seq = 0
         self._closed = False
         self._lock = threading.RLock()
@@ -207,19 +208,23 @@ class FleetService:
             self._note_owner(key, owner, request)
             self.metrics.counter("fleet.requests").inc()
             self.metrics.counter("fleet.routed").labels(shard=owner).inc()
-        tracer = self._instruments.tracer or NULL_TRACER
-        # the router's leg of the journey: pinned to the request's trace,
-        # so it links up with the shard's flush span (which `span.link`s
-        # the same context at flush time)
-        with tracer.span(
-            "fleet.route",
-            category="fleet",
-            context=request.trace_context,
-            shard=owner,
-            solver=request.solver,
-            num_rows=request.num_rows,
-        ):
-            return shard.service.submit(request)
+            tracer = self._instruments.tracer or NULL_TRACER
+            # the router's leg of the journey: pinned to the request's
+            # trace, so it links up with the shard's flush span (which
+            # `span.link`s the same context at flush time). The shard
+            # admits under the lock drain() takes it off the ring under,
+            # so a request is admitted before its owner's drain begins or
+            # routed to a survivor; the shard's submit never blocks (the
+            # pool's job queue is unbounded).
+            with tracer.span(
+                "fleet.route",
+                category="fleet",
+                context=request.trace_context,
+                shard=owner,
+                solver=request.solver,
+                num_rows=request.num_rows,
+            ):
+                return shard.service.submit(request)
 
     def _note_owner(self, key, owner: str, request: SolveRequest) -> None:
         """Track key ownership; emit ``request.rerouted`` on a change.
@@ -297,8 +302,8 @@ class FleetService:
         it ``draining`` — from this instant no new request routes to it
         and its key range belongs to the survivors; (2) outside the lock,
         flush its micro-batcher and wait for every in-flight ticket;
-        (3) close it and forget it. Requests admitted before step 1 all
-        complete normally.
+        (3) close it, fold its latencies into the fleet rollup and forget
+        it. Requests admitted before step 1 all complete normally.
         """
         timeout = DRAIN_TIMEOUT_S if timeout is None else timeout
         with self._lock:
@@ -320,6 +325,10 @@ class FleetService:
         shard.service.close(drain=True)
         shard.state = STOPPED
         with self._lock:
+            # the rollup keeps the latencies of everything the shard served
+            self._retired_latency.merge(
+                shard.service.metrics.log_histogram("serve.latency_hdr_ms")
+            )
             self._shards.pop(name, None)
             self.events.emit(
                 FLEET_REBALANCE,
@@ -369,10 +378,15 @@ class FleetService:
             return self.ring.occupancy()
 
     def latency_histogram(self) -> LogHistogram:
-        """Fleet-wide latency HDR rollup (bucket-wise merge across shards)."""
+        """Fleet-wide latency HDR rollup (bucket-wise merge across shards,
+        drained ones included)."""
         rollup = LogHistogram("fleet.latency_hdr_ms")
-        for shard in self.shards():
-            rollup.merge(shard.service.metrics.log_histogram("serve.latency_hdr_ms"))
+        with self._lock:
+            rollup.merge(self._retired_latency)
+            for shard in self.shards():
+                rollup.merge(
+                    shard.service.metrics.log_histogram("serve.latency_hdr_ms")
+                )
         return rollup
 
     def dump_recorders(self, dump_dir, reason: str = "manual") -> list:

@@ -27,11 +27,10 @@ and test the field they need against ``None``;
 :func:`~repro.observability.tracer.current_tracer` is the one reader that
 substitutes a no-op (``NULL_TRACER``).
 
-Objects that run work on threads of their own (``SolverService``,
-``FleetService``, the fleet ``Autoscaler``) capture :func:`current` once
-when they are built and run each job under :func:`use` of that record, so
-work on a background thread sees the observers installed where the object
-was constructed.
+Objects that run work on threads of their own (``SolverService`` and
+``FleetService``) capture :func:`current` once when they are built and
+run each job under :func:`use` of that record, so work on a background
+thread sees the observers installed where the object was constructed.
 """
 
 from __future__ import annotations

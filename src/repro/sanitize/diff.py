@@ -291,7 +291,8 @@ def run_differential(
     x_dev = np.asarray(device.x, dtype=np.float64)
     scale = max(float(np.max(np.abs(x_ref))), 1.0)
     sol_diff = float(np.max(np.abs(x_ref - x_dev))) / scale
-    if sol_diff > sol_scale:
+    # written so that a NaN difference fails too
+    if not sol_diff <= sol_scale:
         failures.append(
             f"solutions diverge: max relative element difference {sol_diff:.2e} "
             f"> {sol_scale:.0e}"
@@ -303,10 +304,11 @@ def run_differential(
     b_norms = np.linalg.norm(np.asarray(b, dtype=np.float64), axis=1)
     rel_res = np.linalg.norm(residual, axis=1) / np.maximum(b_norms, 1e-300)
     # converged systems must actually solve the system (neither a launch
-    # geometry nor the sanitizer may trade correctness)
+    # geometry nor the sanitizer may trade correctness); a non-finite
+    # residual fails too
     converged = it_dev < case.max_iterations
     tol_slack = case.tolerance * (1e3 if case.precision == "single" else 10.0)
-    bad = converged & (rel_res > tol_slack)
+    bad = converged & ~(rel_res <= tol_slack)
     if bad.any():
         failures.append(
             f"device solution does not solve the system: relative residuals "

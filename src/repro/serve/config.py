@@ -81,17 +81,6 @@ class ServeConfig:
         timeouts, fallbacks, sanitizer trips, p99-tail completions — are
         always kept regardless. ``0.0`` is the cheapest disabled-path
         setting the overhead benchmark gates.
-    device_dwell_ms:
-        Simulated device occupancy per flush: after the host-side solve of
-        a flushed batch, the worker thread holds its device context busy
-        for this long (a real sleep, so it releases the GIL like a real
-        device would release the host). The simulated solvers execute on
-        the host CPU, where the interpreter serializes Python threads —
-        without a dwell, N shards contend for one core and scaling
-        measurements say more about the GIL than about the architecture.
-        With it, flush cost is device-bound the way the paper's measured
-        kernels are, and fleet scale-out is observable as wall-clock
-        throughput. ``0`` (the default) disables the dwell.
     tenant_default_quota:
         Per-tenant admission bound: requests of one tenant admitted but
         not yet completed. Past it, :meth:`submit` rejects that tenant's
@@ -129,7 +118,6 @@ class ServeConfig:
     request_timeout_ms: float | None = None
     fallback: bool = True
     telemetry_sample_rate: float = 1.0
-    device_dwell_ms: float = 0.0
     tenant_default_quota: int | None = None
     tenant_quotas: tuple[tuple[str, int], ...] = ()
     fair_share: bool = True
@@ -163,10 +151,6 @@ class ServeConfig:
         if not 0.0 <= self.telemetry_sample_rate <= 1.0:
             raise ValueError(
                 f"telemetry_sample_rate must be in [0, 1], got {self.telemetry_sample_rate}"
-            )
-        if self.device_dwell_ms < 0:
-            raise ValueError(
-                f"device_dwell_ms must be non-negative, got {self.device_dwell_ms}"
             )
         if self.tenant_default_quota is not None and self.tenant_default_quota <= 0:
             raise ValueError(
@@ -207,11 +191,6 @@ class ServeConfig:
         if self.request_timeout_ms is None:
             return None
         return int(self.request_timeout_ms * 1e6)
-
-    @property
-    def device_dwell_s(self) -> float:
-        """The per-flush simulated device occupancy in seconds."""
-        return self.device_dwell_ms / 1e3
 
     def quota_for(self, tenant: str) -> int | None:
         """The pending quota of ``tenant`` (``None`` = unbounded)."""

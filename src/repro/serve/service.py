@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import threading
-import time
 from dataclasses import replace as dc_replace
 
 import numpy as np
@@ -594,7 +593,6 @@ class SolverService:
                     backend=self.config.backend,
                     solver=key.solver_cls.solver_name,
                 ).inc()
-                self._device_dwell(worker)
                 return result
             self.metrics.counter("serve.kernel_fallbacks").labels(
                 solver=key.solver_cls.solver_name
@@ -608,25 +606,7 @@ class SolverService:
             name=f"serve.batch_{key.solver_cls.solver_name}",
             num_batch=matrix.num_batch,
         )
-        self._device_dwell(worker)
         return result
-
-    def _device_dwell(self, worker: Worker) -> None:
-        """Hold the worker's device busy for the configured dwell.
-
-        A real sleep so it releases the GIL — the device-bound part of a
-        flush overlaps across shards/workers the way real device kernels
-        overlap with the host (see ``ServeConfig.device_dwell_ms``).
-        """
-        dwell = self.config.device_dwell_s
-        if dwell > 0.0:
-            with current_tracer().span(
-                "serve.device_dwell",
-                category="serve",
-                tid=worker.lane,
-                dwell_ms=self.config.device_dwell_ms,
-            ):
-                time.sleep(dwell)
 
     def _kernel_solve(self, plan, matrix, b, x0, worker):
         """A thunk running the flush through the fused device kernels.

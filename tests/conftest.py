@@ -10,6 +10,7 @@ deliberately execute buggy kernels opt out with ``@pytest.mark.no_sanitize``.
 from __future__ import annotations
 
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -116,3 +117,23 @@ def relative_residuals(matrix, x: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-system ||b - A x|| / ||b||."""
     r = b - matrix.apply(x)
     return np.linalg.norm(r, axis=1) / np.linalg.norm(b, axis=1)
+
+
+class FlushHold:
+    """Hold every flush of a service until the test releases it.
+
+    Pass it in the chaos slot (``SolverService(config, chaos=hold)`` or
+    ``FleetService(config, chaos=hold)``): the service calls ``on_flush``
+    on the worker thread once the batch is assembled. It sets ``entered``
+    and waits on ``release``, so a worker stays busy with a flush for as
+    long as the test chooses.
+    """
+
+    def __init__(self, timeout: float = 30.0) -> None:
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.timeout = timeout
+
+    def on_flush(self, service, flush, worker, matrix, b) -> None:
+        self.entered.set()
+        self.release.wait(self.timeout)

@@ -16,7 +16,7 @@ class TestFleetDemo:
                 "fleet-demo",
                 "--requests", "12", "--keys", "4", "--size", "8",
                 "--batch-size", "2", "--shards", "2",
-                "--rate", "10000", "--dwell-ms", "0",
+                "--rate", "10000",
                 "--metrics-out", str(metrics_out),
                 "--events-out", str(events_out),
             ]
@@ -39,7 +39,7 @@ class TestFleetDemo:
                 "fleet-demo",
                 "--requests", "8", "--keys", "4", "--size", "8",
                 "--batch-size", "2", "--shards", "1",
-                "--rate", "10000", "--dwell-ms", "0",
+                "--rate", "10000",
                 "--autoscale", "--autoscale-interval", "0.05",
             ]
         )

@@ -1,5 +1,8 @@
 """FleetService end-to-end: routing, admission, scaling, drain, wiring."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,6 +12,8 @@ from repro.fleet import FleetConfig, FleetService
 from repro.observability import render_prometheus
 from repro.observability.tracer import Tracer
 from repro.serve import ServeConfig, SolveRequest
+
+from tests.conftest import FlushHold
 
 
 def _tridiag(n):
@@ -27,6 +32,18 @@ def _request(rng, n=8, key_salt=0, **kwargs):
     kwargs.setdefault("preconditioner", "jacobi")
     kwargs.setdefault("max_iterations", 500 + key_salt)
     return SolveRequest(matrix, rng.standard_normal(n), **kwargs)
+
+
+def _wait_for_rebalance(fleet, action, timeout=30.0):
+    """The first ``fleet.rebalance`` event with ``action`` (``None`` when
+    none is emitted within ``timeout``)."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        for ev in fleet.events.events():
+            if ev.type == "fleet.rebalance" and ev.fields.get("action") == action:
+                return ev
+        time.sleep(0.005)
+    return None
 
 
 def _config(**overrides):
@@ -54,6 +71,12 @@ class TestRouting:
             # routed counters agree with the ring's assignment
             stats = {row["shard"]: row["served"] for row in fleet.shard_stats()}
             assert sum(stats.values()) == 24
+            # every shard that served traffic planned in its own plan cache
+            caches = {shard.name: shard.service.plan_cache for shard in fleet.shards()}
+            assert len({id(cache) for cache in caches.values()}) == len(caches)
+            for name, cache in caches.items():
+                if stats[name]:
+                    assert cache.hits + cache.misses > 0
 
     def test_solve_convenience(self):
         rng = np.random.default_rng(1)
@@ -160,18 +183,22 @@ class TestScaling:
 
     def test_graceful_drain_loses_nothing(self):
         rng = np.random.default_rng(6)
-        config = _config(
-            serve=ServeConfig(
-                max_batch_size=4,
-                max_wait_ms=5.0,
-                num_workers=1,
-                device_dwell_ms=10.0,
-            )
-        )
-        with FleetService(config) as fleet:
+        hold = FlushHold()
+        with FleetService(_config(), chaos=hold) as fleet:
             tickets = [fleet.submit(_request(rng, key_salt=i % 8)) for i in range(24)]
             fleet.flush()
-            drained = fleet.scale_down(1)
+            drained = []
+            drainer = threading.Thread(
+                target=lambda: drained.extend(fleet.scale_down(1))
+            )
+            drainer.start()
+            # release the held flushes only once the drain has begun, so
+            # the departing shard's requests are in flight during it
+            begin = _wait_for_rebalance(fleet, "drain_begin")
+            assert begin is not None and begin.fields["pending"] > 0
+            hold.release.set()
+            drainer.join(timeout=60.0)
+            assert not drainer.is_alive()
             assert len(drained) == 1
             assert all(t.result(timeout=60.0).converged for t in tickets)
             assert fleet.num_replicas == 1
@@ -182,10 +209,72 @@ class TestScaling:
             }
             assert {"drain_begin", "drain_complete"} <= actions
 
+    def test_shards_flush_concurrently(self):
+        # every shard's only worker waits inside its flush until all four
+        # are inside one: shards that cannot flush at the same time break
+        # the barrier at its timeout
+        barrier = threading.Barrier(4, timeout=10.0)
+
+        class _MeetAtBarrier:
+            def on_flush(self, service, flush, worker, matrix, b):
+                barrier.wait()
+
+        rng = np.random.default_rng(11)
+        config = _config(
+            serve=ServeConfig(max_batch_size=2, max_wait_ms=60_000.0, num_workers=1),
+            initial_replicas=4,
+        )
+        with FleetService(config, chaos=_MeetAtBarrier()) as fleet:
+            # one batch key owned by each shard, two requests per key (a
+            # size flush each)
+            salts = {}
+            for salt in range(64):
+                owner = fleet.ring.node_for(_request(rng, key_salt=salt).batch_key)
+                salts.setdefault(owner, salt)
+            assert len(salts) == 4
+            tickets = [
+                fleet.submit(_request(rng, key_salt=salt))
+                for salt in salts.values()
+                for _ in range(2)
+            ]
+            outcomes = [t.result(timeout=60.0) for t in tickets]
+        assert not barrier.broken
+        assert all(outcome.converged for outcome in outcomes)
+
     def test_drain_unknown_shard_raises(self):
         with FleetService(_config()) as fleet:
             with pytest.raises(KeyError):
                 fleet.drain("shard-99")
+
+
+class TestSubmitRacingDrain:
+    def test_submit_racing_a_drain_of_its_owner_is_served(self, monkeypatch):
+        # the hook lets a whole drain of the owner shard run between the
+        # router picking the owner and the shard admitting the request;
+        # admitted after its owner closed, the request would be refused by
+        # a fleet that is still open
+        rng = np.random.default_rng(12)
+        config = _config(
+            serve=ServeConfig(max_batch_size=1, max_wait_ms=5.0, num_workers=1)
+        )
+        with FleetService(config) as fleet:
+            request = _request(rng)
+            owner = fleet.ring.node_for(request.batch_key)
+            service = next(s for s in fleet.shards() if s.name == owner).service
+            drainer = threading.Thread(target=fleet.drain, args=(owner,))
+            submit = service.submit
+
+            def racing_submit(req):
+                drainer.start()
+                drainer.join(timeout=1.0)  # returns at once if the drain can finish now
+                return submit(req)
+
+            monkeypatch.setattr(service, "submit", racing_submit)
+            ticket = fleet.submit(request)
+            assert ticket.result(timeout=30.0).converged
+            drainer.join(timeout=30.0)
+            assert not drainer.is_alive()
+            assert fleet.num_replicas == 1
 
 
 class TestObservability:
@@ -215,6 +304,13 @@ class TestObservability:
                 for shard in fleet.shards()
             )
             assert per_shard == 12
+            # draining the busiest shard keeps its latencies in the rollup
+            busiest = max(
+                fleet.shards(),
+                key=lambda s: s.service.metrics.counter("serve.served").value,
+            )
+            fleet.drain(busiest.name)
+            assert fleet.latency_histogram().count == 12
 
     def test_router_span_links_request_trace(self):
         tracer = Tracer()

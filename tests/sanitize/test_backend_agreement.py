@@ -15,11 +15,14 @@ sub-groups with idle items.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core.launch import LaunchConfigurator
 from repro.kernels import BACKENDS, KERNEL_PRECONDITIONERS, KERNEL_SOLVERS, queue_for
+from repro.sanitize import diff
 from repro.sanitize.diff import (
     DiffCase,
     forced_device,
@@ -191,3 +194,22 @@ def test_sanitizer_was_actually_installed_for_backend_runs():
     assert run.sanitizer_summary["launches"] == 1
     assert run.sanitizer_summary["slm_accesses"] > 0
     assert run.sanitizer_summary["violations"] == {}
+
+
+def test_nan_solution_fails_its_cell(monkeypatch):
+    """NaN compares False both ways, so the solution and residual checks
+    must be written to fail on it rather than pass."""
+    problem = gen_near_identity_spd(SEED)
+    real_run_backend = diff.run_backend
+
+    def nan_run_backend(*args, **kwargs):
+        run = real_run_backend(*args, **kwargs)
+        return dataclasses.replace(run, x=np.full_like(run.x, np.nan))
+
+    monkeypatch.setattr(diff, "run_backend", nan_run_backend)
+    case = DiffCase("near-identity", "cg", "jacobi", "double", "wide")
+    outcome = run_differential(problem.dense, problem.b, case)
+    assert (outcome.iterations_dev < case.max_iterations).all()
+    assert not outcome.agree
+    assert any("solutions diverge" in failure for failure in outcome.failures)
+    assert any("does not solve the system" in failure for failure in outcome.failures)

@@ -17,6 +17,8 @@ from repro.chaos.plan import DEVICE_DELAY, WORKER_DIE
 from repro.exceptions import ReproError, ServiceClosedError
 from repro.serve import ServeConfig, SolveRequest, SolverService
 
+from tests.conftest import FlushHold
+
 
 def _tridiag(n):
     return sp.diags(
@@ -59,19 +61,22 @@ class TestAbortClose:
         # a flush already handed to the worker pool runs out even under
         # an abort close; only *unflushed* batcher contents are failed
         rng = np.random.default_rng(1)
-        config = ServeConfig(
-            max_batch_size=4, max_wait_ms=60_000.0, num_workers=1,
-            device_dwell_ms=50.0,
-        )
-        with SolverService(config) as service:
+        hold = FlushHold()
+        config = ServeConfig(max_batch_size=4, max_wait_ms=60_000.0, num_workers=1)
+        with SolverService(config, chaos=hold) as service:
             flushed = [service.submit(_request(rng)) for _ in range(4)]
-            service.flush()
-            time.sleep(0.01)  # let the pool pick the flush up
+            assert hold.entered.wait(timeout=30.0)  # the size flush is running
             parked = service.submit(_request(rng))
-            service.close(drain=False)
-            assert all(t.result(timeout=30.0).converged for t in flushed)
+            # the abort close waits for the held flush on the pool
+            closer = threading.Thread(target=service.close, kwargs={"drain": False})
+            closer.start()
             with pytest.raises(ServiceClosedError):
                 parked.result(timeout=5.0)
+            assert not any(t.done() for t in flushed)
+            hold.release.set()
+            closer.join(timeout=30.0)
+            assert not closer.is_alive()
+            assert all(t.result(timeout=30.0).converged for t in flushed)
 
     def test_submit_after_close_raises(self):
         rng = np.random.default_rng(2)
@@ -217,15 +222,14 @@ class TestCloseUnderChaos:
 class TestWaitIdle:
     def test_timeout_returns_false_while_busy(self):
         rng = np.random.default_rng(4)
-        config = ServeConfig(
-            max_batch_size=4, max_wait_ms=5.0, num_workers=1,
-            device_dwell_ms=300.0,
-        )
-        with SolverService(config) as service:
+        hold = FlushHold()
+        config = ServeConfig(max_batch_size=4, max_wait_ms=5.0, num_workers=1)
+        with SolverService(config, chaos=hold) as service:
             tickets = [service.submit(_request(rng)) for _ in range(4)]
             service.flush()
-            # the flush is dwelling on the (simulated) device: not idle yet
+            # the flush is held on its worker: not idle yet
             assert service.wait_idle(timeout=0.01) is False
+            hold.release.set()
             assert service.wait_idle(timeout=30.0) is True
             assert all(t.result(timeout=1.0).converged for t in tickets)
 
@@ -239,13 +243,15 @@ class TestWaitIdle:
 
     def test_wait_idle_none_timeout_blocks_until_done(self):
         rng = np.random.default_rng(5)
-        config = ServeConfig(
-            max_batch_size=4, max_wait_ms=5.0, num_workers=1,
-            device_dwell_ms=20.0,
-        )
-        with SolverService(config) as service:
+        hold = FlushHold()
+        config = ServeConfig(max_batch_size=4, max_wait_ms=5.0, num_workers=1)
+        with SolverService(config, chaos=hold) as service:
             for _ in range(4):
                 service.submit(_request(rng))
             service.flush()
+            assert hold.entered.wait(timeout=30.0)
+            releaser = threading.Timer(0.05, hold.release.set)
+            releaser.start()
             assert service.wait_idle() is True
+            assert hold.release.is_set()
             assert service.pending == 0
