@@ -10,8 +10,7 @@
 # layer's per-flush accounting by count, not by time), the
 # lint gate clean, the tracing pipeline producing valid Chrome
 # traces through `repro run --with trace` (whose observer options never
-# reach the wrapped command), the serving layer honouring its contracts,
-# the fused kernels sanitizer-clean and agreeing with the reference at
+# reach the wrapped command), the fused kernels sanitizer-clean and agreeing with the reference at
 # every launch geometry other than the heuristic's (a work-group smaller
 # than the system included), the profiler attributing counters on both
 # backends with green model drift, the one fused-kernel dispatch
@@ -46,10 +45,6 @@ python -m repro run --with trace --trace-out /tmp/ci_run_trace.json --no-summary
     -- chaos replay --requests 8 --size 8 --trace-out /tmp/ci_replay_items.jsonl
 test -s /tmp/ci_run_trace.json
 test -s /tmp/ci_replay_items.jsonl
-
-echo
-echo "== serve smoke =="
-python scripts/smoke_serve.py
 
 echo
 echo "== geometry diff =="

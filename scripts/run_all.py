@@ -84,15 +84,8 @@ def main(argv=None) -> int:
         return code
     print(f"wrote {out / 'trace_smoke.json'} ({time.perf_counter() - start:.1f} s)")
 
-    # serving smoke + benchmark: contracts, then the throughput artifact
+    # serving benchmark: the throughput artifact
     import bench_serve
-    import smoke_serve
-
-    start = time.perf_counter()
-    code = smoke_serve.main([])
-    if code != 0:
-        return code
-    print(f"serve smoke OK ({time.perf_counter() - start:.1f} s)")
 
     start = time.perf_counter()
     bench_args = ["--out", str(out / "BENCH_serve_throughput.json")]

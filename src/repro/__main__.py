@@ -13,9 +13,8 @@ Commands:
   ``--shards N`` routes the same workload through a fleet of N replicas.
 * ``fleet-demo`` — the sharded solver fleet (``repro.fleet``): paced
   Poisson/bursty arrivals consistent-hash-routed over N shard replicas,
-  a scale-up + graceful-drain lifecycle demonstration (or the live
-  ``Autoscaler`` with ``--autoscale``), per-shard counters and ring
-  occupancy.
+  a scale-up + graceful-drain lifecycle demonstration, per-shard
+  counters and ring occupancy.
 * ``run``      — run any other command under observers, e.g.
   ``python -m repro run --with trace,profile --trace-out t.json stencil``:
   ``trace`` exports a Chrome trace (open it in Perfetto), ``sanitize``
@@ -329,13 +328,13 @@ def _serve_demo_fleet(args) -> int:
 
 
 def _cmd_fleet_demo(args) -> int:
-    """Demonstrate the fleet: routing, scale-up, autoscaling, graceful drain."""
+    """Demonstrate the fleet: routing, scale-up, graceful drain."""
     import time as _time
 
     import numpy as np
 
     from repro.bench.report import print_table
-    from repro.fleet import Autoscaler, FleetConfig, FleetService
+    from repro.fleet import FleetConfig, FleetService
     from repro.serve import ServeConfig
     from repro.workloads.arrivals import (
         bursty_offsets,
@@ -357,9 +356,6 @@ def _cmd_fleet_demo(args) -> int:
         max_replicas=max(args.shards + 2, 4),
         virtual_nodes=128,
         max_pending=max(8 * args.requests, 256),
-        scale_up_patience=2,
-        scale_down_patience=3,
-        cooldown_evaluations=1,
     )
     pattern = stencil_pattern(args.size)
     rng = np.random.default_rng(args.seed)
@@ -376,32 +372,23 @@ def _cmd_fleet_demo(args) -> int:
         f"fleet-demo: {args.requests} requests over {args.keys} keys at "
         f"~{args.rate:.0f} req/s ({args.arrival} arrivals), "
         f"{args.shards} shard(s)"
-        + (", autoscaler on" if args.autoscale else "")
     )
     with FleetService(config) as fleet:
-        scaler = Autoscaler(fleet)
-        if args.autoscale:
-            scaler.start(interval_s=args.autoscale_interval)
-
         start = _time.perf_counter()
         tickets = pace(offsets, lambda i: fleet.submit(requests[i]))
         fleet.flush()
         outcomes = [t.result(timeout=120.0) for t in tickets]
         elapsed = _time.perf_counter() - start
-        if args.autoscale:
-            scaler.stop()
 
+        # lifecycle demo: add a replica (~1/N of keys remap to it), then
+        # drain one gracefully with the fleet still open
+        added = fleet.scale_up(1)
+        if added:
+            print(f"scale-up: started {', '.join(added)}")
         peak_replicas = fleet.num_replicas
-        if not args.autoscale:
-            # manual lifecycle demo: add a replica (~1/N of keys remap to
-            # it), then drain one gracefully with the fleet still open
-            added = fleet.scale_up(1)
-            if added:
-                print(f"scale-up: started {', '.join(added)}")
-                peak_replicas = fleet.num_replicas
-            drained = fleet.scale_down(1)
-            if drained:
-                print(f"scale-down: drained {', '.join(drained)} (zero drops)")
+        drained = fleet.scale_down(1)
+        if drained:
+            print(f"scale-down: drained {', '.join(drained)} (zero drops)")
 
         fleet.refresh_metrics()
         stats = fleet.shard_stats()
@@ -417,12 +404,6 @@ def _cmd_fleet_demo(args) -> int:
             f"{hdr.percentile(50.0):.2f}/{hdr.percentile(99.0):.2f} ms, "
             f"peak replicas {peak_replicas}, {rebalances} rebalance events"
         )
-        if args.autoscale and scaler.decisions:
-            actions = [d for d in scaler.decisions if d.startswith("scale")]
-            print(
-                f"autoscaler: {len(scaler.decisions)} evaluations, "
-                f"actions: {', '.join(actions) if actions else 'none'}"
-            )
         print()
         for row in stats:
             row["p99_ms"] = round(row["p99_ms"], 2)
@@ -1385,7 +1366,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_demo = sub.add_parser(
         "fleet-demo",
         help="demo the sharded solver fleet (repro.fleet): consistent-hash "
-        "routing, scale-up/drain lifecycle, optional autoscaler",
+        "routing, scale-up/drain lifecycle",
     )
     fleet_demo.add_argument("--requests", type=int, default=128)
     fleet_demo.add_argument("--keys", type=int, default=32, help="distinct BatchKeys")
@@ -1402,16 +1383,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet_demo.add_argument(
         "--backend", choices=["sycl", "cuda", "cudasim", "wide"], default="sycl"
-    )
-    fleet_demo.add_argument(
-        "--autoscale",
-        action="store_true",
-        help="run the Autoscaler control loop instead of the manual "
-        "scale-up/drain demonstration",
-    )
-    fleet_demo.add_argument(
-        "--autoscale-interval", type=float, default=0.25,
-        help="seconds between autoscaler evaluations",
     )
     fleet_demo.add_argument("--seed", type=int, default=42)
     _dump_telemetry_args(fleet_demo)

@@ -22,8 +22,9 @@ fire, and realizes them:
   exercising the service's victim-attribution path end to end.
 
 Every firing is counted on the service's ``chaos.injected`` metric
-(labelled by kind) and emitted as a pinned ``chaos.injected`` event, so
-chaos shows up in the same telemetry the SLO monitor scores.
+(labelled by kind) and emitted as a pinned ``chaos.injected`` event
+naming its victims (``trace_ids``), so chaos shows up in the same
+telemetry the SLO monitor scores, and the flight recorder arms on it.
 
 Injectors install either directly (``SolverService(..., chaos=inj)``)
 or ambiently for a scope (``repro.instruments.use(chaos=inj)`` — the
@@ -136,7 +137,6 @@ class ChaosInjector:
             self._realize(spec, flush, matrix, b)
 
     def _record(self, service: Any, spec: FaultSpec, flush: Any, worker: Any, index: int) -> None:
-        from repro.recorder.recorder import TRIGGER_CHAOS_FAULT
         from repro.telemetry.events import CHAOS_INJECTED
 
         service.metrics.counter("chaos.injected").labels(kind=spec.kind).inc()
@@ -148,23 +148,10 @@ class ChaosInjector:
             flush_id=getattr(flush, "flush_id", ""),
             batch_size=getattr(flush, "size", 0),
             worker=getattr(worker, "name", ""),
-        )
-        recorder = service.recorder
-        if recorder is not None:
             # the authoritative victim list: every ticket co-batched into
             # the faulted flush, joined by trace id in the postmortem
-            trace_ids = [
-                t.trace_context.trace_id for t in getattr(flush, "tickets", ())
-            ]
-            recorder.trigger(
-                TRIGGER_CHAOS_FAULT,
-                trace_id=trace_ids[0] if trace_ids else None,
-                kind=spec.kind,
-                flush_index=index,
-                flush_id=getattr(flush, "flush_id", ""),
-                worker=getattr(worker, "name", ""),
-                trace_ids=trace_ids,
-            )
+            trace_ids=[t.trace_context.trace_id for t in getattr(flush, "tickets", ())],
+        )
 
     def _realize(self, spec: FaultSpec, flush: Any, matrix: Any, b: Any) -> None:
         if spec.kind == DEVICE_DELAY:

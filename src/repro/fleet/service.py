@@ -357,11 +357,7 @@ class FleetService:
                 "flushes": int(m.counter("serve.flushes").value),
                 "fallbacks": int(m.counter("serve.fallbacks").value),
                 "p99_ms": m.log_histogram("serve.latency_hdr_ms").percentile(99.0),
-                "breaker": (
-                    shard.service.breaker.state
-                    if shard.service.breaker is not None
-                    else "disabled"
-                ),
+                "breaker": shard.service.breaker.state,
             }
             rows.append(row)
             self.metrics.gauge("fleet.shard_pending").labels(shard=shard.name).set(
@@ -409,10 +405,7 @@ class FleetService:
         self.shard_stats()
         self.metrics.gauge("fleet.pending").set(self.pending)
         open_breakers = sum(
-            1
-            for shard in self.shards()
-            if shard.service.breaker is not None
-            and shard.service.breaker.state != "closed"
+            1 for shard in self.shards() if shard.service.breaker.state != "closed"
         )
         self.metrics.gauge("fleet.breakers_open").set(open_breakers)
 

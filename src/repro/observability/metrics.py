@@ -462,19 +462,19 @@ class MetricsRegistry:
         return name in self._metrics
 
     def instruments(self) -> list[Any]:
-        """Every instrument, label children expanded after their parent."""
+        """Every instrument; a labelled family is listed by its children
+        only, since its unlabelled parent is never written."""
         with self._lock:
             metrics = list(self._metrics.values())
         out = []
         for metric in metrics:
-            out.append(metric)
-            if hasattr(metric, "children"):
-                out.extend(metric.children())
+            children = metric.children() if hasattr(metric, "children") else ()
+            out.extend(children or (metric,))
         return out
 
     def snapshot(self) -> dict[str, dict[str, Any]]:
         """``{name: {"kind": ..., **summary}}`` for every instrument,
-        including per-label children (their name carries the labels)."""
+        labelled families by their children (whose names carry the labels)."""
         return {m.name: {"kind": m.kind, **m.summary()} for m in self.instruments()}
 
     def rows(self) -> list[dict[str, Any]]:

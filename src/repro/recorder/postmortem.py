@@ -16,7 +16,8 @@ questions:
 
 The reader deliberately speaks the *wire* format: event types are the
 literal strings the telemetry schema exports (``"chaos.injected"``,
-``"request.failed"``, ...) rather than imports from
+``"request.failed"``, ...), taken from the recorder's incident table
+(:mod:`repro.recorder.recorder`) rather than imported from
 :mod:`repro.telemetry.events`, because the telemetry layer taps into
 the recorder and must stay importable without us.
 """
@@ -28,6 +29,13 @@ from typing import Any, Iterable
 
 from repro.recorder.bundle import find_bundles, load_bundle
 from repro.recorder.classify import CONVERGED, SEVERITY
+from repro.recorder.recorder import (
+    EVT_CHAOS,
+    EVT_FAILED,
+    EVT_SANITIZER,
+    EVT_TIMED_OUT,
+    TRIGGER_CHAOS_FAULT,
+)
 
 __all__ = [
     "load_bundles",
@@ -38,17 +46,6 @@ __all__ = [
     "diff_bundles",
     "render_diff",
 ]
-
-# -- wire-format event types (mirrors repro.telemetry.events) -----------------
-
-EVT_SOLVED = "request.solved"
-EVT_FAILED = "request.failed"
-EVT_TIMED_OUT = "request.timed_out"
-EVT_FALLBACK = "request.fallback"
-EVT_CHAOS = "chaos.injected"
-EVT_SANITIZER = "sanitizer.trip"
-EVT_BREAKER_OPEN = "breaker.open"
-EVT_SLO_ALERT = "slo.alert"
 
 #: Event types that count as request-level failures to attribute.
 FAILURE_EVENTS = (EVT_FAILED, EVT_TIMED_OUT)
@@ -93,11 +90,13 @@ def analyze_bundles(bundles: list[dict[str, Any]]) -> dict[str, Any]:
     left unattributed), and the aggregate convergence class mix.
     """
     # trace joins: flush_id -> victim traces, from the solved-flush
-    # records and the chaos triggers (a faulted flush never solves, and
-    # its trigger carries the authoritative victim list)
+    # records and the chaos triggers (a faulted flush never solves; its
+    # chaos.injected event, and so its trigger, carries the victim list)
     flush_traces: dict[str, list[str]] = {}
     for bundle in bundles:
-        chaos = [t for t in bundle["triggers"] if t.get("reason") == "chaos_fault"]
+        chaos = [
+            t for t in bundle["triggers"] if t.get("reason") == TRIGGER_CHAOS_FAULT
+        ]
         for rec in bundle["flushes"] + chaos:
             traces = flush_traces.setdefault(rec.get("flush_id", ""), [])
             for tid in rec.get("trace_ids") or ():

@@ -7,23 +7,29 @@ ring buffers of the most recent telemetry events, solved flushes (each
 with its convergence forensics), metric-registry deltas and triggers.
 Normal operation costs a few deque appends; nothing is written anywhere.
 
-When something goes wrong — a 5xx :class:`~repro.exceptions.ReproError`,
-a sanitizer trip, a breaker opening, an SLO burn alert, a chaos fault,
-or an explicit :meth:`dump` — the :meth:`trigger` path snapshots every
-ring into a self-contained, schema-versioned diagnostic bundle (JSONL
-streams + a manifest, see :mod:`repro.recorder.bundle`) with the
-trigger's ``trace_id`` pinned, so the postmortem CLI can start from a
-concrete request.
+Incidents reach the recorder as the events it already rings. When an
+incident event arrives — a request failing with a 5xx, a sanitizer trip,
+a breaker opening, an SLO starting to burn, a chaos fault (the table
+:data:`INCIDENT_EVENTS`) — :meth:`FlightRecorder.record_event` arms a
+trigger, and the trigger path snapshots every ring into a
+self-contained, schema-versioned diagnostic bundle (JSONL streams + a
+manifest, see :mod:`repro.recorder.bundle`) with the trigger's
+``trace_id`` pinned, so the postmortem CLI can start from a concrete
+request. :meth:`FlightRecorder.trigger` marks an incident by hand, and
+:meth:`FlightRecorder.dump` writes a bundle on demand.
 
 Auto-dumps are bounded two ways: at most :attr:`max_dumps` bundles per
 recorder, and at most one bundle per trigger *reason* per
-``redump_interval_s`` — a burning SLO that stays burning does not fill
-the disk.
+``redump_interval_s``. An auto-dump that fails to write is counted
+(``dump_errors``), never raised: it runs inside whatever code reported
+the incident, and a diagnostic write must not fail a flush or strand a
+ticket.
 
 This module is stdlib-only (plus :mod:`repro.recorder.bundle`): the
 telemetry layer taps into it from :meth:`EventLog.emit
 <repro.telemetry.events.EventLog.emit>`, so nothing here may import
-telemetry or serving code back.
+telemetry or serving code back, and the incident table names event
+types by their wire strings.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ __all__ = [
     "TRIGGER_CHAOS_FAULT",
     "TRIGGER_MANUAL",
     "TRIGGER_REASONS",
+    "INCIDENT_EVENTS",
 ]
 
 # -- the trigger vocabulary ---------------------------------------------------
@@ -66,6 +73,27 @@ TRIGGER_REASONS = (
     TRIGGER_MANUAL,
 )
 
+# -- the incident events (wire types of repro.telemetry.events) --------------
+
+EVT_FAILED = "request.failed"
+EVT_TIMED_OUT = "request.timed_out"
+EVT_SANITIZER = "sanitizer.trip"
+EVT_BREAKER_OPEN = "breaker.open"
+EVT_CHAOS = "chaos.injected"
+EVT_SLO_ALERT = "slo.alert"
+
+#: Event type → (trigger reason, lowest ``fields.status_code`` that arms
+#: it). The one place that decides which events are incidents: a request
+#: failing with a 4xx is the caller's error, not an incident.
+INCIDENT_EVENTS: dict[str, tuple[str, int]] = {
+    EVT_FAILED: (TRIGGER_ERROR_5XX, 500),
+    EVT_TIMED_OUT: (TRIGGER_ERROR_5XX, 500),
+    EVT_SANITIZER: (TRIGGER_SANITIZER_TRIP, 0),
+    EVT_BREAKER_OPEN: (TRIGGER_BREAKER_OPEN, 0),
+    EVT_CHAOS: (TRIGGER_CHAOS_FAULT, 0),
+    EVT_SLO_ALERT: (TRIGGER_SLO_BURN, 0),
+}
+
 
 class FlightRecorder:
     """Bounded ring buffers of recent shard activity, dumpable on demand.
@@ -80,12 +108,13 @@ class FlightRecorder:
         ``metric_interval``-th call — per-flush observation stays O(1)
         almost always.
     dump_dir:
-        When set, :meth:`trigger` auto-dumps a bundle here (subject to
+        When set, every trigger auto-dumps a bundle here (subject to
         ``max_dumps`` and ``redump_interval_s``); when ``None``, triggers
         are recorded but nothing is written until an explicit
         :meth:`dump`.
     max_dumps:
-        Hard cap on bundles this recorder will ever write on its own.
+        Hard cap on bundles this recorder will ever write on its own; a
+        failed write spends its slot too.
     redump_interval_s:
         Minimum seconds between two auto-dumps for the *same* reason.
     shard:
@@ -130,6 +159,7 @@ class FlightRecorder:
         self.events_seen = 0
         self.flushes_seen = 0
         self.dumps_written = 0
+        self.dump_errors = 0
         self.triggers_fired: dict[str, int] = {}
 
     def for_shard(self, shard: str) -> "FlightRecorder":
@@ -153,10 +183,27 @@ class FlightRecorder:
     # -- recording (the always-on hot path) -----------------------------------
 
     def record_event(self, record: dict) -> None:
-        """Ring one telemetry-event wire record (called from the event log)."""
+        """Ring one telemetry-event wire record (called from the event log).
+
+        An incident event (:data:`INCIDENT_EVENTS`) then arms a trigger
+        carrying the event's ``fields`` and its ``request_id``, pinned to
+        its first victim (``fields.trace_ids[0]``) or else its own trace.
+        """
         with self._lock:
             self.events_seen += 1
             self._events.append(record)
+        incident = INCIDENT_EVENTS.get(record.get("type"))
+        if incident is None:
+            return
+        reason, min_status = incident
+        fields = record.get("fields") or {}
+        if fields.get("status_code", 0) < min_status:
+            return
+        victims = fields.get("trace_ids")
+        trace_id = victims[0] if victims else record.get("trace_id")
+        if record.get("request_id"):
+            fields = {**fields, "request_id": record["request_id"]}
+        self.trigger(reason, trace_id=trace_id, **fields)
 
     def record_flush(self, summary: dict, **fields: Any) -> None:
         """Ring one solved flush: its convergence forensics (see
@@ -205,9 +252,13 @@ class FlightRecorder:
     ) -> Path | None:
         """Record one trigger; auto-dump a bundle when so configured.
 
-        Returns the bundle path when a dump was written, else ``None``.
-        The trigger's ``trace_id`` is pinned into the bundle manifest so
-        a postmortem starts from the request that tripped the recorder.
+        Incident events arm this from :meth:`record_event`; call it
+        directly only to mark an incident by hand (``manual``). Returns
+        the bundle path when a dump was written, else ``None``, also when
+        the write failed: that is counted in ``dump_errors`` instead of
+        raised into the code that reported the incident. The trigger's
+        ``trace_id`` is pinned into the bundle manifest so a postmortem
+        starts from the request that tripped the recorder.
         """
         now = self._clock()
         record = {"ts": now, "reason": reason, "trace_id": trace_id, **fields}
@@ -221,7 +272,11 @@ class FlightRecorder:
                 >= self.redump_interval_s
             )
         if should_dump:
-            return self.dump(reason=reason, trace_id=trace_id)
+            try:
+                return self.dump(reason=reason, trace_id=trace_id)
+            except Exception:  # an unwritable dump_dir, a full disk, ...
+                with self._lock:
+                    self.dump_errors += 1
         return None
 
     def dump(
@@ -232,7 +287,11 @@ class FlightRecorder:
         trace_id: str | None = None,
         **extra: Any,
     ) -> Path:
-        """Snapshot every ring into a diagnostic bundle; returns its path."""
+        """Snapshot every ring into a diagnostic bundle; returns its path.
+
+        Raises when the bundle cannot be written: the caller asked for
+        the file.
+        """
         target = Path(out_dir) if out_dir is not None else self.dump_dir
         if target is None:
             raise ValueError("no dump directory: pass out_dir or set dump_dir")
@@ -286,6 +345,7 @@ class FlightRecorder:
                 "metric_snapshots": len(self._metrics),
                 "triggers": dict(self.triggers_fired),
                 "dumps_written": self.dumps_written,
+                "dump_errors": self.dump_errors,
             }
 
     def __repr__(self) -> str:

@@ -86,7 +86,6 @@ class MicroBatcher:
 
     Thread-safe; every mutating call takes the internal lock. The clock is
     injectable (monotonic integer nanoseconds) for deterministic tests.
-    ``fair_share=False`` restores pure arrival-order release.
     """
 
     def __init__(
@@ -94,7 +93,6 @@ class MicroBatcher:
         max_batch_size: int,
         max_wait_ns: int,
         clock: Callable[[], int] = monotonic_ns,
-        fair_share: bool = True,
     ) -> None:
         if max_batch_size <= 0:
             raise ValueError(f"max_batch_size must be positive, got {max_batch_size}")
@@ -102,7 +100,6 @@ class MicroBatcher:
             raise ValueError(f"max_wait_ns must be non-negative, got {max_wait_ns}")
         self.max_batch_size = max_batch_size
         self.max_wait_ns = max_wait_ns
-        self.fair_share = fair_share
         self.ledger = FairShareLedger()
         self._clock = clock
         self._buckets: dict[tuple[BatchKey, str], _Bucket] = {}
@@ -196,7 +193,7 @@ class MicroBatcher:
         member); each released flush then charges its tenants' clocks so
         the *next* tie breaks toward whoever has been served least.
         """
-        if not self.fair_share or len(flushes) <= 1:
+        if len(flushes) <= 1:
             for flush in flushes:
                 self._charge(flush)
             return flushes
@@ -216,8 +213,6 @@ class MicroBatcher:
         return ordered
 
     def _charge(self, flush: FlushBatch) -> None:
-        if not self.fair_share:
-            return
         weight = PRIORITY_WEIGHTS.get(flush.priority, 1.0)
         for tenant, tickets in flush.tenants().items():
             self.ledger.charge(tenant, tickets, weight)

@@ -91,22 +91,14 @@ class ServeConfig:
         Per-tenant overrides of ``tenant_default_quota`` as a tuple of
         ``(tenant, quota)`` pairs (tuple, not dict — the config is frozen
         and hashable).
-    fair_share:
-        When true (the default), simultaneous due/drain flushes release
-        in priority order and, within a priority class, by per-tenant
-        stride scheduling (:mod:`repro.serve.qos`). When false, flush
-        order is arrival order (the pre-QoS behaviour).
-    breaker_enabled:
-        Arm the fallback circuit breaker. When the recent bad fraction
-        (fallbacks + failures) crosses ``breaker_threshold``, degraded
-        per-request retries fail fast with
-        :class:`~repro.exceptions.CircuitOpenError` until a half-open
-        probe succeeds after ``breaker_cooldown_s``.
     breaker_window / breaker_min_events / breaker_threshold /
     breaker_cooldown_s:
-        The breaker's sliding outcome window, the minimum observations
-        before it may trip, the bad fraction that trips it, and the
-        open → half-open cooldown.
+        The fallback circuit breaker's sliding outcome window, the
+        minimum observations before it may trip, the bad fraction
+        (fallbacks + failures) that trips it, and the open → half-open
+        cooldown. While it is open, degraded per-request retries fail
+        fast with :class:`~repro.exceptions.CircuitOpenError` until a
+        half-open probe succeeds.
     """
 
     max_batch_size: int = 64
@@ -120,8 +112,6 @@ class ServeConfig:
     telemetry_sample_rate: float = 1.0
     tenant_default_quota: int | None = None
     tenant_quotas: tuple[tuple[str, int], ...] = ()
-    fair_share: bool = True
-    breaker_enabled: bool = True
     breaker_window: int = 64
     breaker_min_events: int = 32
     breaker_threshold: float = 0.5

@@ -47,12 +47,7 @@ from repro.kernels import KERNEL_PRECONDITIONERS, KERNEL_SOLVERS, solve_fused
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracer import Tracer, current_tracer
 from repro.recorder.classify import solve_summary
-from repro.recorder.recorder import (
-    TRIGGER_BREAKER_OPEN,
-    TRIGGER_ERROR_5XX,
-    TRIGGER_SANITIZER_TRIP,
-    FlightRecorder,
-)
+from repro.recorder.recorder import FlightRecorder
 from repro.telemetry.events import (
     BREAKER_CLOSE,
     BREAKER_OPEN,
@@ -129,25 +124,17 @@ class SolverService:
             self.events = EventLog(capacity=EVENT_LOG_CAPACITY)
             self.events.recorder = self.recorder
         self.plan_cache = PlanCache(metrics=self.metrics, capacity=PLAN_CACHE_CAPACITY)
-        self.batcher = MicroBatcher(
-            self.config.max_batch_size,
-            self.config.max_wait_ns,
-            fair_share=self.config.fair_share,
-        )
+        self.batcher = MicroBatcher(self.config.max_batch_size, self.config.max_wait_ns)
         self.pool = WorkerPool(
             self.config.num_workers, backend=self.config.backend, device=device
         )
-        self.breaker = (
-            CircuitBreaker(
-                window=self.config.breaker_window,
-                min_events=self.config.breaker_min_events,
-                threshold=self.config.breaker_threshold,
-                cooldown_s=self.config.breaker_cooldown_s,
-                on_open=self._on_breaker_open,
-                on_close=self._on_breaker_close,
-            )
-            if self.config.breaker_enabled
-            else None
+        self.breaker = CircuitBreaker(
+            window=self.config.breaker_window,
+            min_events=self.config.breaker_min_events,
+            threshold=self.config.breaker_threshold,
+            cooldown_s=self.config.breaker_cooldown_s,
+            on_open=self._on_breaker_open,
+            on_close=self._on_breaker_close,
         )
         self._pending = 0
         self._tenant_pending: dict[str, int] = {}
@@ -466,10 +453,9 @@ class SolverService:
             latencies_ms, [ticket.trace_context.trace_id for _, ticket, _ in answers]
         )
         self.metrics.counter("serve.served").inc(len(answers))
-        if self.breaker is not None:
-            self.breaker.record_many(
-                [True] * failed_retries + [outcome.used_fallback for _, _, outcome in answers]
-            )
+        self.breaker.record_many(
+            [True] * failed_retries + [outcome.used_fallback for _, _, outcome in answers]
+        )
         answered: list[SolveTicket] = []
         try:
             for (i, ticket, outcome), latency_ms in zip(answers, latencies_ms):
@@ -533,7 +519,8 @@ class SolverService:
         :class:`~repro.sanitize.report.SanitizerReport` (carried on the
         exception) gains the trace/request ids of every co-batched request
         so the report names victims, not just the batch. The trip is also
-        recorded as a pinned structured event.
+        recorded as a pinned structured event, which arms the flight
+        recorder.
         """
         report = getattr(exc, "report", None)
         if report is None:
@@ -554,15 +541,6 @@ class SolverService:
             trace_ids=list(trace_ids),
             request_ids=list(request_ids),
         )
-        if self.recorder is not None:
-            self.recorder.trigger(
-                TRIGGER_SANITIZER_TRIP,
-                trace_id=trace_ids[0] if trace_ids else None,
-                kind=getattr(report, "kind", type(exc).__name__),
-                kernel=getattr(report, "kernel", ""),
-                flush_id=flush.flush_id,
-                trace_ids=list(trace_ids),
-            )
 
     def _solve_batch(
         self,
@@ -746,7 +724,7 @@ class SolverService:
 
     def _allow_degraded(self) -> bool:
         """May the per-request fallback path run (breaker closed/half-open)?"""
-        return self.breaker is None or self.breaker.allow_degraded()
+        return self.breaker.allow_degraded()
 
     def _shed_degraded(self, ticket: SolveTicket) -> None:
         """Fail one degraded request fast while the breaker is open."""
@@ -770,12 +748,6 @@ class SolverService:
             cooldown_s=breaker.cooldown_s,
             opens=breaker.opens,
         )
-        if self.recorder is not None:
-            self.recorder.trigger(
-                TRIGGER_BREAKER_OPEN,
-                bad_fraction=round(breaker.bad_fraction(), 3),
-                opens=breaker.opens,
-            )
 
     def _on_breaker_close(self, breaker: CircuitBreaker) -> None:
         self.metrics.counter("serve.breaker_closes").inc()
@@ -816,24 +788,15 @@ class SolverService:
         if ticket.done():
             return
         self.metrics.counter("serve.failed").inc()
-        status_code = getattr(error, "status_code", 500)
         self.events.emit(
             REQUEST_TIMED_OUT if status == TIMED_OUT else REQUEST_FAILED,
             ctx=ticket.trace_context,
             critical=True,
             error=type(error).__name__,
             error_code=getattr(error, "error_code", "internal"),
-            status_code=status_code,
+            status_code=getattr(error, "status_code", 500),
             detail=str(error)[:160],
         )
-        if status_code >= 500 and self.recorder is not None:
-            self.recorder.trigger(
-                TRIGGER_ERROR_5XX,
-                trace_id=ticket.trace_context.trace_id,
-                request_id=ticket.request.request_id,
-                error=type(error).__name__,
-                status_code=status_code,
-            )
         ticket._fail(error, status=status)
         self._release([ticket])
 

@@ -24,6 +24,10 @@ window makes the alert reset quickly once the regression stops; the long
 window keeps one noisy minute from paging. The monitor's clock is
 injectable so tests and ``repro slo check`` drive synthetic multi-hour
 timelines in milliseconds.
+
+An objective that *starts* burning emits one critical ``slo.alert``
+event into the installed event log (the flight recorder arms on it);
+one that keeps burning emits nothing more until it has recovered.
 """
 
 from __future__ import annotations
@@ -36,9 +40,9 @@ from collections import deque
 from pathlib import Path
 from typing import Callable
 
-from repro.instruments import current
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.prometheus import sanitize_name
+from repro.telemetry.events import SLO_ALERT, emit_event
 
 __all__ = [
     "BurnWindow",
@@ -378,6 +382,9 @@ class SloMonitor:
     max_samples:
         Ring bound on retained samples (bounded memory, like the event
         log).
+
+    :meth:`evaluate` emits a critical ``slo.alert`` (naming every
+    burning objective) when some objective starts burning.
     """
 
     def __init__(
@@ -393,6 +400,7 @@ class SloMonitor:
         self._samples: deque[tuple[float, dict[str, tuple[float, float]]]] = deque(
             maxlen=max_samples
         )
+        self._burning: set[str] = set()  # objectives burning at the last evaluate
 
     # -- sampling -------------------------------------------------------------
 
@@ -464,15 +472,10 @@ class SloMonitor:
                     BurnAlert(window=window, short_burn=short, long_burn=long, firing=firing)
                 )
             statuses.append(status)
-        if any(status.burning for status in statuses):
-            # black-box trigger: a burning SLO snapshots the flight
-            # recorder (the recorder itself rate-limits repeat dumps)
-            from repro.recorder.recorder import TRIGGER_SLO_BURN
-
-            recorder = current().recorder
-            if recorder is not None:
-                burning = [s.spec.name for s in statuses if s.burning]
-                recorder.trigger(TRIGGER_SLO_BURN, slos=burning)
+        burning = [status.spec.name for status in statuses if status.burning]
+        if set(burning) - self._burning:  # an objective started burning
+            emit_event(SLO_ALERT, critical=True, slos=burning)
+        self._burning = set(burning)
         return statuses
 
     @property

@@ -25,6 +25,12 @@ from repro.exceptions import (
     WorkerDiedError,
 )
 from repro.instruments import use
+from repro.observability.tracer import Tracer
+from repro.recorder.recorder import (
+    TRIGGER_CHAOS_FAULT,
+    TRIGGER_ERROR_5XX,
+    FlightRecorder,
+)
 from repro.serve import ServeConfig, SolveRequest, SolverService
 from repro.telemetry.events import CHAOS_INJECTED
 
@@ -110,7 +116,7 @@ class TestFaultRealization:
 
 class TestTelemetry:
     def test_injection_metric_and_event(self):
-        injector, service, _, _ = _run_with_fault(FaultSpec(WORKER_DIE, at=(0,)))
+        injector, service, tickets, _ = _run_with_fault(FaultSpec(WORKER_DIE, at=(0,)))
         counter = service.metrics.counter("chaos.injected").labels(kind=WORKER_DIE)
         assert int(counter.value) == 1
         events = [e for e in service.events.records() if e["type"] == CHAOS_INJECTED]
@@ -118,6 +124,10 @@ class TestTelemetry:
         assert events[0]["fields"]["kind"] == WORKER_DIE
         assert events[0]["fields"]["flush_index"] == 0
         assert events[0]["fields"]["batch_size"] == 4
+        # the victims ride on the event: the recorder's chaos trigger and
+        # the postmortem's flush -> victims join read them from here
+        victims = [t.trace_context.trace_id for t in tickets]
+        assert events[0]["fields"]["trace_ids"] == victims
 
     def test_chaos_event_survives_head_sampling(self):
         # chaos.injected is critical: even with routine telemetry sampled
@@ -134,6 +144,43 @@ class TestTelemetry:
             assert all(t.exception(timeout=30.0) is None for t in tickets)
         kept = [e for e in service.events.records() if e["type"] == CHAOS_INJECTED]
         assert len(kept) == 1
+
+
+class TestUnwritableDumpDir:
+    """A recorder whose every bundle write fails changes no outcome."""
+
+    def test_5xx_ticket_fails_structured_and_frees_its_slot(self, unwritable_dir):
+        recorder = FlightRecorder(dump_dir=unwritable_dir)
+        injector = ChaosInjector(FaultPlan(0, (FaultSpec(WORKER_DIE, at=(0,)),)))
+        config = ServeConfig(
+            max_batch_size=1, max_wait_ms=60_000.0, num_workers=1, fallback=False
+        )
+        with SolverService(config, chaos=injector, recorder=recorder) as service:
+            ticket = service.submit(_request(np.random.default_rng(0)))
+            with pytest.raises(WorkerDiedError) as failure:
+                ticket.result(timeout=5.0)
+            assert failure.value.status_code == 503
+            assert service.wait_idle(timeout=5.0)
+            assert service.pending == 0
+        assert recorder.triggers_fired == {TRIGGER_CHAOS_FAULT: 1, TRIGGER_ERROR_5XX: 1}
+        assert recorder.summary()["dump_errors"] == 2
+
+    def test_chaos_flush_fails_with_its_injected_error(self, unwritable_dir):
+        recorder = FlightRecorder(dump_dir=unwritable_dir)
+        injector = ChaosInjector(FaultPlan(0, (FaultSpec(WORKER_DIE, at=(0,)),)))
+        tracer = Tracer()
+        config = ServeConfig(max_batch_size=4, max_wait_ms=60_000.0, num_workers=1)
+        rng = np.random.default_rng(0)
+        with SolverService(
+            config, tracer=tracer, chaos=injector, recorder=recorder
+        ) as service:
+            tickets = [service.submit(_request(rng)) for _ in range(4)]
+            assert all(t.result(timeout=10.0).used_fallback for t in tickets)
+        (flush,) = [s for s in tracer.spans if s.name == "serve.flush"]
+        assert flush.args["error"] == "WorkerDiedError"
+        assert injector.injected_by_kind() == {WORKER_DIE: 1}
+        assert recorder.triggers_fired == {TRIGGER_CHAOS_FAULT: 1}
+        assert recorder.summary()["dump_errors"] == 1
 
 
 class TestInjectorBookkeeping:

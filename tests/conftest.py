@@ -76,6 +76,14 @@ def rng() -> np.random.Generator:
 
 
 @pytest.fixture
+def unwritable_dir(tmp_path):
+    """A directory path under a regular file: nothing can be written there."""
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    return blocker / "bundles"
+
+
+@pytest.fixture
 def spd_batch() -> BatchCsr:
     """8 SPD systems of size 12 sharing one pattern."""
     return random_spd_batch(num_batch=8, num_rows=12, density=0.3, seed=7)

@@ -133,8 +133,26 @@ class TestLabels:
         # children are stable objects, keyed by sorted label set
         assert flushes.labels(backend="sycl") is sycl
         names = [m.name for m in registry.instruments()]
-        assert "serve.flushes" in names
+        assert "serve.flushes" not in names  # the family is its children
         assert 'serve.flushes{backend="cuda"}' in names
+
+    def test_unwritten_parent_is_never_listed(self):
+        registry = MetricsRegistry()
+        registry.counter("serve.flush_solves").labels(backend="sycl", solver="cg").inc()
+        registry.gauge("fleet.shard_pending").labels(shard="shard-0").set(3)
+        registry.counter("serve.flushes").inc()
+        rows = {row["metric"]: row for row in registry.rows()}
+        assert set(rows) == {
+            'serve.flush_solves{backend="sycl",solver="cg"}',
+            'fleet.shard_pending{shard="shard-0"}',
+            "serve.flushes",
+        }
+        assert rows['fleet.shard_pending{shard="shard-0"}']["value"] == 3
+        text = render_prometheus(registry)
+        assert "\nserve_flush_solves " not in text
+        assert 'serve_flush_solves{backend="sycl",solver="cg"} 1.0' in text
+        assert "\nfleet_shard_pending " not in text
+        assert "\nserve_flushes 1.0" in text
 
     def test_label_key_order_canonical(self):
         counter = Counter("c")

@@ -64,17 +64,13 @@ class _Clock:
     steps=_steps,
     max_batch_size=st.integers(min_value=1, max_value=5),
     max_wait_ms=st.integers(min_value=0, max_value=8),
-    fair_share=st.booleans(),
 )
-def test_no_ticket_lost_or_double_flushed(
-    steps, max_batch_size, max_wait_ms, fair_share
-):
+def test_no_ticket_lost_or_double_flushed(steps, max_batch_size, max_wait_ms):
     clock = _Clock()
     batcher = MicroBatcher(
         max_batch_size=max_batch_size,
         max_wait_ns=int(max_wait_ms * 1e6),
         clock=clock,
-        fair_share=fair_share,
     )
     offered = []
     flushes = []
@@ -124,14 +120,12 @@ def test_due_only_releases_expired_buckets(steps):
 
 
 @settings(max_examples=40, deadline=None)
-@given(steps=_steps, fair_share=st.booleans())
-def test_fair_share_never_breaks_priority_rank(steps, fair_share):
+@given(steps=_steps)
+def test_fair_share_never_breaks_priority_rank(steps):
     """Within one due() sweep, releases are sorted by priority rank."""
     rank = {"high": 0, "normal": 1, "low": 2}
     clock = _Clock()
-    batcher = MicroBatcher(
-        max_batch_size=100, max_wait_ns=int(2e6), clock=clock, fair_share=fair_share
-    )
+    batcher = MicroBatcher(max_batch_size=100, max_wait_ns=int(2e6), clock=clock)
     for kind, arg, priority, tenant in steps:
         if kind == "offer":
             batcher.offer(
@@ -139,8 +133,5 @@ def test_fair_share_never_breaks_priority_rank(steps, fair_share):
             )
         else:
             clock.now += int(arg * 1e6)
-        if fair_share:
-            ranks = [rank[f.priority] for f in batcher.due()]
-            assert ranks == sorted(ranks)
-        else:
-            batcher.due()
+        ranks = [rank[f.priority] for f in batcher.due()]
+        assert ranks == sorted(ranks)

@@ -9,6 +9,7 @@ import scipy.sparse as sp
 from repro.chaos import ChaosInjector, FaultPlan, FaultSpec
 from repro.chaos.plan import POISON_BATCH
 from repro.exceptions import CircuitOpenError
+from repro.recorder.recorder import TRIGGER_BREAKER_OPEN, FlightRecorder
 from repro.serve import ServeConfig, SolveRequest, SolverService, SolveTicket
 from repro.serve.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from repro.telemetry.events import BREAKER_CLOSE, BREAKER_OPEN, REQUEST_FALLBACK
@@ -270,15 +271,19 @@ class TestServiceStorm:
             assert all(e.retry_after_s == 60.0 for e in errors)
             assert int(service.metrics.counter("serve.breaker_fast_fails").value) == 4
 
-    def test_breaker_disabled_never_sheds(self):
-        rng = np.random.default_rng(2)
-        chaos = ChaosInjector(FaultPlan(0, (FaultSpec(POISON_BATCH, every=1),)))
-        config = _storm_config(breaker_enabled=False)
-        with SolverService(config, chaos=chaos) as service:
-            assert service.breaker is None
-            tickets = [service.submit(_tridiag_request(rng)) for _ in range(12)]
-            assert all(t.exception(timeout=30.0) is None for t in tickets)
-            assert all(t.result(timeout=1.0).used_fallback for t in tickets)
+    def test_opening_flush_completes_with_unwritable_dump_dir(self, unwritable_dir):
+        # the breaker opens inside the flush's completion; the recorder's
+        # failed bundle write must not keep any of its tickets pending
+        recorder = FlightRecorder(dump_dir=unwritable_dir)
+        rng = np.random.default_rng(3)
+        config = _storm_config(max_batch_size=6, breaker_cooldown_s=60.0)
+        with SolverService(config, recorder=recorder) as service:
+            tickets = [service.submit(_nonconvergent_request(rng)) for _ in range(6)]
+            assert all(t.result(timeout=10.0).used_fallback for t in tickets)
+            assert service.breaker.state == OPEN
+            assert service.wait_idle(timeout=5.0)
+        assert recorder.triggers_fired == {TRIGGER_BREAKER_OPEN: 1}
+        assert recorder.summary()["dump_errors"] == 1
 
 
 def _nonconvergent_request(rng, n=12):

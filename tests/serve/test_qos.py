@@ -141,20 +141,6 @@ class TestFairShareOrdering:
         assert set(snapshot) == {"a", "b"}
         assert all(v > 0 for v in snapshot.values())
 
-    def test_fair_share_disabled_restores_arrival_order(self):
-        clock = FakeClock()
-        batcher = MicroBatcher(
-            max_batch_size=8, max_wait_ns=int(5e6), clock=clock, fair_share=False
-        )
-        batcher.ledger.charge("chatty", 100)
-        batcher.offer(_ticket(clock, tenant="chatty", tolerance=1e-8))
-        batcher.offer(_ticket(clock, tenant="quiet", tolerance=1e-6))
-        clock.advance_ms(6.0)
-        flushes = batcher.due()
-        assert [f.tenants() for f in flushes] == [{"chatty": 1}, {"quiet": 1}]
-        # and nothing was charged
-        assert batcher.ledger.snapshot() == {"chatty": 100.0}
-
     def test_mixed_tenant_flush_rides_its_least_served_member(self):
         clock = FakeClock()
         batcher = MicroBatcher(max_batch_size=8, max_wait_ns=int(5e6), clock=clock)

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.instruments import use
 from repro.observability import render_prometheus
 from repro.observability.metrics import MetricsRegistry
+from repro.recorder.recorder import TRIGGER_SLO_BURN, FlightRecorder
 from repro.telemetry import (
     DEFAULT_WINDOWS,
     BurnWindow,
@@ -17,6 +19,7 @@ from repro.telemetry import (
     load_slos,
     ratio_slo,
 )
+from repro.telemetry.events import SLO_ALERT, EventLog
 
 
 class TestSpecs:
@@ -224,3 +227,24 @@ class TestBurnRateAlerts:
             state["now"] += 1.0
             monitor2.sample()
         assert monitor2.num_samples == 16
+
+
+class TestAlertEvents:
+    def test_one_alert_per_transition_into_burning(self):
+        registry, monitor, state = _ratio_monitor()
+        log = EventLog()
+        recorder = FlightRecorder()
+        burning = []
+        with use(events=log, recorder=recorder):
+            monitor.sample()
+            for bad, epochs in ((30, 6), (30, 1), (30, 1), (0, 3), (0, 1), (30, 6)):
+                _advance(registry, monitor, state, epochs, bad, total_per_epoch=100)
+                (status,) = monitor.evaluate(now=state["now"])
+                burning.append(status.burning)
+        # starts, stays, stays, recovers, stays recovered, starts again
+        assert burning == [True, True, True, False, False, True]
+        alerts = [r for r in log.records() if r["type"] == SLO_ALERT]
+        assert [a["fields"]["slos"] for a in alerts] == [["err"], ["err"]]
+        assert log.summary()["pinned"] == 2  # critical
+        assert recorder.triggers_fired == {TRIGGER_SLO_BURN: 2}
+        assert [t["slos"] for t in recorder.snapshot()["triggers"]] == [["err"], ["err"]]
