@@ -13,17 +13,13 @@ path and gates the headline:
   **>= 20x** speedup for both solvers; the script exits non-zero below
   that, and ``benchmarks/baseline_manifest.json`` pins the same floor for
   ``scripts/check_regression.py``.
-* **agreement** — both backends' solutions must actually solve the
-  systems (relative residual under a small multiple of the tolerance)
-  and converge within the iteration budget. Iteration counts may
-  differ: the faithful interpreter reduces with a sequential left-fold
-  while the wide backend uses NumPy's pairwise reduction, and an
-  ill-conditioned solve amplifies that last-ulp difference. On this
-  workload CG agrees exactly and BiCGSTAB differs by up to 35
-  iterations (``max_iter_delta`` in ``BENCH_wide_speedup.json``); the
-  ROADMAP's "three execution paths, one answer" item closes the gap
-  with one tree order in both executors. Bitwise equality *within* a
-  backend is pinned by the test suite, not here.
+* **agreement** — both backends evaluate every collective with one
+  function, so they must return identical solutions and iteration
+  counts (``max_iter_delta`` 0, gated in
+  ``benchmarks/baseline_manifest.json``); the script exits non-zero
+  otherwise. Both solutions must also solve the systems (relative
+  residual under a small multiple of the tolerance) within the
+  iteration budget.
 * **serve stacked win** — the serving layer in kernel-execution mode
   (``ServeConfig(execution="kernel")``) flushed through wide workers vs
   faithful workers: throughput of the same request stream, plus proof
@@ -98,7 +94,14 @@ def run_hot_path(*, nb: int, n: int, tolerance: float, max_iterations: int) -> d
         )
         faithful_s = time.perf_counter() - start
 
-        # agreement: both solutions must solve the systems and converge
+        # agreement: one answer from both executors, and it solves the systems
+        if not np.array_equal(iters_wide, iters_faithful):
+            raise AssertionError(
+                f"{name}: iteration counts differ: wide {np.asarray(iters_wide).tolist()}"
+                f" vs faithful {np.asarray(iters_faithful).tolist()}"
+            )
+        if not np.array_equal(x_wide, x_faithful):
+            raise AssertionError(f"{name}: wide and faithful solutions differ")
         for backend, x, iters in (
             ("wide", x_wide, iters_wide),
             ("faithful", x_faithful, iters_faithful),

@@ -82,7 +82,8 @@ echo "== wide-diff =="
 # every backend of the one fused-kernel dispatch (faithful sycl, the
 # CUDA warp-shuffle reduction, lockstep wide) vs the NumPy reference
 # across the differential grid, then the quick-mode speedup bench (same
-# >= 20x hot-path gate as the committed BENCH_wide_speedup.json artifact)
+# >= 20x hot-path gate as the committed BENCH_wide_speedup.json artifact,
+# and the same check that faithful and wide return identical answers)
 python -m repro sanitize diff --backends sycl,cuda,wide
 python scripts/bench_wide_speedup.py --quick --out /tmp/ci_wide_speedup.json
 

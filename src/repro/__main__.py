@@ -9,8 +9,7 @@ Commands:
 * ``advisor``  — the Fig. 8 Advisor-style report for a mechanism/platform.
 * ``features`` — the dispatch feature matrix (Table 3 + extensions).
 * ``serve-demo`` — run a synthetic request workload through the async
-  batched-solver service (``repro.serve``) and print its metrics;
-  ``--shards N`` routes the same workload through a fleet of N replicas.
+  batched-solver service (``repro.serve``) and print its metrics.
 * ``fleet-demo`` — the sharded solver fleet (``repro.fleet``): paced
   Poisson/bursty arrivals consistent-hash-routed over N shard replicas,
   a scale-up + graceful-drain lifecycle demonstration, per-shard
@@ -135,9 +134,6 @@ def _cmd_serve_demo(args) -> int:
     from repro.bench.report import print_table
     from repro.serve import ServeConfig, SolverService
     from repro.workloads.arrivals import make_request, stencil_pattern
-
-    if getattr(args, "shards", 1) > 1:
-        return _serve_demo_fleet(args)
 
     num_tenants = getattr(args, "tenants", 0) or 0
     config = ServeConfig(
@@ -264,67 +260,6 @@ def _dump_telemetry(args, metrics, events) -> None:
     if args.events_out:
         path = events.write_jsonl(args.events_out)
         print(f"{len(events)} telemetry events written to {path}")
-
-
-def _serve_demo_fleet(args) -> int:
-    """``serve-demo --shards N``: the same workload through the fleet."""
-    import time as _time
-
-    import numpy as np
-
-    from repro.bench.report import print_table
-    from repro.fleet import FleetConfig, FleetService
-    from repro.serve import ServeConfig
-    from repro.workloads.arrivals import keyed_requests, stencil_pattern
-
-    config = FleetConfig(
-        serve=ServeConfig(
-            max_batch_size=args.batch_size,
-            max_wait_ms=args.wait_ms,
-            num_workers=args.workers,
-            backend=args.backend,
-            execution=args.execution,
-        ),
-        initial_replicas=args.shards,
-        max_replicas=max(args.shards, 8),
-    )
-    pattern = stencil_pattern(args.size)
-    rng = np.random.default_rng(42)
-    requests = keyed_requests(
-        pattern, rng, args.size, args.requests, args.keys, solver=args.solver
-    )
-
-    print(
-        f"serve-demo: {args.requests} requests over {args.keys} keys, "
-        f"n={args.size}, {args.shards} shards x {config.serve.num_workers} "
-        f"{config.serve.backend} worker(s), max_batch_size={config.serve.max_batch_size}"
-    )
-    start = _time.perf_counter()
-    with FleetService(config) as fleet:
-        tickets = [fleet.submit(r) for r in requests]
-        fleet.flush()
-        outcomes = [t.result(timeout=60.0) for t in tickets]
-        elapsed = _time.perf_counter() - start
-
-        fleet.refresh_metrics()
-        stats = fleet.shard_stats()
-        occupancy = fleet.ring_occupancy()
-        hdr = fleet.latency_histogram()
-        converged = sum(1 for o in outcomes if o.converged)
-        print(
-            f"\nserved {converged}/{len(outcomes)} requests in "
-            f"{elapsed * 1e3:.1f} ms ({len(outcomes) / elapsed:.0f} req/s), "
-            f"fleet p50/p99 {hdr.percentile(50.0):.2f}/{hdr.percentile(99.0):.2f} ms"
-        )
-        print()
-        for row in stats:
-            row["p99_ms"] = round(row["p99_ms"], 2)
-            row["ring_share"] = f"{occupancy.get(row['shard'], 0.0):.1%}"
-        print_table(stats, "per-shard counters")
-        print()
-        print_table(fleet.metrics.rows(), "fleet metrics")
-        _dump_telemetry(args, fleet.metrics, fleet.events)
-    return 0
 
 
 def _cmd_fleet_demo(args) -> int:
@@ -1329,22 +1264,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--execution", choices=["vectorized", "kernel"], default="vectorized"
     )
     serve_demo.add_argument("--solver", default="bicgstab")
-    serve_demo.add_argument(
-        "--shards",
-        "--replicas",
-        dest="shards",
-        type=int,
-        default=1,
-        help="route the workload through a fleet of this many shard replicas "
-        "(repro.fleet); 1 = the plain single-service path",
-    )
-    serve_demo.add_argument(
-        "--keys",
-        type=int,
-        default=16,
-        help="distinct BatchKeys in the workload (fleet path only; "
-        "key diversity is what spreads load across shards)",
-    )
     serve_demo.add_argument(
         "--tenants",
         type=int,

@@ -29,12 +29,16 @@ The per-work-item backends run under an installed sanitizer; the wide
 backend runs bare, because its lockstep execution falls back to the
 faithful interpreter under a sanitizer (per-item shadow checking has no
 meaning over a collapsed lane axis — see ``docs/wide_backend.md``),
-which would make the differential comparison vacuous. Exact bitwise
-equality across paths is *not* the contract: the paths reduce in
-different orders (NumPy pairwise summation, the SYCL group primitive
-sequentially over lanes, the CUDA butterfly over warps, the wide
-backend's vectorized lane-axis reduction), which is precisely the backend
-difference Section 3.2 of the paper describes. What must hold — and what
+which would make the differential comparison vacuous.
+
+The ``sycl`` and ``wide`` backends evaluate every collective with one
+function (:func:`repro.sycl.group.evaluate_collective`), so they agree
+bit for bit on solutions, iteration counts and residual histories; the
+test suite holds them to that. Against the reference, exact equality is
+*not* the contract: the vectorized NumPy solvers reduce whole vectors
+at once and the CUDA backend sums through its warp-shuffle butterfly,
+each in its own order, which is precisely the backend difference
+Section 3.2 of the paper describes. What must hold — and what
 :func:`run_differential` checks — is that residual histories track each
 other to accumulation-error tolerance, iteration counts match within a
 one-iteration threshold-crossing slack, and the returned solutions solve
@@ -141,6 +145,7 @@ class DiffOutcome:
 
     case: DiffCase
     agree: bool
+    device: BackendRun  # the device-kernel run the verdict compared
     iterations_ref: np.ndarray
     iterations_dev: np.ndarray
     max_solution_diff: float
@@ -319,6 +324,7 @@ def run_differential(
     return DiffOutcome(
         case=case,
         agree=not failures,
+        device=device,
         iterations_ref=it_ref,
         iterations_dev=it_dev,
         max_solution_diff=sol_diff,

@@ -44,7 +44,7 @@ from repro.exceptions import (
 )
 from repro.instruments import current, use
 from repro.kernels import KERNEL_PRECONDITIONERS, KERNEL_SOLVERS, solve_fused
-from repro.observability.metrics import MetricsRegistry
+from repro.observability.metrics import Gauge, MetricsRegistry
 from repro.observability.tracer import Tracer, current_tracer
 from repro.recorder.classify import solve_summary
 from repro.recorder.recorder import FlightRecorder
@@ -138,6 +138,11 @@ class SolverService:
         )
         self._pending = 0
         self._tenant_pending: dict[str, int] = {}
+        # bound once: admission and release touch these on every request
+        self._pending_gauge = self.metrics.gauge("serve.pending")
+        self._accepted = self.metrics.counter("serve.accepted")
+        self._tenant_family = self.metrics.gauge("serve.tenant_pending")
+        self._tenant_gauges: dict[str, Gauge] = {}
         self._closed = False
         self._pool_closing = False
         self._state = threading.Condition()
@@ -202,10 +207,8 @@ class SolverService:
                 )
             self._pending += 1
             self._tenant_pending[tenant] = tenant_pending + 1
-            self.metrics.gauge("serve.pending").set(self._pending)
-            self.metrics.gauge("serve.tenant_pending").labels(tenant=tenant).set(
-                self._tenant_pending[tenant]
-            )
+            self._pending_gauge.set(self._pending)
+            self._tenant_gauge(tenant).set(tenant_pending + 1)
 
             now = monotonic_ns()
             timeout_ns = self.config.request_timeout_ns
@@ -214,7 +217,7 @@ class SolverService:
                 submitted_ns=now,
                 deadline_ns=None if timeout_ns is None else now + timeout_ns,
             )
-            self.metrics.counter("serve.accepted").inc()
+            self._accepted.inc()
             self.events.emit(
                 REQUEST_ADMITTED,
                 ctx=request.trace_context,
@@ -229,6 +232,16 @@ class SolverService:
                 # only a new bucket can give the flusher an earlier deadline
                 self._state.notify_all()
         return ticket
+
+    def _tenant_gauge(self, tenant: str) -> Gauge:
+        """``serve.tenant_pending{tenant=...}``, looked up once per tenant
+        (callers hold ``_state``)."""
+        gauge = self._tenant_gauges.get(tenant)
+        if gauge is None:
+            gauge = self._tenant_gauges[tenant] = self._tenant_family.labels(
+                tenant=tenant
+            )
+        return gauge
 
     def solve(self, request: SolveRequest, timeout: float | None = None) -> SolveOutcome:
         """Submit one request and block for its outcome (convenience)."""
@@ -811,7 +824,7 @@ class SolverService:
             by_tenant[tenant] = by_tenant.get(tenant, 0) + 1
         with self._state:
             self._pending -= len(tickets)
-            self.metrics.gauge("serve.pending").set(self._pending)
+            self._pending_gauge.set(self._pending)
             for tenant, n in by_tenant.items():
                 remaining = self._tenant_pending.get(tenant, n) - n
                 if remaining <= 0:
@@ -819,9 +832,7 @@ class SolverService:
                     remaining = 0
                 else:
                     self._tenant_pending[tenant] = remaining
-                self.metrics.gauge("serve.tenant_pending").labels(tenant=tenant).set(
-                    remaining
-                )
+                self._tenant_gauge(tenant).set(remaining)
             self._state.notify_all()
 
     # -- lifecycle ---------------------------------------------------------------------

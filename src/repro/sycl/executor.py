@@ -20,6 +20,8 @@ import inspect
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
+import numpy as np
+
 from repro.exceptions import BarrierDivergenceError, KernelFaultError
 from repro.instruments import current
 from repro.observability.tracer import current_tracer
@@ -51,10 +53,10 @@ class LaunchStats:
     slm_bytes_per_group: int = 0
     collective_counts: dict[str, int] = field(default_factory=dict)
 
-    def record_collective(self, kind: str, scope: str) -> None:
-        """Count one completed collective, keyed as ``scope:kind``."""
+    def record_collective(self, kind: str, scope: str, count: int) -> None:
+        """Count ``count`` completed collectives, keyed as ``scope:kind``."""
         key = f"{scope}:{kind}"
-        self.collective_counts[key] = self.collective_counts.get(key, 0) + 1
+        self.collective_counts[key] = self.collective_counts.get(key, 0) + count
 
 
 class _WorkItemState:
@@ -198,14 +200,12 @@ def _assemble_round(
         op = states[0].pending
         if check is not None:
             check.check_assembly(op, states, "the work-group")
-        lanes = [s.item.local_id for s in states]
-        values = [s.pending.value for s in states]
-        results = evaluate_collective(op.kind, op.params, lanes, values)
+        results = _member_results(op, states, ndrange.sub_group_size)
         if stats is not None:
-            stats.record_collective(op.kind, GROUP)
+            stats.record_collective(op.kind, GROUP, 1)
         if check is not None:
             # epochs advance before any member resumes and touches SLM
-            check.on_sync_complete(op, lanes, None)
+            check.on_sync_complete(op, [s.item.local_id for s in states], None)
         if prof is not None:
             prof.on_collective(op.kind, GROUP, states[0].item)
         for state, result in zip(states, results):
@@ -232,11 +232,9 @@ def _assemble_round(
             op = members[0].pending
             if check is not None:
                 check.check_assembly(op, members, f"sub-group {sg_id}")
-            lanes = [s.item.lane for s in members]
-            values = [s.pending.value for s in members]
-            results = evaluate_collective(op.kind, op.params, lanes, values)
+            results = _member_results(op, members, ndrange.sub_group_size)
             if stats is not None:
-                stats.record_collective(op.kind, SUB_GROUP)
+                stats.record_collective(op.kind, SUB_GROUP, 1)
             if check is not None:
                 check.on_sync_complete(op, [s.item.local_id for s in members], sg_id)
             if prof is not None:
@@ -255,6 +253,21 @@ def _assemble_round(
             progressed = True
 
     return progressed
+
+
+def _member_results(
+    op: SyncOp, members: list[_WorkItemState], sub_group_size: int
+) -> list[Any]:
+    """Each member's result of one assembled scope (members in lane order).
+
+    The scope is evaluated as one lane array; every member gets the
+    scope's result, or its own lane of it.
+    """
+    values = [s.pending.value for s in members]
+    result = evaluate_collective(op, values, len(members), sub_group_size)
+    if isinstance(result, np.ndarray):
+        return list(result)
+    return [result] * len(members)
 
 
 def _check_signatures(
@@ -306,17 +319,7 @@ def launch(
     ``name`` labels the launch in sanitizer reports and counter profiles
     (defaults to the kernel's ``__name__``).
     """
-    device.validate_work_group_size(ndrange.local_size)
-    device.validate_sub_group_size(ndrange.sub_group_size)
-    specs = list(local_specs or [])
-    check_local_capacity(specs, device.slm_bytes_per_cu, device.name)
-
-    stats = LaunchStats(
-        num_groups=ndrange.num_groups,
-        local_size=ndrange.local_size,
-        sub_group_size=ndrange.sub_group_size,
-        slm_bytes_per_group=total_local_bytes(specs),
-    )
+    specs, stats = prepare_launch(device, ndrange, local_specs)
     instruments = current()
     sanitizer, profiler = instruments.sanitizer, instruments.profiler
     kernel_name = name or getattr(kernel, "__name__", "kernel")
@@ -351,18 +354,53 @@ def launch(
             reset_active_launch(token)
             profiler.end_launch(prof)
 
-    tracer = current_tracer()
-    if tracer.enabled:
-        # the executor is below the Queue span, so it contributes metrics
-        # (and annotates whatever span surrounds it) rather than opening
-        # its own span per launch
-        metrics = tracer.metrics
-        metrics.counter("sycl.launches").inc()
-        metrics.counter("sycl.work_groups").inc(stats.num_groups)
-        metrics.histogram("sycl.slm_bytes_per_group").observe(
-            float(stats.slm_bytes_per_group)
-        )
-        for key, count in stats.collective_counts.items():
-            metrics.counter(f"sycl.collectives.{key}").inc(count)
-        tracer.annotate(device=device.name)
+    publish_launch(device, stats)
     return stats
+
+
+def prepare_launch(
+    device: SyclDevice, ndrange: NDRange, local_specs: list[LocalSpec] | None
+) -> tuple[list[LocalSpec], LaunchStats]:
+    """Validate a launch against ``device``; its SLM specs and empty stats.
+
+    Both executors start every launch here, so each rejects and sizes a
+    launch the same way.
+    """
+    device.validate_work_group_size(ndrange.local_size)
+    device.validate_sub_group_size(ndrange.sub_group_size)
+    specs = list(local_specs or [])
+    check_local_capacity(specs, device.slm_bytes_per_cu, device.name)
+    stats = LaunchStats(
+        num_groups=ndrange.num_groups,
+        local_size=ndrange.local_size,
+        sub_group_size=ndrange.sub_group_size,
+        slm_bytes_per_group=total_local_bytes(specs),
+    )
+    return specs, stats
+
+
+def publish_launch(
+    device: SyclDevice, stats: LaunchStats, backend: str | None = None
+) -> None:
+    """Count one completed launch on the installed tracer's metrics.
+
+    The executor is below the Queue span, so it contributes metrics (and
+    annotates whatever span surrounds it) rather than opening its own
+    span per launch. A launch on another ``backend`` also counts on
+    ``<backend>.launches`` and names its backend on the span.
+    """
+    tracer = current_tracer()
+    if not tracer.enabled:
+        return
+    metrics = tracer.metrics
+    metrics.counter("sycl.launches").inc()
+    metrics.counter("sycl.work_groups").inc(stats.num_groups)
+    metrics.histogram("sycl.slm_bytes_per_group").observe(
+        float(stats.slm_bytes_per_group)
+    )
+    for key, count in stats.collective_counts.items():
+        metrics.counter(f"sycl.collectives.{key}").inc(count)
+    tracer.annotate(device=device.name)
+    if backend is not None:
+        metrics.counter(f"{backend}.launches").inc()
+        tracer.annotate(backend=backend)

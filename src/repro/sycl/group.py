@@ -16,28 +16,46 @@ with its result::
 This mirrors how SYCL kernels are written (Section 3.2 of the paper: dot
 and norm use ``reduce`` over the whole work-group — "a primitive function
 provided by SYCL" — or over a sub-group for small matrices).
+
+Once a scope has assembled, :func:`evaluate_collective` computes its
+result for every lane at once with NumPy reductions. The faithful
+interpreter (:mod:`repro.sycl.executor`) and the lockstep backend
+(:mod:`repro.wide`) both call it, so the two reduce in one order and
+return the same bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
+from repro.exceptions import KernelFaultError
 from repro.sycl.ndrange import NDRange
 
 # Scopes for collective operations.
 GROUP = "group"
 SUB_GROUP = "sub_group"
 
-#: Reduction operators available to group functions.
-REDUCE_OPS: dict[str, Callable[[Any, Any], Any]] = {
-    "sum": lambda a, b: a + b,
-    "prod": lambda a, b: a * b,
-    "max": max,
-    "min": min,
+#: Reduction operators available to group functions, as NumPy reductions
+#: over the lane axis (pairwise summation for ``sum``; NaN propagates
+#: through ``max`` and ``min``) and their running scans.
+_REDUCERS = {
+    "sum": np.add.reduce,
+    "prod": np.multiply.reduce,
+    "max": np.maximum.reduce,
+    "min": np.minimum.reduce,
 }
+_ACCUMULATORS = {
+    "sum": np.add.accumulate,
+    "prod": np.multiply.accumulate,
+    "max": np.maximum.accumulate,
+    "min": np.minimum.accumulate,
+}
+#: The first lane of an exclusive scan; integer scans take their type's
+#: extremes for ``max``/``min``, as SYCL's ``known_identity`` does.
+_IDENTITY = {"sum": 0, "prod": 1, "max": -np.inf, "min": np.inf}
 
 
 @dataclass(frozen=True)
@@ -156,94 +174,114 @@ class NDItem:
         """Lane ``i`` receives the value of lane ``i ^ mask``."""
         return SyncOp("shuffle", SUB_GROUP, value, ("xor", int(mask)))
 
-    def any_of_group(self, predicate: bool) -> SyncOp:
+    def any_of_group(self, predicate: Any) -> SyncOp:
         """True on all items iff the predicate is true on any item."""
-        return SyncOp("any", GROUP, bool(predicate), ())
+        return SyncOp("any", GROUP, predicate, ())
 
-    def all_of_group(self, predicate: bool) -> SyncOp:
+    def all_of_group(self, predicate: Any) -> SyncOp:
         """True on all items iff the predicate is true on all items."""
-        return SyncOp("all", GROUP, bool(predicate), ())
+        return SyncOp("all", GROUP, predicate, ())
 
 
 def _check_op(op: str) -> None:
-    if op not in REDUCE_OPS:
-        raise ValueError(f"unknown reduction op {op!r}; expected one of {sorted(REDUCE_OPS)}")
+    if op not in _REDUCERS:
+        raise ValueError(f"unknown reduction op {op!r}; expected one of {sorted(_REDUCERS)}")
 
 
 # ---------------------------------------------------------------------------
-# Collective evaluation (used by the executor once a scope has assembled)
+# Collective evaluation (both executors, once a scope has assembled)
 # ---------------------------------------------------------------------------
 
 
-def evaluate_collective(op_kind: str, params: tuple, lanes: list[int], values: list[Any]) -> list[Any]:
-    """Compute per-member results of an assembled collective.
+def _as_lanes(value: Any, width: int) -> np.ndarray:
+    """Materialize one contribution per lane (scalars are uniform)."""
+    arr = np.asarray(value)
+    if arr.ndim == 0:
+        return np.full(width, arr[()])
+    if arr.shape[0] != width:
+        raise KernelFaultError(
+            f"collective operand has {arr.shape[0]} lanes; the scope has {width}"
+        )
+    return arr
 
-    ``lanes`` are the in-scope positions (local ids for group scope, lane
-    ids for sub-group scope) in the same order as ``values``. Returns the
-    result to deliver to each member, in the same order.
+
+def _source_lane(src: int, width: int) -> int:
+    if not 0 <= src < width:
+        raise ValueError(
+            f"broadcast source lane {src} is not a member of the scope "
+            f"(lanes 0..{width - 1})"
+        )
+    return src
+
+
+def evaluate_collective(op: SyncOp, values: Any, width: int, sub_group_size: int) -> Any:
+    """The result of one assembled collective, for every lane at once.
+
+    ``values`` are the scope's contributions in lane order: ``width`` of
+    them, or one scalar that every lane contributes. For sub-group scope
+    ``width`` spans whole sub-groups of ``sub_group_size`` lanes, each
+    evaluated on its own. Both executors call this one function: the
+    lockstep backend with a work-group's lane vector, the faithful
+    interpreter with the values of the members of one assembled scope.
+
+    Returns what the kernel's ``yield`` expression evaluates to: a Python
+    scalar where the result is uniform over ``width`` (group-scope
+    reductions, broadcasts and predicates; sub-group reductions and
+    broadcasts over one sub-group), else an array with one entry per lane.
     """
-    n = len(values)
-    if op_kind == "barrier":
-        return [None] * n
-    if op_kind == "reduce":
-        fn = REDUCE_OPS[params[0]]
-        acc = values[0]
-        for v in values[1:]:
-            acc = fn(acc, v)
-        return [acc] * n
-    if op_kind == "broadcast":
-        src = params[0]
-        try:
-            idx = lanes.index(src)
-        except ValueError:
-            raise ValueError(
-                f"broadcast source lane {src} is not a member of the scope {lanes}"
-            ) from None
-        return [values[idx]] * n
-    if op_kind in ("inclusive_scan", "exclusive_scan"):
-        fn = REDUCE_OPS[params[0]]
-        order = np.argsort(lanes)
-        results: list[Any] = [None] * n
-        acc = None
-        for pos in order:
-            v = values[pos]
-            if op_kind == "exclusive_scan":
-                results[pos] = acc if acc is not None else _identity(params[0], v)
-                acc = v if acc is None else fn(acc, v)
-            else:
-                acc = v if acc is None else fn(acc, v)
-                results[pos] = acc
-        return results
-    if op_kind == "shuffle":
-        direction, delta = params
-        by_lane = dict(zip(lanes, values))
-        results = []
-        for lane, own in zip(lanes, values):
-            if direction == "down":
-                src = lane + delta
-            elif direction == "up":
-                src = lane - delta
-            else:  # xor
-                src = lane ^ delta
-            results.append(by_lane.get(src, own))
-        return results
-    if op_kind == "any":
-        result = any(values)
-        return [result] * n
-    if op_kind == "all":
-        result = all(values)
-        return [result] * n
-    raise ValueError(f"unknown collective kind {op_kind!r}")
+    kind = op.kind
+    if kind == "barrier":
+        return None
 
+    if op.scope == GROUP:
+        v = _as_lanes(values, width)
+        if kind == "reduce":
+            return _REDUCERS[op.params[0]](v).item()
+        if kind == "broadcast":
+            return v[_source_lane(op.params[0], width)].item()
+        if kind in ("inclusive_scan", "exclusive_scan"):
+            acc = _ACCUMULATORS[op.params[0]](v)
+            if kind == "inclusive_scan":
+                return acc
+            first = _IDENTITY[op.params[0]]
+            if np.isinf(first) and acc.dtype.kind in "iu":
+                info = np.iinfo(acc.dtype)
+                first = info.min if first < 0 else info.max
+            shifted = np.empty_like(acc)
+            shifted[0] = first
+            shifted[1:] = acc[:-1]
+            return shifted
+        if kind == "any":
+            return bool(np.any(v))
+        if kind == "all":
+            return bool(np.all(v))
+        raise KernelFaultError(f"unknown group collective kind {kind!r}")
 
-def _identity(op: str, sample: Any) -> Any:
-    """Identity element for a reduction op, typed like ``sample``."""
-    if op == "sum":
-        return type(sample)(0) if not isinstance(sample, np.generic) else sample.dtype.type(0)
-    if op == "prod":
-        return type(sample)(1) if not isinstance(sample, np.generic) else sample.dtype.type(1)
-    if op == "max":
-        return -np.inf
-    if op == "min":
-        return np.inf
-    raise ValueError(f"unknown reduction op {op!r}")
+    if op.scope != SUB_GROUP:
+        raise KernelFaultError(f"unknown collective scope {op.scope!r}")
+    nsg = width // sub_group_size
+    v = _as_lanes(values, width).reshape(nsg, sub_group_size)
+    if kind == "reduce":
+        per_sg = _REDUCERS[op.params[0]](v, axis=1)
+        if nsg == 1:
+            return per_sg[0].item()
+        return np.repeat(per_sg, sub_group_size)
+    if kind == "broadcast":
+        col = v[:, _source_lane(op.params[0], sub_group_size)]
+        if nsg == 1:
+            return col[0].item()
+        return np.repeat(col, sub_group_size)
+    if kind == "shuffle":
+        direction, delta = op.params
+        lanes = np.arange(sub_group_size)
+        if direction == "down":
+            src = lanes + delta
+        elif direction == "up":
+            src = lanes - delta
+        else:  # xor
+            src = lanes ^ delta
+        result = v.copy()
+        valid = (src >= 0) & (src < sub_group_size)
+        result[:, valid] = v[:, src[valid]]
+        return result.reshape(width)
+    raise KernelFaultError(f"unknown sub-group collective kind {kind!r}")

@@ -3,14 +3,14 @@
 The third execution backend (after the faithful SYCL interpreter and the
 CUDA-dialect stream): one Python generator per *work-group* instead of
 one per work-item, with the lane axis materialized as NumPy arrays and
-every :class:`~repro.sycl.group.SyncOp` collective evaluated as a
-vectorized array operation. Runs the same kernel sources in
-:mod:`repro.kernels` unmodified — see ``docs/wide_backend.md``.
+every :class:`~repro.sycl.group.SyncOp` collective evaluated over the
+whole lane axis by the faithful interpreter's own evaluator. Runs the
+same kernel sources in :mod:`repro.kernels` unmodified and returns the
+same bits — see ``docs/wide_backend.md``.
 """
 
 from repro.wide.executor import (
     WideItem,
-    evaluate_wide_collective,
     run_work_group_wide,
     wide_launch,
 )
@@ -33,7 +33,6 @@ __all__ = [
     "WideArray",
     "WideItem",
     "WideQueue",
-    "evaluate_wide_collective",
     "lower_kernel",
     "run_work_group_wide",
     "wide_launch",

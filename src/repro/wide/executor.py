@@ -6,22 +6,10 @@ arrived, :func:`wide_launch` runs ONE generator per work-group: every
 per-item scalar is a length-``work_group_size`` lane array, barriers are
 no-ops (lockstep order *is* barrier order — all lanes reach each program
 point together by construction), and each collective of the
-:class:`~repro.sycl.group.SyncOp` vocabulary maps to a vectorized NumPy
-equivalent:
-
-====================  =====================================================
-``reduce`` (group)    axis reduction over the lane axis → scalar
-``reduce`` (sg)       ``(num_sub_groups, sg_size)`` reshape, axis-1 reduce
-``broadcast``         lane/column pick, repeated back over the scope
-``*_scan``            ``np.*.accumulate`` along the lane axis
-``shuffle``           per-sub-group fancy indexing (own value off-range)
-``any`` / ``all``     ``np.any`` / ``np.all`` over the lane axis
-====================  =====================================================
-
-Group-scope reductions return plain Python scalars so the kernels'
-group-uniform control flow (``while res2 > threshold2``) stays ordinary
-scalar control flow; a single-sub-group reduction does the same, which
-is the case the small-matrix solver path relies on.
+:class:`~repro.sycl.group.SyncOp` vocabulary is evaluated over the whole
+lane axis by :func:`repro.sycl.group.evaluate_collective`, the function
+the faithful interpreter evaluates every assembled scope with. The two
+executors therefore reduce in one order and return the same bits.
 
 When a sanitizer or profiler is installed the launch transparently falls
 back to the faithful interpreter: shadow-memory, convergence and counter
@@ -40,34 +28,13 @@ import numpy as np
 
 from repro.exceptions import KernelFaultError
 from repro.instruments import current
-from repro.observability.tracer import current_tracer
 from repro.sycl.device import SyclDevice
-from repro.sycl.executor import LaunchStats, launch
-from repro.sycl.group import GROUP, SUB_GROUP, NDItem, SyncOp
-from repro.sycl.memory import (
-    LocalSpec,
-    allocate_local,
-    check_local_capacity,
-    poison_local,
-    total_local_bytes,
-)
+from repro.sycl.executor import LaunchStats, launch, prepare_launch, publish_launch
+from repro.sycl.group import SUB_GROUP, NDItem, SyncOp, evaluate_collective
+from repro.sycl.memory import LocalSpec, allocate_local, poison_local
 from repro.sycl.ndrange import NDRange
 from repro.wide.lanes import LaneArray, WideArray, lane_array
 from repro.wide.lower import lower_kernel
-
-_REDUCERS = {
-    "sum": np.add.reduce,
-    "prod": np.multiply.reduce,
-    "max": np.maximum.reduce,
-    "min": np.minimum.reduce,
-}
-_ACCUMULATORS = {
-    "sum": np.add.accumulate,
-    "prod": np.multiply.accumulate,
-    "max": np.maximum.accumulate,
-    "min": np.minimum.accumulate,
-}
-_IDENTITY = {"sum": 0.0, "prod": 1.0, "max": -np.inf, "min": np.inf}
 
 
 class WideItem(NDItem):
@@ -92,89 +59,6 @@ class WideItem(NDItem):
         self.sub_group_id: LaneArray = lane_array(lids // ndrange.sub_group_size)
         self.lane: LaneArray = lane_array(lids % ndrange.sub_group_size)
 
-    def any_of_group(self, predicate: Any) -> SyncOp:
-        """Lane-axis ``any``: keep the raw per-lane predicate vector."""
-        return SyncOp("any", GROUP, predicate, ())
-
-    def all_of_group(self, predicate: Any) -> SyncOp:
-        """Lane-axis ``all``: keep the raw per-lane predicate vector."""
-        return SyncOp("all", GROUP, predicate, ())
-
-
-def _as_lanes(value: Any, width: int) -> np.ndarray:
-    """Materialize one contribution per lane (scalars are uniform)."""
-    arr = np.asarray(value)
-    if arr.ndim == 0:
-        return np.full(width, arr[()])
-    if arr.shape[0] != width:
-        raise KernelFaultError(
-            f"collective operand has {arr.shape[0]} lanes; the scope has {width}"
-        )
-    return np.asarray(arr)
-
-
-def evaluate_wide_collective(op: SyncOp, ndrange: NDRange) -> Any:
-    """Vectorized result of one assembled collective (all lanes at once).
-
-    Returns what the kernel's ``yield`` expression evaluates to: a plain
-    scalar for group-scope reductions/broadcasts/predicates (and for
-    single-sub-group reductions), a lane-axis array otherwise.
-    """
-    wg = ndrange.local_size
-    sgs = ndrange.sub_group_size
-    nsg = ndrange.sub_groups_per_group
-    kind = op.kind
-    if kind == "barrier":
-        return None
-
-    if op.scope == GROUP:
-        v = _as_lanes(op.value, wg)
-        if kind == "reduce":
-            return _REDUCERS[op.params[0]](v).item()
-        if kind == "broadcast":
-            return v[op.params[0]].item()
-        if kind in ("inclusive_scan", "exclusive_scan"):
-            acc = _ACCUMULATORS[op.params[0]](np.asarray(v, dtype=np.float64))
-            if kind == "exclusive_scan":
-                shifted = np.empty_like(acc)
-                shifted[0] = _IDENTITY[op.params[0]]
-                shifted[1:] = acc[:-1]
-                return shifted
-            return acc
-        if kind == "any":
-            return bool(np.any(v))
-        if kind == "all":
-            return bool(np.all(v))
-        raise KernelFaultError(f"unknown group collective kind {kind!r}")
-
-    if op.scope != SUB_GROUP:
-        raise KernelFaultError(f"unknown collective scope {op.scope!r}")
-    v = _as_lanes(op.value, wg).reshape(nsg, sgs)
-    if kind == "reduce":
-        per_sg = _REDUCERS[op.params[0]](v, axis=1)
-        if nsg == 1:
-            return per_sg[0].item()
-        return np.repeat(per_sg, sgs)
-    if kind == "broadcast":
-        col = v[:, op.params[0]]
-        if nsg == 1:
-            return col[0].item()
-        return np.repeat(col, sgs)
-    if kind == "shuffle":
-        direction, delta = op.params
-        lanes = np.arange(sgs)
-        if direction == "down":
-            src = lanes + delta
-        elif direction == "up":
-            src = lanes - delta
-        else:  # xor
-            src = lanes ^ delta
-        result = v.copy()
-        valid = (src >= 0) & (src < sgs)
-        result[:, valid] = v[:, src[valid]]
-        return result.reshape(wg)
-    raise KernelFaultError(f"unknown sub-group collective kind {kind!r}")
-
 
 def run_work_group_wide(
     ndrange: NDRange,
@@ -193,6 +77,7 @@ def run_work_group_wide(
     produced = kernel(item, local, *args)
     if not inspect.isgenerator(produced):
         return
+    wg, sgs = ndrange.local_size, ndrange.sub_group_size
     nsg = ndrange.sub_groups_per_group
     try:
         op = produced.send(None)
@@ -202,13 +87,13 @@ def run_work_group_wide(
                     f"work-group {group_id} yielded {op!r}; kernels must only "
                     f"yield SyncOp objects (barrier / group functions)"
                 )
-            result = evaluate_wide_collective(op, ndrange)
+            result = evaluate_collective(op, op.value, wg, sgs)
             if stats is not None:
                 # one assembly per scope instance, matching the faithful
                 # executor's accounting (each sub-group assembles its own)
-                count = nsg if op.scope == SUB_GROUP else 1
-                for _ in range(count):
-                    stats.record_collective(op.kind, op.scope)
+                stats.record_collective(
+                    op.kind, op.scope, nsg if op.scope == SUB_GROUP else 1
+                )
             op = produced.send(result)
     except StopIteration:
         pass
@@ -225,8 +110,8 @@ def wide_launch(
 ) -> LaunchStats:
     """Validate and execute a full ND-range launch in lockstep.
 
-    Same contract as :func:`repro.sycl.executor.launch` — identical size
-    and SLM validation, identical :class:`LaunchStats` shape — but the
+    Same contract as :func:`repro.sycl.executor.launch` — the same size
+    and SLM validation, :class:`LaunchStats` and tracer metrics — but the
     per-work-item interpreter is replaced by lane-axis array execution.
     With a sanitizer or profiler installed, falls back to the faithful
     executor so per-item checking semantics are preserved.
@@ -242,17 +127,7 @@ def wide_launch(
             poison_slm=poison_slm,
             name=name,
         )
-    device.validate_work_group_size(ndrange.local_size)
-    device.validate_sub_group_size(ndrange.sub_group_size)
-    specs = list(local_specs or [])
-    check_local_capacity(specs, device.slm_bytes_per_cu, device.name)
-
-    stats = LaunchStats(
-        num_groups=ndrange.num_groups,
-        local_size=ndrange.local_size,
-        sub_group_size=ndrange.sub_group_size,
-        slm_bytes_per_group=total_local_bytes(specs),
-    )
+    specs, stats = prepare_launch(device, ndrange, local_specs)
     lowered = lower_kernel(kernel)
     wrapped_args = tuple(
         WideArray(a) if isinstance(a, np.ndarray) else a for a in args
@@ -266,16 +141,5 @@ def wide_launch(
         )
         run_work_group_wide(ndrange, group_id, lowered, local, wrapped_args, stats)
 
-    tracer = current_tracer()
-    if tracer.enabled:
-        metrics = tracer.metrics
-        metrics.counter("sycl.launches").inc()
-        metrics.counter("wide.launches").inc()
-        metrics.counter("sycl.work_groups").inc(stats.num_groups)
-        metrics.histogram("sycl.slm_bytes_per_group").observe(
-            float(stats.slm_bytes_per_group)
-        )
-        for key, count in stats.collective_counts.items():
-            metrics.counter(f"sycl.collectives.{key}").inc(count)
-        tracer.annotate(device=device.name, backend="wide")
+    publish_launch(device, stats, backend="wide")
     return stats

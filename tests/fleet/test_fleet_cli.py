@@ -1,4 +1,4 @@
-"""The fleet CLI surfaces: fleet-demo, serve-demo --shards, top --shards."""
+"""The fleet CLI surfaces: fleet-demo and top --shards (serve-demo has none)."""
 
 import json
 
@@ -45,19 +45,12 @@ class TestFleetDemo:
 
 
 class TestServeDemoShards:
-    def test_shards_flag_routes_through_fleet(self, capsys):
-        code = main(
-            [
-                "serve-demo",
-                "--requests", "12", "--size", "8", "--batch-size", "2",
-                "--shards", "2", "--keys", "4", "--workers", "1",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "2 shards" in out
-        assert "per-shard counters" in out
-        assert "fleet metrics" in out
+    def test_shards_flag_removed(self, capsys):
+        # fleet-demo is the one CLI path through the fleet
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve-demo", "--shards", "2"])
+        assert exit_info.value.code == 2
+        assert "--shards" in capsys.readouterr().err
 
     def test_default_path_unchanged(self, capsys):
         code = main(

@@ -11,6 +11,9 @@ The geometry cells run the fused kernels at every (sub-group,
 work-group) pair other than the Section 3.6 heuristic's, on a 24-row
 batch: a 16-item work-group whose items own two rows each, and width-32
 sub-groups with idle items.
+
+Every wide cell, heuristic and geometry alike, must also return the same
+bits as the sycl run of its case; the grid's own runs are reused.
 """
 
 from __future__ import annotations
@@ -21,9 +24,11 @@ import numpy as np
 import pytest
 
 from repro.core.launch import LaunchConfigurator
+from repro.core.matrix.batch_csr import BatchCsr
 from repro.kernels import BACKENDS, KERNEL_PRECONDITIONERS, KERNEL_SOLVERS, queue_for
 from repro.sanitize import diff
 from repro.sanitize.diff import (
+    BackendRun,
     DiffCase,
     forced_device,
     geometry_pairs,
@@ -96,6 +101,13 @@ def _grid() -> list[tuple]:
 _CELLS = _grid()
 
 
+@pytest.fixture(scope="module")
+def device_runs() -> dict[tuple[str, DiffCase], BackendRun]:
+    """(problem name, case) -> the device run of that grid cell, shared by
+    the grid and twin tests."""
+    return {}
+
+
 def _shrink(problem, case: DiffCase) -> str:
     """Minimal failing sub-batch of a disagreeing cell (single systems first)."""
     for sysid in range(problem.num_batch):
@@ -111,15 +123,46 @@ def _shrink(problem, case: DiffCase) -> str:
 @pytest.mark.parametrize(
     "cell", _CELLS, ids=[f"{name}-{case.label()}" for (name, _), case in _CELLS]
 )
-def test_backend_agrees_with_reference(cell):
-    (_, make_problem), case = cell
+def test_backend_agrees_with_reference(cell, device_runs):
+    (name, make_problem), case = cell
     problem = make_problem()
     outcome = run_differential(problem.dense, problem.b, case)
+    device_runs[(name, case)] = outcome.device
     assert outcome.agree, outcome.describe() + "\n" + _shrink(problem, case)
     # fully converged cells really solve the system; slow cells (Richardson
     # on the stencil contracts at ~0.985/iter) only need path agreement
     if (np.asarray(outcome.iterations_dev) < case.max_iterations).all():
         assert outcome.max_residual < 1e-2
+
+
+def _device_run(device_runs, name: str, make_problem, case: DiffCase) -> BackendRun:
+    """The grid test's own device run of a cell, or a fresh one if that
+    test did not run it."""
+    run = device_runs.get((name, case))
+    if run is None:
+        problem = make_problem()
+        run = run_backend(BatchCsr.from_dense(problem.dense), problem.b, case)
+        device_runs[(name, case)] = run
+    return run
+
+
+_WIDE_CELLS = [cell for cell in _CELLS if cell[1].backend == "wide"]
+
+
+@pytest.mark.parametrize(
+    "cell", _WIDE_CELLS, ids=[f"{name}-{case.label()}" for (name, _), case in _WIDE_CELLS]
+)
+def test_wide_returns_the_faithful_bits(cell, device_runs):
+    """Every wide cell equals the sycl run of its case bit for bit: both
+    executors evaluate each collective with one function, in one order."""
+    (name, make_problem), case = cell
+    twin = dataclasses.replace(case, backend="sycl")
+    wide = _device_run(device_runs, name, make_problem, case)
+    faithful = _device_run(device_runs, name, make_problem, twin)
+    np.testing.assert_array_equal(wide.x, faithful.x)
+    np.testing.assert_array_equal(wide.iterations, faithful.iterations)
+    # NaN-padded past convergence; assert_array_equal holds NaN equal to NaN
+    np.testing.assert_array_equal(wide.history, faithful.history)
 
 
 def test_geometry_cells_cover_each_non_heuristic_pair():
@@ -155,13 +198,12 @@ def test_all_problem_generators_are_deterministic():
 def test_same_kernel_same_input_is_bitwise_reproducible():
     """The simulator is deterministic: re-running a cell is bitwise equal.
 
-    This is the strongest comparability claim the harness makes — across
-    *runs*, not across backends (whose reduction orders legitimately
-    differ; see repro.sanitize.diff's module docstring).
+    Across backends only sycl and wide are bitwise equal
+    (``test_wide_returns_the_faithful_bits``); the CUDA butterfly and the
+    NumPy reference reduce in their own orders (see repro.sanitize.diff's
+    module docstring).
     """
     problem = gen_stencil(SEED)
-    from repro.core.matrix.batch_csr import BatchCsr
-
     matrix = BatchCsr.from_dense(problem.dense)
     case = DiffCase("stencil", "bicgstab", "jacobi", "double", "sycl")
     first = run_backend(matrix, problem.b, case)
@@ -174,8 +216,6 @@ def test_same_kernel_same_input_is_bitwise_reproducible():
 def test_wide_backend_is_bitwise_reproducible():
     """Lockstep execution is deterministic too: re-running is bitwise equal."""
     problem = gen_stencil(SEED)
-    from repro.core.matrix.batch_csr import BatchCsr
-
     matrix = BatchCsr.from_dense(problem.dense)
     case = DiffCase("stencil", "bicgstab", "jacobi", "double", "wide")
     first = run_backend(matrix, problem.b, case)
@@ -187,8 +227,6 @@ def test_wide_backend_is_bitwise_reproducible():
 
 def test_sanitizer_was_actually_installed_for_backend_runs():
     problem = gen_near_identity_spd(SEED)
-    from repro.core.matrix.batch_csr import BatchCsr
-
     matrix = BatchCsr.from_dense(problem.dense)
     run = run_backend(matrix, problem.b, DiffCase("p", "cg"))
     assert run.sanitizer_summary["launches"] == 1

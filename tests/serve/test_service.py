@@ -15,6 +15,7 @@ from repro.exceptions import (
     ServiceSaturatedError,
 )
 from repro.instruments import use
+from repro.observability.metrics import MetricsRegistry, _Labeled
 from repro.observability.tracer import NULL_TRACER, Tracer, current_tracer
 from repro.serve import ServeConfig, SolveRequest, SolverService
 from repro.serve.plan_cache import ExecutionPlan
@@ -309,6 +310,32 @@ class TestPerFlushAccounting:
         assert calls[("breaker", "record_many")] == 1
         assert calls[("breaker", "record")] == 0
         assert service.metrics.counter("serve.served").value == 64
+
+    def test_submit_looks_up_no_instrument(self, monkeypatch):
+        """Admission binds its instruments once: over 64 submits of a known
+        tenant, no registry get-or-create and no label-child lookup."""
+        calls = collections.Counter()
+        config = ServeConfig(max_batch_size=128, max_wait_ms=60_000.0, num_workers=1)
+        with SolverService(config) as service:
+            tickets = [service.submit(SolveRequest(_tridiag(8), np.ones(8), tenant="acme"))]
+            for cls, name in ((MetricsRegistry, "_get_or_create"), (_Labeled, "labels")):
+                real = getattr(cls, name)
+
+                def counting(self, *args, _real=real, _name=name, **kwargs):
+                    calls[_name] += 1
+                    return _real(self, *args, **kwargs)
+
+                monkeypatch.setattr(cls, name, counting)
+            tickets += [
+                service.submit(SolveRequest(_tridiag(8), np.ones(8), tenant="acme"))
+                for _ in range(64)
+            ]
+            monkeypatch.undo()
+            assert service.pending == 65  # no flush ran in between
+        assert calls == {}
+        assert all(t.result(timeout=30.0).converged for t in tickets)
+        assert service.metrics.counter("serve.accepted").value == 65
+        assert service.metrics.gauge("serve.tenant_pending").labels(tenant="acme").value == 0
 
     def test_tail_is_judged_against_the_p99_before_the_flush(self, monkeypatch):
         clock = _Clock()

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sycl.device import cpu_device
-from repro.sycl.group import evaluate_collective
+from repro.sycl.group import GROUP, SUB_GROUP, SyncOp, evaluate_collective
 from repro.sycl.ndrange import NDRange
 from repro.sycl.queue import Queue
+from repro.wide.queue import WideQueue
 
 
 @pytest.fixture
@@ -140,6 +141,12 @@ class TestScansAndVotes:
         assert np.all(out == 1.0)
 
 
+def _evaluate(kind: str, scope: str, params: tuple, values: list) -> object:
+    """One scope of ``len(values)`` lanes (one sub-group at sub-group scope)."""
+    op = SyncOp(kind, scope, None, params)
+    return evaluate_collective(op, values, len(values), len(values))
+
+
 class TestEvaluateCollectiveProperties:
     @settings(max_examples=50, deadline=None)
     @given(
@@ -148,10 +155,10 @@ class TestEvaluateCollectiveProperties:
         )
     )
     def test_reduce_sum_matches_numpy(self, values):
-        lanes = list(range(len(values)))
-        result = evaluate_collective("reduce", ("sum",), lanes, values)
-        assert np.allclose(result, np.sum(values))
-        assert len(result) == len(values)
+        result = _evaluate("reduce", GROUP, ("sum",), values)
+        # a uniform result comes back as one Python scalar, in NumPy's order
+        assert type(result) is float
+        assert result == np.add.reduce(np.asarray(values))
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -159,9 +166,8 @@ class TestEvaluateCollectiveProperties:
         data=st.data(),
     )
     def test_inclusive_scan_matches_cumsum(self, values, data):
-        lanes = list(range(len(values)))
-        result = evaluate_collective("inclusive_scan", ("sum",), lanes, values)
-        assert np.allclose(result, np.cumsum(values))
+        result = _evaluate("inclusive_scan", GROUP, ("sum",), values)
+        np.testing.assert_array_equal(result, np.cumsum(values))
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -169,12 +175,68 @@ class TestEvaluateCollectiveProperties:
         delta=st.integers(1, 4),
     )
     def test_shuffle_down_semantics(self, values, delta):
-        lanes = list(range(len(values)))
-        result = evaluate_collective("shuffle", ("down", delta), lanes, values)
-        for lane in lanes:
+        result = _evaluate("shuffle", SUB_GROUP, ("down", delta), values)
+        for lane in range(len(values)):
             expected = values[lane + delta] if lane + delta < len(values) else values[lane]
             assert result[lane] == expected
 
     def test_broadcast_missing_lane_raises(self):
         with pytest.raises(ValueError, match="not a member"):
-            evaluate_collective("broadcast", (9,), [0, 1, 2], [1.0, 2.0, 3.0])
+            _evaluate("broadcast", SUB_GROUP, (9,), [1.0, 2.0, 3.0])
+
+
+@pytest.fixture(params=["faithful", "wide"])
+def either_queue(request):
+    """The faithful interpreter and the lockstep backend, one run each."""
+    return {"faithful": Queue, "wide": WideQueue}[request.param](cpu_device())
+
+
+class TestOneSemanticsOnBothExecutors:
+    """Edge cases where the two executors used to disagree."""
+
+    @pytest.mark.parametrize("op", ["max", "min"])
+    def test_nan_propagates_through_max_and_min(self, either_queue, op):
+        x = np.array([1.0, np.nan, 2.0, 0.5])
+        out = np.zeros(4)
+
+        def kernel(item, slm, x, out):
+            out[item.global_id] = yield item.reduce_over_group(x[item.global_id], op)
+
+        _run(either_queue, NDRange(4, 4, 4), kernel, x, out)
+        assert np.isnan(out).all()
+
+    @pytest.mark.parametrize("scope", [GROUP, SUB_GROUP])
+    @pytest.mark.parametrize("src", [-1, 4, 9])
+    def test_broadcast_from_a_lane_outside_the_scope_raises(
+        self, either_queue, scope, src
+    ):
+        x = np.arange(4, dtype=np.float64)
+        out = np.zeros(4)
+
+        def kernel(item, slm, x, out):
+            value = x[item.global_id]
+            if scope == GROUP:
+                out[item.global_id] = yield item.broadcast_over_group(value, src)
+            else:
+                out[item.global_id] = yield item.broadcast_over_sub_group(value, src)
+
+        with pytest.raises(ValueError, match=f"lane {src} is not a member"):
+            _run(either_queue, NDRange(4, 4, 4), kernel, x, out)
+
+    @pytest.mark.parametrize(
+        "op, first", [("sum", 0), ("max", np.iinfo(np.int64).min)], ids=["sum", "max"]
+    )
+    def test_int_exclusive_scan_keeps_the_element_type(self, either_queue, op, first):
+        x = np.array([3, 1, 4, 1, 5, 9, 2, 6], dtype=np.int64)
+        out = np.zeros(8, dtype=np.int64)
+        kinds: list[str] = []
+
+        def kernel(item, slm, x, out, kinds):
+            result = yield item.exclusive_scan_over_group(x[item.global_id], op)
+            kinds.append(np.asarray(result).dtype.kind)
+            out[item.global_id] = result
+
+        _run(either_queue, NDRange(8, 8, 8), kernel, x, out, kinds)
+        accumulate = np.add.accumulate if op == "sum" else np.maximum.accumulate
+        np.testing.assert_array_equal(out, [first, *accumulate(x)[:-1]])
+        assert set(kinds) == {"i"}

@@ -5,11 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.sycl.executor import launch
 from repro.sycl.group import GROUP, SUB_GROUP, SyncOp, evaluate_collective
 from repro.sycl.memory import LocalSpec
 from repro.sycl.ndrange import NDRange
 from repro.sycl.device import pvc_stack_device
-from repro.wide.executor import WideItem, evaluate_wide_collective, wide_launch
+from repro.wide.executor import WideItem, wide_launch
 from repro.wide.lanes import LaneArray
 from repro.wide.queue import WideQueue
 
@@ -18,11 +19,23 @@ pytestmark = pytest.mark.no_sanitize  # these tests target bare lockstep launche
 ND = NDRange(32, 32, 16)  # one group, two sub-groups of 16
 
 
-def _faithful(op: SyncOp, width: int, values: np.ndarray) -> np.ndarray:
-    """Per-item reference results, lane by lane through the faithful path."""
-    lanes = list(range(width))
-    results = evaluate_collective(op.kind, op.params, lanes, list(values))
-    return np.asarray(results)
+def _lockstep(op: SyncOp, nd: NDRange = ND):
+    """What a lockstep work-group's ``yield op`` evaluates to."""
+    return evaluate_collective(op, op.value, nd.local_size, nd.sub_group_size)
+
+
+def _per_item(executor, op: SyncOp) -> np.ndarray:
+    """Run ``op`` through ``executor`` with work-item ``i`` of ND contributing
+    lane ``i`` of ``op.value``; what each item's ``yield`` gave it."""
+    values = np.asarray(op.value)
+    out = np.zeros(ND.local_size, dtype=values.dtype)
+
+    def kernel(item, slm, values, out):
+        lid = item.local_id
+        out[lid] = yield SyncOp(op.kind, op.scope, values[lid], op.params)
+
+    executor(pvc_stack_device(1), ND, kernel, args=(values, out))
+    return out
 
 
 class TestWideItem:
@@ -56,37 +69,34 @@ class TestCollectives:
         v = rng.standard_normal(32)
         for red in ("sum", "prod", "max", "min"):
             op = SyncOp("reduce", GROUP, v, (red,))
-            wide = evaluate_wide_collective(op, ND)
-            faithful = _faithful(op, 32, v)
-            assert np.isscalar(wide)
-            np.testing.assert_allclose(wide, faithful[0], rtol=1e-12)
+            assert np.isscalar(_lockstep(op))
+            np.testing.assert_array_equal(
+                _per_item(wide_launch, op), _per_item(launch, op)
+            )
 
     def test_scalar_contribution_counts_once_per_lane(self):
         # a lane-uniform scalar behaves as 32 identical contributions
         op = SyncOp("reduce", GROUP, 2.0, ("sum",))
-        assert evaluate_wide_collective(op, ND) == 64.0
+        assert _lockstep(op) == 64.0
 
     def test_sub_group_reduce_repeats_per_subgroup_result(self):
         v = np.arange(32.0)
         op = SyncOp("reduce", SUB_GROUP, v, ("sum",))
-        wide = evaluate_wide_collective(op, ND)
+        wide = _lockstep(op)
         expected = np.repeat([v[:16].sum(), v[16:].sum()], 16)
         np.testing.assert_allclose(wide, expected)
 
     def test_single_subgroup_reduce_returns_scalar(self):
         nd = NDRange(16, 16, 16)
         op = SyncOp("reduce", SUB_GROUP, np.arange(16.0), ("sum",))
-        wide = evaluate_wide_collective(op, nd)
+        wide = _lockstep(op, nd)
         assert np.isscalar(wide)
         assert wide == np.arange(16.0).sum()
 
     def test_broadcasts(self):
         v = np.arange(32.0)
-        assert (
-            evaluate_wide_collective(SyncOp("broadcast", GROUP, v, (3,)), ND)
-            == 3.0
-        )
-        sg = evaluate_wide_collective(SyncOp("broadcast", SUB_GROUP, v, (2,)), ND)
+        assert _lockstep(SyncOp("broadcast", GROUP, v, (3,))) == 3.0
+        sg = _lockstep(SyncOp("broadcast", SUB_GROUP, v, (2,)))
         np.testing.assert_array_equal(sg, np.repeat([2.0, 18.0], 16))
 
     def test_scans_match_faithful(self):
@@ -94,11 +104,8 @@ class TestCollectives:
         v = rng.standard_normal(32)
         for kind in ("inclusive_scan", "exclusive_scan"):
             op = SyncOp(kind, GROUP, v, ("sum",))
-            np.testing.assert_allclose(
-                evaluate_wide_collective(op, ND),
-                _faithful(op, 32, v),
-                rtol=1e-12,
-                atol=1e-15,
+            np.testing.assert_array_equal(
+                _per_item(wide_launch, op), _per_item(launch, op)
             )
 
     def test_shuffles_match_faithful_per_subgroup(self):
@@ -106,29 +113,21 @@ class TestCollectives:
         v = rng.standard_normal(32)
         for params in [("down", 1), ("down", 4), ("up", 2), ("xor", 5)]:
             op = SyncOp("shuffle", SUB_GROUP, v, params)
-            wide = evaluate_wide_collective(op, ND)
-            # faithful evaluation runs per sub-group over lane ids 0..15
-            expected = np.concatenate(
-                [
-                    _faithful(SyncOp("shuffle", SUB_GROUP, v[s], params), 16, v[s])
-                    for s in (slice(0, 16), slice(16, 32))
-                ]
+            # the faithful interpreter assembles each sub-group on its own
+            np.testing.assert_array_equal(
+                _per_item(wide_launch, op), _per_item(launch, op)
             )
-            np.testing.assert_array_equal(wide, expected)
 
     def test_any_all_over_lane_vectors(self):
         pred = np.zeros(32, dtype=bool)
-        assert evaluate_wide_collective(SyncOp("any", GROUP, pred, ()), ND) is False
+        assert _lockstep(SyncOp("any", GROUP, pred, ())) is False
         pred[5] = True
-        assert evaluate_wide_collective(SyncOp("any", GROUP, pred, ()), ND) is True
-        assert evaluate_wide_collective(SyncOp("all", GROUP, pred, ()), ND) is False
-        assert (
-            evaluate_wide_collective(SyncOp("all", GROUP, np.ones(32, bool), ()), ND)
-            is True
-        )
+        assert _lockstep(SyncOp("any", GROUP, pred, ())) is True
+        assert _lockstep(SyncOp("all", GROUP, pred, ())) is False
+        assert _lockstep(SyncOp("all", GROUP, np.ones(32, bool), ())) is True
 
     def test_barrier_returns_none(self):
-        assert evaluate_wide_collective(SyncOp("barrier", GROUP), ND) is None
+        assert _lockstep(SyncOp("barrier", GROUP)) is None
 
 
 def _dot_kernel(item, slm, x, out):
@@ -202,6 +201,12 @@ class TestWideLaunch:
         # the faithful interpreter ran: the sanitizer saw the launch
         assert sanitizer.stats.launches == 1
         np.testing.assert_allclose(out, np.sum(x * x, axis=1), rtol=1e-12)
+        # ... and returned the bits of a bare lockstep launch
+        bare = np.zeros(2)
+        wide_launch(
+            pvc_stack_device(1), NDRange(2 * 16, 16, 16), _dot_kernel, args=(x, bare)
+        )
+        np.testing.assert_array_equal(out, bare)
 
     def test_wide_launch_counts_on_tracer_metrics(self):
         from repro.instruments import use
