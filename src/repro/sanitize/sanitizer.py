@@ -30,14 +30,19 @@ concurrently, from the serving layer's worker threads).
 Violations raise immediately (fail-fast) with a structured
 :class:`~repro.sanitize.report.SanitizerReport` attached to the exception;
 when a tracer is installed the report carries the enclosing span's name
-and an ``sanitizer.violation`` instant event lands on the trace.
+and an ``sanitizer.violation`` instant event lands on the trace. Each
+violation is one ``sanitizer.trip`` event: the sanitizer emits it, except
+inside :func:`trip_reported_by_caller`, where the caller (a service flush)
+emits it with the victim requests only it knows.
 """
 
 from __future__ import annotations
 
+import contextvars
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 from repro.exceptions import (
     BarrierDivergenceError,
@@ -100,6 +105,22 @@ class SanitizerStats:
     violations: dict[str, int] = field(default_factory=dict)
 
 
+_CALLER_REPORTS_TRIP: contextvars.ContextVar[bool] = contextvars.ContextVar(
+    "repro_caller_reports_trip", default=False
+)
+
+
+@contextmanager
+def trip_reported_by_caller() -> Iterator[None]:
+    """Leave the ``sanitizer.trip`` event of a violation raised in this
+    block to the caller, which emits it once it knows the victims."""
+    token = _CALLER_REPORTS_TRIP.set(True)
+    try:
+        yield
+    finally:
+        _CALLER_REPORTS_TRIP.reset(token)
+
+
 class Sanitizer:
     """Configuration + result sink shared by every checked launch."""
 
@@ -160,14 +181,15 @@ class Sanitizer:
         ctx = current_trace_context()
         if ctx is not None:
             rep.trace_id = ctx.trace_id
-        emit_event(
-            SANITIZER_TRIP,
-            ctx=ctx,
-            critical=True,
-            kind=rep.kind,
-            kernel=rep.kernel,
-            group=rep.group_id,
-        )
+        if not _CALLER_REPORTS_TRIP.get():
+            emit_event(
+                SANITIZER_TRIP,
+                ctx=ctx,
+                critical=True,
+                kind=rep.kind,
+                kernel=rep.kernel,
+                group=rep.group_id,
+            )
         tracer = current_tracer()
         if tracer.enabled:
             span = tracer.current_span()

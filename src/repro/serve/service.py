@@ -48,6 +48,7 @@ from repro.observability.metrics import Gauge, MetricsRegistry
 from repro.observability.tracer import Tracer, current_tracer
 from repro.recorder.classify import solve_summary
 from repro.recorder.recorder import FlightRecorder
+from repro.sanitize.sanitizer import trip_reported_by_caller
 from repro.telemetry.events import (
     BREAKER_CLOSE,
     BREAKER_OPEN,
@@ -378,7 +379,7 @@ class SolverService:
                         category="serve",
                         tid=worker.lane,
                         device=worker.device_name,
-                    ):
+                    ), trip_reported_by_caller():  # by _attribute_failure, with victims
                         result = self._solve_batch(plan, matrix, b, x0, worker)
                     solve_ms = (monotonic_ns() - solve_start) / 1e6
                     self.metrics.log_histogram("serve.flush_solve_hdr_ms").observe(
@@ -533,7 +534,8 @@ class SolverService:
         exception) gains the trace/request ids of every co-batched request
         so the report names victims, not just the batch. The trip is also
         recorded as a pinned structured event, which arms the flight
-        recorder.
+        recorder; it is the trip's only event, because the solve runs
+        under :func:`~repro.sanitize.sanitizer.trip_reported_by_caller`.
         """
         report = getattr(exc, "report", None)
         if report is None:

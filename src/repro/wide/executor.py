@@ -33,7 +33,7 @@ from repro.sycl.executor import LaunchStats, launch, prepare_launch, publish_lau
 from repro.sycl.group import SUB_GROUP, NDItem, SyncOp, evaluate_collective
 from repro.sycl.memory import LocalSpec, allocate_local, poison_local
 from repro.sycl.ndrange import NDRange
-from repro.wide.lanes import LaneArray, WideArray, lane_array
+from repro.wide.lanes import LaneArray, WideArray, lane_array, lane_ids
 from repro.wide.lower import lower_kernel
 
 
@@ -44,20 +44,19 @@ class WideItem(NDItem):
     ``local_id``/``lane``/``sub_group_id``/``global_id`` are
     :class:`~repro.wide.lanes.LaneArray` vectors whose comparisons
     produce truthy lane masks, so unmodified kernel sources index and
-    guard with them exactly as they do per-item. The SyncOp factory
-    methods are inherited from :class:`~repro.sycl.group.NDItem`
-    unchanged — the op vocabulary is the backend seam.
+    guard with them exactly as they do per-item. The first three are the
+    read-only vectors :func:`~repro.wide.lanes.lane_ids` shares between
+    all work-groups of a geometry. The SyncOp factory methods are
+    inherited from :class:`~repro.sycl.group.NDItem` unchanged — the op
+    vocabulary is the backend seam.
     """
 
     def __init__(self, ndrange: NDRange, group_id: int) -> None:
         wg = ndrange.local_size
-        lids = np.arange(wg, dtype=np.int64)
         self.ndrange = ndrange
         self.group_id = group_id
-        self.global_id: LaneArray = lane_array(group_id * wg + lids)
-        self.local_id: LaneArray = lane_array(lids)
-        self.sub_group_id: LaneArray = lane_array(lids // ndrange.sub_group_size)
-        self.lane: LaneArray = lane_array(lids % ndrange.sub_group_size)
+        self.local_id, self.sub_group_id, self.lane = lane_ids(wg, ndrange.sub_group_size)
+        self.global_id: LaneArray = lane_array(group_id * wg + self.local_id)
 
 
 def run_work_group_wide(

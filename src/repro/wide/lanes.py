@@ -11,7 +11,9 @@ pass (:mod:`repro.wide.lower`):
 * ``range`` → :func:`wide_range` — a strided loop whose start/stop/step
   involve lane arrays becomes a sequence of lockstep *rounds*; each round
   yields a :class:`LaneIndex` carrying the per-lane row and an activity
-  mask (ragged trip counts are padded to the longest lane).
+  mask (ragged trip counts are padded to the longest lane). The rounds
+  are planned once per loop and shared: loops over the read-only id
+  vectors of :func:`lane_ids` find theirs by the vector's identity.
 * ``float``/``int`` → :func:`wide_float`/:func:`wide_int` — the faithful
   per-item scalarizations become dtype casts over the lane axis.
 
@@ -98,6 +100,35 @@ def lane_array(values: Any) -> LaneArray:
     return np.asarray(values, dtype=np.int64).view(LaneArray)
 
 
+#: ``(local_id, sub_group_id, lane)`` per (work-group, sub-group) geometry.
+_LANE_IDS: dict[tuple[int, int], tuple[LaneArray, LaneArray, LaneArray]] = {}
+#: ``id()`` -> vector for every vector :func:`lane_ids` ever built. The
+#: references keep them alive, so no other object can take their ids.
+_SHARED_IDS: dict[int, LaneArray] = {}
+
+
+def lane_ids(work_group_size: int, sub_group_size: int) -> tuple[LaneArray, ...]:
+    """The shared ``(local_id, sub_group_id, lane)`` vectors of one geometry.
+
+    Every work-group of every launch with this geometry gets the same
+    three objects. They are read-only (a kernel that writes one raises
+    ``ValueError``) and never evicted, which is what lets
+    :func:`wide_range` key the loops over them by identity.
+    """
+    ids = _LANE_IDS.get((work_group_size, sub_group_size))
+    if ids is None:
+        lids = np.arange(work_group_size)
+        ids = tuple(
+            lane_array(v) for v in (lids, lids // sub_group_size, lids % sub_group_size)
+        )
+        for vector in ids:
+            vector.flags.writeable = False
+            _SHARED_IDS[id(vector)] = vector
+        # a racing builder's vectors stay registered and alive, merely unused
+        ids = _LANE_IDS.setdefault((work_group_size, sub_group_size), ids)
+    return ids
+
+
 class LaneIndex:
     """One lockstep round of a strided loop: per-lane rows + activity mask.
 
@@ -144,7 +175,8 @@ def _is_wide(value: Any) -> bool:
     return isinstance(value, (np.ndarray, LaneIndex))
 
 
-#: Memoized rounds of every lane-axis loop, keyed by its bounds' bytes.
+#: Memoized rounds of every lane-axis loop: keyed by the identity of a
+#: shared id vector (``range(lid, n, wg)``) or else by its bounds' bytes.
 _ROUNDS: dict[tuple, tuple[LaneIndex, ...]] = {}
 _ROUNDS_MAX = 128
 
@@ -160,10 +192,20 @@ def wide_range(*args: Any) -> Any:
     faithful interpreter's per-item loop bounds.
 
     Kernels re-enter the same loops every iteration of every work-group,
-    so the rounds are built once per distinct bounds and shared: the
-    table is keyed by value (fresh but equal bounds hit), its rounds are
-    read-only, and it is emptied whenever it reaches ``_ROUNDS_MAX``.
+    so the rounds are built once per distinct bounds and shared. A loop
+    from a shared id vector of :func:`lane_ids` to an integer stop is
+    keyed ``(id(start), stop, step)``: those vectors never change and
+    never die, so their ids are never reused. Other bounds (the SpMV's
+    gathered row pointers) are keyed by value, so fresh but equal bounds
+    hit. The rounds are read-only, and the table is emptied whenever it
+    reaches ``_ROUNDS_MAX``.
     """
+    if len(args) == 3:
+        start, stop, step = args
+        if id(start) in _SHARED_IDS and type(stop) is int and type(step) is int:
+            key = (id(start), stop, step)
+            rounds = _ROUNDS.get(key)
+            return _plan(key, start, stop, step) if rounds is None else rounds
     if not any(isinstance(a, np.ndarray) for a in args):
         return builtins.range(*args)
     if len(args) == 1:
@@ -174,39 +216,39 @@ def wide_range(*args: Any) -> Any:
     else:
         start, stop, step = args
     step = int(np.asarray(step))
-    if step <= 0:
-        raise ValueError(f"wide_range requires a positive step, got {step}")
     start = np.asarray(start, dtype=np.int64)
     stop = np.asarray(stop, dtype=np.int64)
     # shapes too: a 0-d and a 1-element bound share bytes, not broadcasting
     key = (start.shape, start.tobytes(), stop.shape, stop.tobytes(), step)
     rounds = _ROUNDS.get(key)
-    if rounds is None:
-        rounds = _build_rounds(start, stop, step)
-        if len(_ROUNDS) >= _ROUNDS_MAX:
-            _ROUNDS.clear()  # atomic under the GIL, unlike evicting one entry
-        _ROUNDS[key] = rounds
-    return rounds
+    return _plan(key, start, stop, step) if rounds is None else rounds
 
 
-def _build_rounds(start: np.ndarray, stop: np.ndarray, step: int) -> tuple[LaneIndex, ...]:
-    """The read-only lockstep rounds of one :func:`wide_range` loop."""
-    trips = np.maximum(0, -(-(stop - start) // step))
+def _plan(key: tuple, start: Any, stop: Any, step: int) -> tuple[LaneIndex, ...]:
+    """Build one loop's read-only rounds and enter them in the table under ``key``."""
+    if step <= 0:
+        raise ValueError(f"wide_range requires a positive step, got {step}")
+    start = np.asarray(start, dtype=np.int64)
+    trips = np.maximum(0, -(-(np.asarray(stop, dtype=np.int64) - start) // step))
     if start.shape != trips.shape:
         start = np.broadcast_to(start, trips.shape)
     # Rounds below every lane's trip count are fully active: share one
     # mask and skip the per-access ``mask.all()`` re-check downstream.
     uniform = int(trips.min(initial=0))
     full = np.ones(trips.shape, dtype=bool)
-    rounds = []
+    built = []
     for t in range(int(trips.max(initial=0))):
         if t < uniform:
             index = LaneIndex(start + t * step, full, True)
         else:
             index = LaneIndex(start + t * step, trips > t)
         index.rows.flags.writeable = index.mask.flags.writeable = False
-        rounds.append(index)
-    return tuple(rounds)
+        built.append(index)
+    rounds = tuple(built)
+    if len(_ROUNDS) >= _ROUNDS_MAX:
+        _ROUNDS.clear()  # atomic under the GIL, unlike evicting one entry
+    _ROUNDS[key] = rounds
+    return rounds
 
 
 def wide_float(value: Any) -> Any:
@@ -307,6 +349,14 @@ class WideArray:
         return self.data, key
 
     def __getitem__(self, key: Any) -> Any:
+        # the keys the kernels pass, by exact type, before the general path
+        kind = type(key)
+        if kind is LaneIndex:
+            return _gather(self.data, key)
+        if kind is tuple and len(key) == 2 and type(key[0]) is int and type(key[1]) is LaneIndex:
+            return _gather(self.data[key[0]], key[1])
+        if kind is np.ndarray:
+            return self.data[key]
         base, final = self._resolve(key)
         if isinstance(final, LaneIndex):
             return _gather(base, final)
@@ -318,6 +368,16 @@ class WideArray:
         return value
 
     def __setitem__(self, key: Any, value: Any) -> None:
+        kind = type(key)
+        if kind is LaneIndex:
+            _scatter(self.data, key, value)
+            return
+        if kind is tuple and len(key) == 2 and type(key[0]) is int and type(key[1]) is LaneIndex:
+            _scatter(self.data[key[0]], key[1], value)
+            return
+        if kind is np.ndarray:
+            self.data[key] = value
+            return
         base, final = self._resolve(key)
         if isinstance(final, LaneIndex):
             _scatter(base, final, value)

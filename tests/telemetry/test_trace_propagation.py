@@ -12,7 +12,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.exceptions import SanitizerError
+from repro.instruments import current, use
 from repro.observability.tracer import Tracer
+from repro.recorder.postmortem import analyze_bundles, load_bundles
+from repro.recorder.recorder import TRIGGER_SANITIZER_TRIP, FlightRecorder
+from repro.sanitize import Sanitizer
 from repro.sanitize.report import SLM_RACE, SanitizerReport
 from repro.serve import ServeConfig, SolveRequest, SolverService
 from repro.telemetry import (
@@ -20,6 +25,7 @@ from repro.telemetry import (
     REQUEST_FALLBACK,
     REQUEST_SOLVED,
     SANITIZER_TRIP,
+    EventLog,
     mint_context,
     use_trace_context,
 )
@@ -238,6 +244,50 @@ class TestSanitizerVictims:
         assert set(trips[0]["fields"]["trace_ids"]) == victims
         rescues = [r for r in events.records() if r["type"] == REQUEST_FALLBACK]
         assert {r["trace_id"] for r in rescues} == victims
+
+    @staticmethod
+    def _report():
+        return SanitizerReport(
+            kind=SLM_RACE, kernel="batch_cg_fused", group_id=0, message="write/write race"
+        )
+
+    def test_violation_in_a_flush_is_one_event_and_one_incident(
+        self, monkeypatch, tmp_path
+    ):
+        """The flush, which knows the victims, emits the trip's only event."""
+        rng = np.random.default_rng(11)
+        log, recorder = EventLog(), FlightRecorder()
+        log.recorder = recorder
+        config = ServeConfig(max_batch_size=4, max_wait_ms=50.0, num_workers=1)
+        with use(events=log, recorder=recorder, sanitizer=Sanitizer()):
+            with SolverService(config) as service:
+
+                def tripping_solve(*_args):
+                    current().sanitizer.violation(SanitizerError, self._report())
+
+                monkeypatch.setattr(service, "_solve_batch", tripping_solve)
+                tickets = [service.submit(_request(rng)) for _ in range(4)]
+                assert all(t.result(timeout=30.0).used_fallback for t in tickets)
+
+        trips = [r for r in log.records() if r["type"] == SANITIZER_TRIP]
+        assert len(trips) == 1
+        fields = trips[0]["fields"]
+        assert fields["flush_id"]
+        assert set(fields["trace_ids"]) == {t.trace_context.trace_id for t in tickets}
+        assert set(fields["request_ids"]) == {t.request.request_id for t in tickets}
+        assert recorder.triggers_fired.get(TRIGGER_SANITIZER_TRIP) == 1
+        # what ``repro postmortem analyze`` reads
+        recorder.dump(tmp_path)
+        incidents = analyze_bundles(load_bundles([tmp_path]))["incidents"]
+        assert [i["fault_class"] for i in incidents] == [SLM_RACE]
+
+    def test_violation_outside_a_service_is_one_event(self):
+        log, sanitizer = EventLog(), Sanitizer()
+        with use(events=log, sanitizer=sanitizer), pytest.raises(SanitizerError):
+            sanitizer.violation(SanitizerError, self._report())
+        trips = [r for r in log.records() if r["type"] == SANITIZER_TRIP]
+        assert len(trips) == 1
+        assert trips[0]["fields"]["kind"] == SLM_RACE
 
 
 class TestMultiFanIn:

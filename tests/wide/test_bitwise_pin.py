@@ -8,7 +8,9 @@ single bit of an answer. Each case runs one fused kernel on a small
 iteration counts and of the NaN-padded residual history. The cases cover
 one fully active round (n=32, work-group 32), a padded ragged round
 (n=17, work-group 32), two stride rounds (n=1100, work-group 1024), the
-sub-group SpMV and the sub-group reductions.
+sub-group SpMV, the sub-group reductions and the shape the kernel-path
+serving benchmark runs (16 systems of 128 rows at the heuristic
+geometry, work-group 128 and sub-group 32).
 
 To re-record after a deliberate change of the arithmetic, print
 ``_digests(*_run(case))`` for every case and explain the change.
@@ -21,6 +23,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.core.launch import LaunchConfigurator
 from repro.core.preconditioner.jacobi import BatchJacobi
 from repro.kernels import launch_fused, queue_for
 from repro.kernels.bicgstab_kernel import run_batch_bicgstab_on_device
@@ -30,6 +33,8 @@ from repro.workloads.stencil import stencil_rhs, three_point_stencil
 
 #: case name -> (n, num_batch, max_iterations)
 _SHAPES = {"n32": (32, 3, 60), "n17": (17, 3, 60), "n1100": (1100, 1, 30)}
+#: the kernel-path serving benchmark's rounds: 16 systems of 128 rows
+_SERVED = {"n128x16": (128, 16, 200)}
 
 #: case -> SHA-256 of (x, iterations, res_history), recorded before the
 #: round table existed.
@@ -144,6 +149,17 @@ PINS = {
         "d28d926858cb54c7690e3503c8c70015e9d8ceffafe8f059dfce77aaaa21baba",
         "b2148cd3dc8f0a661f4b8eca2b9d08f36c9891705d37a3a78899435485cd8291",
     ),
+    # recorded before the id vectors were shared and loops keyed by identity
+    "cg-jacobi-n128x16": (
+        "dd408e46dc086457756df62a96331c70fa04746d1bc44891255e03a766be1f3b",
+        "0fad497bcfe0c3ef5ff4a434bfc708bf190d66aa7b6a3f255d85d7cdce914e88",
+        "938f5f63ce9160f6af8e8f8611ae51f6ea19fac35d7fc3405df8e49b7b318081",
+    ),
+    "bicgstab-jacobi-n128x16": (
+        "8cc88a2e6a07c5b104a519a61ceff27216fafa41e5722b6eaa7587b7f4f2fd4b",
+        "40098e88b498d0aed4701275b4ed46fd4c6ba22797a727443f5636f8cdc22fb1",
+        "319b16cf5f0de3e477ffcbd2e1c81e6e7502f385381a44fee5519fa9b1311b37",
+    ),
 }
 
 
@@ -159,14 +175,15 @@ def _cases() -> list[str]:
         for kind in ("cg_sgspmv", "bicgstab_sgreduce")
         for prec in ("jacobi", "identity")
     ]
-    return grid + subgroup
+    served = [f"{solver}-jacobi-{shape}" for shape in _SERVED for solver in ("cg", "bicgstab")]
+    return grid + subgroup + served
 
 
 def _run(case: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve one case on a fresh wide queue; returns ``(x, iterations, history)``."""
     kind, prec, *shape = case.split("-")
     if shape:
-        n, nb, max_iterations = _SHAPES[shape[0]]
+        n, nb, max_iterations = {**_SHAPES, **_SERVED}[shape[0]]
     else:
         n, nb, max_iterations = (32, 3, 60) if kind == "cg_sgspmv" else (16, 3, 60)
     matrix = three_point_stencil(n, nb)
@@ -209,6 +226,12 @@ def test_every_case_is_pinned():
 def test_wide_answers_match_pinned_digests(case):
     x, iters, history = _run(case)
     assert _digests(x, iters, history) == PINS[case]
+
+
+def test_served_shape_runs_at_the_heuristic_geometry():
+    n, nb, _ = _SERVED["n128x16"]
+    plan = LaunchConfigurator(queue_for("wide").device).configure(n, nb)
+    assert (plan.work_group_size, plan.sub_group_size) == (128, 32)
 
 
 def test_cold_and_warm_round_tables_give_the_same_bits():

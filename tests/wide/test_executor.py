@@ -40,15 +40,35 @@ def _per_item(executor, op: SyncOp) -> np.ndarray:
 
 class TestWideItem:
     def test_ids_carry_the_lane_axis(self):
-        item = WideItem(ND, 0)
-        assert isinstance(item.local_id, LaneArray)
-        np.testing.assert_array_equal(np.asarray(item.local_id), np.arange(32))
-        np.testing.assert_array_equal(
-            np.asarray(item.sub_group_id), np.arange(32) // 16
-        )
-        np.testing.assert_array_equal(np.asarray(item.lane), np.arange(32) % 16)
-        assert item.group_id == 0
-        assert item.local_range == 32
+        # two sub-group sizes at one work-group size: the shared ids are per geometry
+        for sgs in (16, 8):
+            item = WideItem(NDRange(32, 32, sgs), 0)
+            assert isinstance(item.local_id, LaneArray)
+            np.testing.assert_array_equal(np.asarray(item.local_id), np.arange(32))
+            np.testing.assert_array_equal(
+                np.asarray(item.sub_group_id), np.arange(32) // sgs
+            )
+            np.testing.assert_array_equal(np.asarray(item.lane), np.arange(32) % sgs)
+            assert item.group_id == 0
+            assert item.local_range == 32
+
+    def test_work_groups_of_a_launch_share_one_set_of_ids(self):
+        seen = []
+
+        def kernel(item, slm):
+            seen.append((item.local_id, item.sub_group_id, item.lane))
+
+        wide_launch(pvc_stack_device(1), NDRange(64, 32, 16), kernel)
+        assert len(seen) == 2
+        assert all(a is b for a, b in zip(*seen))
+
+    @pytest.mark.parametrize("name", ["local_id", "sub_group_id", "lane"])
+    def test_kernel_writing_an_id_raises(self, name):
+        def kernel(item, slm):
+            getattr(item, name)[0] = 5
+
+        with pytest.raises(ValueError):
+            wide_launch(pvc_stack_device(1), ND, kernel)
 
     def test_global_ids_offset_by_group(self):
         item = WideItem(NDRange(64, 32, 16), 1)

@@ -14,6 +14,7 @@ from repro.wide.lanes import (
     LaneMask,
     WideArray,
     lane_array,
+    lane_ids,
     wide_float,
     wide_int,
     wide_range,
@@ -169,6 +170,17 @@ class TestWideRangeMemo:
             with pytest.raises(ValueError):
                 index.mask[0] = False
 
+    def test_shared_ids_are_keyed_by_identity_to_the_value_key_rounds(self):
+        lanes._ROUNDS.clear()
+        lid = lane_ids(8, 4)[0]
+        by_identity = wide_range(lid, 20, 8)
+        assert (id(lid), 20, 8) in lanes._ROUNDS
+        # a fresh vector of the same ids takes the value key
+        by_value = wide_range(lane_array(np.arange(8)), 20, 8)
+        assert by_value is not by_identity
+        assert len(lanes._ROUNDS) == 2
+        _assert_rounds_equal(by_identity, [(r.rows, r.mask) for r in by_value])
+
     def test_table_stays_bounded_and_correct(self):
         lanes._ROUNDS.clear()
         lid = lane_array(np.arange(8))
@@ -188,18 +200,23 @@ class TestWideRangeMemo:
         # insert or a racing first gather only costs a recompute
         lid = lane_array(np.arange(8))
         data = np.arange(1.0, 400.0)
-        errors = []
+        errors, seen_ids = [], []
 
         def worker(offset):
             try:
+                ids = lane_ids(8, 2)  # racing first builds agree on one set
+                seen_ids.append(ids)
+                shared = ids[0]  # an id-vector loop, keyed by identity
                 for n in range(1, 2 * lanes._ROUNDS_MAX):
-                    rounds = wide_range(lid, n + offset, 8)
                     expected = _reference_rounds(lid, n + offset, 8)
-                    _assert_rounds_equal(rounds, expected)
-                    for index, (rows, mask) in zip(rounds, expected):
-                        np.testing.assert_array_equal(
-                            WideArray(data)[index], np.where(mask, data[rows * mask], 0.0)
-                        )
+                    for start in (lid, shared):
+                        rounds = wide_range(start, n + offset, 8)
+                        _assert_rounds_equal(rounds, expected)
+                        for index, (rows, mask) in zip(rounds, expected):
+                            np.testing.assert_array_equal(
+                                WideArray(data)[index],
+                                np.where(mask, data[rows * mask], 0.0),
+                            )
             except Exception as exc:  # noqa: BLE001 - re-raised on the main thread
                 errors.append(exc)
 
@@ -215,6 +232,7 @@ class TestWideRangeMemo:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
+        assert all(ids is seen_ids[0] for ids in seen_ids)
         # the size check and the insert are two steps: each racing thread
         # can add one entry past the bound until the next miss clears it
         assert len(lanes._ROUNDS) <= lanes._ROUNDS_MAX + len(threads)
