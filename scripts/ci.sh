@@ -37,9 +37,10 @@ bash scripts/lint.sh
 
 echo
 echo "== trace smoke =="
-python scripts/smoke_trace.py --out /tmp/ci_trace_smoke.json
-# run's --trace-out (before the command) and chaos replay's own
-# --trace-out (after it) must each write their file
+# a traced stencil solve with a validated trace is tier-1
+# (tests/test_smoke_trace.py::test_trace_cli_subprocess); here run's
+# --trace-out (before the command) and chaos replay's own --trace-out
+# (after it) must each write their file
 rm -f /tmp/ci_run_trace.json /tmp/ci_replay_items.jsonl
 python -m repro run --with trace --trace-out /tmp/ci_run_trace.json --no-summary \
     -- chaos replay --requests 8 --size 8 --trace-out /tmp/ci_replay_items.jsonl
@@ -112,6 +113,13 @@ python -m repro chaos battery --requests 40 --batch-size 4 --size 12 \
     --bundle-dir /tmp/ci_recorder_bundles --dump-bundle
 python -m repro postmortem analyze /tmp/ci_recorder_bundles >/dev/null
 python -m repro postmortem timeline /tmp/ci_recorder_bundles --limit 5 >/dev/null
+# a two-shard fleet rings every shard into the battery's one recorder;
+# tests/recorder/test_fleet_recorder.py::test_fleet_battery_bundle_holds_every_incident
+# holds its incident count to the injected faults
+rm -rf /tmp/ci_fleet_bundles
+python -m repro chaos battery --requests 40 --batch-size 4 --size 12 --shards 2 \
+    --bundle-dir /tmp/ci_fleet_bundles --dump-bundle
+python -m repro postmortem analyze /tmp/ci_fleet_bundles >/dev/null
 
 echo
 echo "== coverage floor =="

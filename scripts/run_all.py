@@ -74,17 +74,8 @@ def main(argv=None) -> int:
         path.write_text(text + "\n")
         print(f"wrote {path} ({time.perf_counter() - start:.1f} s)")
 
-    # tracing smoke: emit + validate a Chrome trace next to the artifacts
-    sys.path.insert(0, str(Path(__file__).resolve().parent))
-    import smoke_trace
-
-    start = time.perf_counter()
-    code = smoke_trace.main(["--out", str(out / "trace_smoke.json")])
-    if code != 0:
-        return code
-    print(f"wrote {out / 'trace_smoke.json'} ({time.perf_counter() - start:.1f} s)")
-
     # serving benchmark: the throughput artifact
+    sys.path.insert(0, str(Path(__file__).resolve().parent))
     import bench_serve
 
     start = time.perf_counter()

@@ -662,7 +662,8 @@ def _cmd_slo(args) -> int:
 
 
 def _cmd_top(args) -> int:
-    """Live text dashboard over a synthetic serve workload."""
+    """Live text dashboard over a synthetic serve workload; with
+    ``--shards`` above 1 it runs a fleet and shows the shard panel."""
     import threading
     import time as _time
 
@@ -670,10 +671,7 @@ def _cmd_top(args) -> int:
 
     from repro.serve import ServeConfig, SolverService
     from repro.telemetry import SloMonitor, dashboard_text, default_slos
-    from repro.workloads.arrivals import make_request, stencil_pattern
-
-    if getattr(args, "shards", 1) > 1:
-        return _top_fleet(args)
+    from repro.workloads.arrivals import keyed_requests, make_request, stencil_pattern
 
     config = ServeConfig(
         max_batch_size=args.batch_size,
@@ -683,87 +681,49 @@ def _cmd_top(args) -> int:
     )
     pattern = stencil_pattern(args.size)
     rng = np.random.default_rng(args.seed)
+    fleet = monitor = None
+    if args.shards > 1:
+        from repro.fleet import FleetConfig, FleetService
 
-    with SolverService(config) as service:
-        monitor = SloMonitor(
-            service.metrics, specs=default_slos(latency_threshold_ms=args.threshold_ms)
+        # consistent-hash routing is keyed on the batch key, so spread the
+        # requests over enough keys to reach every shard
+        requests = keyed_requests(
+            pattern, rng, args.size, args.requests,
+            max(16, 2 * args.shards), solver=args.solver,
         )
-        monitor.sample()
+        service = fleet = FleetService(
+            FleetConfig(
+                serve=config,
+                initial_replicas=args.shards,
+                max_replicas=max(args.shards, 8),
+            )
+        )
+        title = "repro top — fleet"
+    else:
+        requests = [
+            make_request(pattern, rng, args.size, args.solver)
+            for _ in range(args.requests)
+        ]
+        service = SolverService(config)
+        title = "repro top"
+
+    with service:
+        if fleet is None:
+            monitor = SloMonitor(
+                service.metrics,
+                specs=default_slos(latency_threshold_ms=args.threshold_ms),
+            )
+            monitor.sample()
         stop = threading.Event()
 
         def feed() -> None:
             # spread the workload across the dashboard's lifetime so the
             # frames show the counters moving
-            for k in range(args.requests):
-                if stop.is_set():
-                    return
-                try:
-                    service.submit(
-                        make_request(pattern, rng, args.size, args.solver)
-                    ).result(timeout=60.0)
-                except Exception:
-                    return
-                if args.requests > 1 and k % 8 == 7:
-                    _time.sleep(min(args.interval / 4.0, 0.05))
-
-        feeder = threading.Thread(target=feed, name="repro-top-feeder", daemon=True)
-        feeder.start()
-        try:
-            for frame in range(args.frames):
-                if frame:
-                    _time.sleep(args.interval)
-                print(
-                    dashboard_text(
-                        service.metrics,
-                        monitor=monitor,
-                        events=service.events,
-                        title=f"repro top — frame {frame + 1}/{args.frames}",
-                    )
-                )
-        finally:
-            stop.set()
-            feeder.join(timeout=60.0)
-    return 0
-
-
-def _top_fleet(args) -> int:
-    """``top --shards N``: the dashboard over a live fleet, shard panel on."""
-    import threading
-    import time as _time
-
-    import numpy as np
-
-    from repro.fleet import FleetConfig, FleetService
-    from repro.serve import ServeConfig
-    from repro.telemetry import dashboard_text
-    from repro.workloads.arrivals import keyed_requests, stencil_pattern
-
-    config = FleetConfig(
-        serve=ServeConfig(
-            max_batch_size=args.batch_size,
-            max_wait_ms=2.0,
-            num_workers=args.workers,
-            backend=args.backend,
-        ),
-        initial_replicas=args.shards,
-        max_replicas=max(args.shards, 8),
-    )
-    pattern = stencil_pattern(args.size)
-    rng = np.random.default_rng(args.seed)
-    requests = keyed_requests(
-        pattern, rng, args.size, args.requests,
-        max(16, 2 * args.shards), solver=args.solver,
-    )
-
-    with FleetService(config) as fleet:
-        stop = threading.Event()
-
-        def feed() -> None:
             for k, request in enumerate(requests):
                 if stop.is_set():
                     return
                 try:
-                    fleet.submit(request).result(timeout=60.0)
+                    service.submit(request).result(timeout=60.0)
                 except Exception:
                     return
                 if len(requests) > 1 and k % 8 == 7:
@@ -775,13 +735,15 @@ def _top_fleet(args) -> int:
             for frame in range(args.frames):
                 if frame:
                     _time.sleep(args.interval)
-                fleet.refresh_metrics()
+                if fleet is not None:
+                    fleet.refresh_metrics()
                 print(
                     dashboard_text(
-                        fleet.metrics,
-                        events=fleet.events,
+                        service.metrics,
+                        monitor=monitor,
+                        events=service.events,
                         fleet=fleet,
-                        title=f"repro top — fleet — frame {frame + 1}/{args.frames}",
+                        title=f"{title} — frame {frame + 1}/{args.frames}",
                     )
                 )
         finally:

@@ -42,6 +42,7 @@ from typing import Any, Callable, Iterable, Sequence
 import numpy as np
 
 from repro.exceptions import ReproError
+from repro.observability.metrics import LogHistogram
 from repro.serve.qos import DEFAULT_TENANT, PRIORITIES
 
 __all__ = [
@@ -236,38 +237,29 @@ def trace_requests(
 ) -> list:
     """Materialize one :class:`SolveRequest` per trace item.
 
-    All requests share the 3-point-stencil sparsity pattern; values are
-    perturbed per request by a symmetric congruence ``D A D`` (``D`` a
-    random positive diagonal), which preserves SPD so the trace's ``cg``
-    share converges like its ``bicgstab`` share. An item's ``key`` maps
-    to ``base_max_iterations + key`` so distinct keys hash to distinct
-    :class:`~repro.serve.request.BatchKey`\\ s — and, behind a fleet, to
-    distinct shards — without changing solve behaviour.
+    Each is :func:`repro.workloads.arrivals.make_request` on the shared
+    3-point-stencil pattern, whose SPD-preserving congruence lets the
+    trace's ``cg`` share converge like its ``bicgstab`` share. An item's
+    ``key`` maps to ``base_max_iterations + key`` so distinct keys hash
+    to distinct :class:`~repro.serve.request.BatchKey`\\ s — and, behind
+    a fleet, to distinct shards — without changing solve behaviour.
     """
-    from repro.serve import SolveRequest
-    from repro.workloads.arrivals import stencil_pattern
+    from repro.workloads.arrivals import make_request, stencil_pattern
 
     pattern = stencil_pattern(size)
-    entry_rows = np.repeat(np.arange(size), np.diff(pattern.indptr))
-    entry_cols = pattern.indices
     rng = np.random.default_rng(seed ^ 0x5EED)
-    requests = []
-    for item in items:
-        scale = rng.uniform(0.95, 1.05, size=size)
-        matrix = pattern.copy()
-        matrix.data = pattern.data * scale[entry_rows] * scale[entry_cols]
-        requests.append(
-            SolveRequest(
-                matrix,
-                rng.standard_normal(size),
-                solver=item.solver,
-                preconditioner="jacobi",
-                max_iterations=base_max_iterations + item.key,
-                tenant=item.tenant,
-                priority=item.priority,
-            )
+    return [
+        make_request(
+            pattern,
+            rng,
+            size,
+            item.solver,
+            max_iterations=base_max_iterations + item.key,
+            tenant=item.tenant,
+            priority=item.priority,
         )
-    return requests
+        for item in items
+    ]
 
 
 # -- the report ----------------------------------------------------------------
@@ -455,21 +447,11 @@ def run_replay(
 
 
 def _latency_percentiles(hub: Any) -> tuple[float, float]:
-    """(p50, p99) over every registry's ``serve.latency_hdr_ms`` histogram."""
-    p50s: list[float] = []
-    p99s: list[float] = []
-    counts: list[float] = []
+    """(p50, p99) of every registry's ``serve.latency_hdr_ms`` histogram,
+    merged bucket-wise as a fleet's latency rollup is."""
+    merged = LogHistogram("serve.latency_hdr_ms")
     for registry in hub.registries:
-        hist = registry.log_histogram("serve.latency_hdr_ms")
-        if hist.count == 0:
-            continue
-        counts.append(float(hist.count))
-        p50s.append(float(hist.percentile(50.0)))
-        p99s.append(float(hist.percentile(99.0)))
-    if not counts:
+        merged.merge(registry.log_histogram("serve.latency_hdr_ms"))
+    if merged.count == 0:
         return 0.0, 0.0
-    total = sum(counts)
-    # count-weighted p50; conservative max for p99 (a fleet's tail is
-    # its worst shard's tail)
-    p50 = sum(p * c for p, c in zip(p50s, counts)) / total
-    return p50, max(p99s)
+    return float(merged.percentile(50.0)), float(merged.percentile(99.0))

@@ -209,36 +209,6 @@ class BatchSolverFactory:
                 f"available: {sorted(FORMATS)}"
             )
 
-    def validate_combination(self, matrix: BatchedMatrix) -> None:
-        """Check the (format, solver, preconditioner) triple is legal."""
-        required = _FORMAT_RESTRICTED_PRECONDITIONERS.get(self.preconditioner)
-        if required is not None and matrix.format_name != required:
-            raise UnsupportedCombinationError(
-                f"preconditioner {self.preconditioner!r} requires the "
-                f"{required!r} matrix format, got {matrix.format_name!r}"
-            )
-
-    def dispatch_key(self, matrix_format: str | None = None) -> tuple:
-        """Hashable identity of the resolved dispatch tuple.
-
-        Two factories with equal keys resolve to the same concrete kernel
-        configuration; the serving layer's plan cache uses this (together
-        with the launch-relevant matrix size) as its cache key.
-        """
-        fmt = matrix_format if matrix_format is not None else self.matrix_format
-        return (
-            self.solver,
-            self.preconditioner,
-            self.criterion,
-            self.precision,
-            fmt,
-            self.tolerance,
-            self.max_iterations,
-            self.keep_history,
-            tuple(sorted(self.solver_options.items())),
-            tuple(sorted(self.preconditioner_options.items())),
-        )
-
     def resolve(self, matrix_format: str | None = None) -> ResolvedDispatch:
         """Resolve every dispatch level to concrete classes (Figure 3).
 

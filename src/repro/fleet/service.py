@@ -84,10 +84,12 @@ class FleetService:
     The fleet captures the installed observers
     (:func:`repro.instruments.current`) when it is built, explicit
     ``tracer`` and ``chaos`` arguments overriding them, and builds every
-    shard under that record, so a request's journey — ``fleet.route`` span
-    → shard flush span (linked via the request's trace context) — renders
-    on one timeline. An installed flight recorder becomes one sibling
-    recorder per shard.
+    shard under that record with the fleet's :attr:`events` log installed.
+    A request's journey — ``fleet.route`` span → shard flush span (linked
+    via the request's trace context) — renders on one timeline; every
+    shard emits into :attr:`events` and rings into the one flight recorder
+    installed when the fleet was built, so dumping that recorder gives the
+    whole fleet's bundle. Metrics stay per shard (:meth:`shard_stats`).
     """
 
     def __init__(
@@ -101,17 +103,18 @@ class FleetService:
         # sequence is fleet-global, so a seeded battery hits the same
         # schedule whether it runs against 1 shard or 8
         explicit = {"tracer": tracer, "chaos": chaos}
-        self._instruments = dc_replace(
+        instruments = dc_replace(
             current(), **{k: v for k, v in explicit.items() if v is not None}
         )
-        self.chaos = self._instruments.chaos
+        self.chaos = instruments.chaos
         self.metrics = MetricsRegistry()
-        if self._instruments.hub is not None:
-            self._instruments.hub.register(self.metrics)
-        self.events = self._instruments.events
+        if instruments.hub is not None:
+            instruments.hub.register(self.metrics)
+        self.events = instruments.events
         if self.events is None:
             self.events = EventLog(capacity=EVENT_LOG_CAPACITY)
-            self.events.recorder = self._instruments.recorder
+            self.events.recorder = instruments.recorder
+        self._instruments = dc_replace(instruments, events=self.events)
         self.ring = HashRing(self.config.virtual_nodes)
         self._shards: dict[str, ShardReplica] = {}
         self._owners: OrderedDict[str, str] = OrderedDict()  # ring token -> shard
@@ -129,15 +132,8 @@ class FleetService:
         with self._lock:
             name = f"shard-{self._seq}"
             self._seq += 1
-            # per-shard black box: an installed flight recorder becomes one
-            # sibling recorder per replica, stamped with the shard name,
-            # so each shard's bundles merge in the cross-shard postmortem
-            recorder = self._instruments.recorder
             with use(**vars(self._instruments)):
-                service = SolverService(
-                    self.config.serve,
-                    recorder=None if recorder is None else recorder.for_shard(name),
-                )
+                service = SolverService(self.config.serve)
             shard = ShardReplica(name, service)
             self._shards[name] = shard
             self.ring.add(name)
@@ -384,21 +380,6 @@ class FleetService:
                     shard.service.metrics.log_histogram("serve.latency_hdr_ms")
                 )
         return rollup
-
-    def dump_recorders(self, dump_dir, reason: str = "manual") -> list:
-        """Dump every shard's flight-recorder rings as one bundle each.
-
-        Returns the bundle paths — feed them (or the parent directory)
-        to ``repro postmortem analyze`` for the cross-shard story. Shards
-        without a recorder (none installed when the fleet was built) are
-        skipped.
-        """
-        bundles = []
-        for shard in self.shards():
-            recorder = shard.service.recorder
-            if recorder is not None:
-                bundles.append(recorder.dump(dump_dir, reason=reason))
-        return bundles
 
     def refresh_metrics(self) -> None:
         """Refresh the fleet gauges (for exporters polling ``metrics``)."""

@@ -9,8 +9,8 @@ Three pieces, layered bottom-up:
   :class:`FlightRecorder`: ring buffers of recent events, solved
   flushes and metric deltas, dumped to a schema-versioned bundle
   (:mod:`repro.recorder.bundle`) when a trigger fires.
-* :mod:`repro.recorder.postmortem` — cross-shard analysis over one or
-  more bundles (``python -m repro postmortem {analyze,timeline,diff}``).
+* :mod:`repro.recorder.postmortem` — analysis over one or more bundles
+  (``python -m repro postmortem {analyze,timeline,diff}``).
 
 Nothing in this package imports the telemetry or serving layers: the
 event log taps *into* the recorder, so the recorder must sit below it

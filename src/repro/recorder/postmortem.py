@@ -1,15 +1,15 @@
-"""Cross-shard postmortem analysis over flight-recorder bundles.
+"""Postmortem analysis over one or more flight-recorder bundles.
 
-Given one or more diagnostic bundles (each a shard's black box at the
-moment a trigger fired), this module answers the incident-review
-questions:
+Given one or more diagnostic bundles (each one recorder's black box at
+the moment a trigger fired: a service's, or a whole fleet's with every
+shard in it), this module answers the incident-review questions:
 
 * **analyze** — what faults were injected or occurred, which requests
   were the victims (joined through trace links), and is each failure an
   *infrastructure* fault (chaos kind, sanitizer trip, breaker) or a
   *numerical* one (breakdown / stagnation / divergence / NaN residual)?
 * **timeline** — the merged, time-ordered event stream across every
-  shard's bundle, so a cross-shard incident reads as one story.
+  bundle, so an incident seen by several recorders reads as one story.
 * **diff** — what changed between two bundles (event mix, convergence
   class mix, trigger counts, final metric values) — before/after a
   deploy, or healthy shard vs. sick shard.

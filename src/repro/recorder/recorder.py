@@ -118,8 +118,9 @@ class FlightRecorder:
     redump_interval_s:
         Minimum seconds between two auto-dumps for the *same* reason.
     shard:
-        Identity stamped into every bundle manifest (fleet shards set
-        their shard name; a standalone service leaves it empty).
+        Identity stamped into every bundle manifest and bundle name (a
+        fleet's shards all ring into the one recorder the fleet was
+        built under, so this names the recorder, not a shard).
     clock:
         Wall-clock source (injectable for deterministic tests).
     """
@@ -161,24 +162,6 @@ class FlightRecorder:
         self.dumps_written = 0
         self.dump_errors = 0
         self.triggers_fired: dict[str, int] = {}
-
-    def for_shard(self, shard: str) -> "FlightRecorder":
-        """A sibling recorder with this one's limits but its own rings.
-
-        Fleet replicas call this to get per-shard black boxes: same
-        capacities, dump policy and clock, stamped with the shard's
-        name so every bundle it writes merges cleanly into the
-        cross-shard postmortem.
-        """
-        return FlightRecorder(
-            capacity=self.capacity,
-            metric_interval=self.metric_interval,
-            dump_dir=self.dump_dir,
-            max_dumps=self.max_dumps,
-            redump_interval_s=self.redump_interval_s,
-            shard=shard,
-            clock=self._clock,
-        )
 
     # -- recording (the always-on hot path) -----------------------------------
 
@@ -301,8 +284,8 @@ class FlightRecorder:
             self._last_dump_ts[reason] = self._clock()
             streams = self._snapshot_locked()
         safe_reason = "".join(c if c.isalnum() or c in "-_" else "_" for c in reason)
-        # the shard segment keeps sibling recorders (fleet replicas)
-        # dumping into one directory from colliding on the sequence
+        # the shard segment keeps several recorders dumping into one
+        # directory (one per process, say) from colliding on the sequence
         safe_shard = "".join(
             c if c.isalnum() or c in "-_" else "_" for c in self.shard
         )

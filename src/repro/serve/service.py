@@ -120,8 +120,9 @@ class SolverService:
             self._instruments.hub.register(self.metrics)
         self.events = self._instruments.events
         if self.events is None:
-            # a private bounded ring, tapping this service's own recorder
-            # so a fleet shard's events land in its per-shard black box
+            # a private bounded ring, tapping this service's recorder so
+            # events emitted on a client thread ring there too (a fleet
+            # installs its own log, so its shards never get here)
             self.events = EventLog(capacity=EVENT_LOG_CAPACITY)
             self.events.recorder = self.recorder
         self.plan_cache = PlanCache(metrics=self.metrics, capacity=PLAN_CACHE_CAPACITY)

@@ -164,8 +164,9 @@ class EventLog:
         self.emitted = 0  # events accepted into the log
         self.dropped_head = 0  # events dropped by the head-sampling decision
         #: explicit flight-recorder tap target; ``None`` falls back to the
-        #: ambient recorder. A fleet shard's private log points here so its
-        #: events land in that shard's black box, not the fleet-wide one.
+        #: ambient recorder. A service or fleet that builds its own log
+        #: points it at the recorder it was built under, so events emitted
+        #: on a client thread, where none is installed, still ring there.
         self.recorder = None
 
     # -- emission -------------------------------------------------------------

@@ -10,13 +10,16 @@ from repro.chaos.replay import (
     DEFAULT_TENANTS,
     ReplayItem,
     TenantSpec,
+    _latency_percentiles,
     build_trace,
     load_trace,
     run_replay,
     save_trace,
     trace_requests,
 )
+from repro.observability.metrics import MetricsRegistry
 from repro.serve import ServeConfig, SolverService
+from repro.telemetry.hub import TelemetryHub
 from repro.workloads.arrivals import diurnal_offsets
 
 
@@ -128,6 +131,26 @@ class TestTraceRequests:
                 (request.values, request.col_idxs, request.row_ptrs), shape=(12, 12)
             )
             assert abs(matrix - matrix.T).max() < 1e-12
+
+
+class TestLatencyRollup:
+    def test_percentiles_come_from_the_merged_histogram(self):
+        # 100 requests at 1 ms on one registry, 10 at 100 ms on another:
+        # a count-weighted mean of the two p50s reads about 10 ms, which
+        # no request took; the merged buckets put p50 at about 1 ms
+        hub = TelemetryHub()
+        for value, count in ((1.0, 100), (100.0, 10)):
+            registry = MetricsRegistry()
+            registry.log_histogram("serve.latency_hdr_ms").observe_many([value] * count)
+            hub.register(registry)
+        p50, p99 = _latency_percentiles(hub)
+        assert p50 == pytest.approx(1.0, rel=0.2)
+        assert p99 == pytest.approx(100.0, rel=0.2)
+
+    def test_no_samples_reads_zero(self):
+        hub = TelemetryHub()
+        hub.register(MetricsRegistry())
+        assert _latency_percentiles(hub) == (0.0, 0.0)
 
 
 class TestRunReplay:

@@ -34,6 +34,8 @@ class TestFleetDemo:
             json.loads(line) for line in events_out.read_text().splitlines()
         ]
         assert any(ev["type"] == "fleet.rebalance" for ev in events)
+        # every shard's request lifecycle lands in the fleet's log
+        assert sum(ev["type"] == "request.solved" for ev in events) == 12
 
     def test_autoscale_flag_removed(self, capsys):
         # the Autoscaler is a library class (tests/fleet/test_autoscaler.py);

@@ -1,16 +1,18 @@
-"""Per-shard black boxes: the fleet's cross-shard postmortem story.
+"""One fleet, one story: shards write into the fleet's rings.
 
-An ambient recorder installed around a fleet becomes one sibling
-recorder per replica (same limits, shard name stamped), each shard's
-private event log taps its own recorder, and ``dump_recorders`` writes
-one bundle per shard that the postmortem analyzer merges.
+Every shard is built with the fleet's event log installed and no
+recorder of its own, so it emits into ``fleet.events`` and rings into
+the one flight recorder installed when the fleet was built; dumping
+that recorder hands the postmortem the whole fleet.
 """
 
+import re
 import threading
 
 import numpy as np
 import scipy.sparse as sp
 
+from repro.__main__ import main
 from repro.fleet.config import FleetConfig
 from repro.fleet.service import FleetService
 from repro.instruments import use
@@ -34,8 +36,9 @@ def _fleet_config(replicas=2):
     )
 
 
-def _requests(count, sizes=(8, 9)):
-    # distinct sizes -> distinct BatchKeys -> both shards see traffic
+def _requests(count, sizes=(8, 10)):
+    # distinct sizes -> distinct BatchKeys; these two hash to different
+    # shards of a two-shard ring, so both shards see traffic
     return [
         SolveRequest(
             _tridiag(sizes[i % len(sizes)]),
@@ -49,27 +52,22 @@ def _requests(count, sizes=(8, 9)):
 
 
 class TestFleetRecorders:
-    def test_each_shard_gets_its_own_recorder(self):
-        ambient = FlightRecorder(capacity=512, shard="fleet")
-        with use(recorder=ambient):
+    def test_every_shard_shares_the_fleet_recorder(self):
+        recorder = FlightRecorder(shard="fleet")
+        with use(recorder=recorder):
             with FleetService(_fleet_config()) as fleet:
                 shards = fleet.shards()
-                names = {s.name for s in shards}
+                assert len(shards) == 2
                 for shard in shards:
-                    recorder = shard.service.recorder
-                    assert recorder is not None
-                    assert recorder is not ambient
-                    assert recorder.shard == shard.name
-                    assert recorder.capacity == 512
-                    # the shard's private event log taps its own box
-                    assert shard.service.events.recorder is recorder
-                assert len(names) == len(shards)
+                    assert shard.service.recorder is recorder
+                    assert shard.service.events is fleet.events
+                assert fleet.events.recorder is recorder
 
-    def test_scaled_up_shard_gets_a_sibling_recorder(self):
-        """A shard started later, on another thread, still gets a sibling
-        of the recorder installed when the fleet was built."""
-        ambient = FlightRecorder(capacity=256, shard="fleet")
-        with use(recorder=ambient):
+    def test_scaled_up_shard_shares_fleet_recorder(self):
+        """A shard started later, on another thread, still writes into the
+        fleet's log and the recorder installed when the fleet was built."""
+        recorder = FlightRecorder(shard="fleet")
+        with use(recorder=recorder):
             fleet = FleetService(_fleet_config(replicas=1))
         with fleet:
             added = []
@@ -79,46 +77,42 @@ class TestFleetRecorders:
             assert not scaler.is_alive()
             (name,) = added
             (shard,) = [s for s in fleet.shards() if s.name == name]
-            recorder = shard.service.recorder
-            assert recorder is not None and recorder is not ambient
-            assert recorder.shard == name
-            assert recorder.capacity == 256
-            assert shard.service.events.recorder is recorder
+            assert shard.service.recorder is recorder
+            assert shard.service.events is fleet.events
 
     def test_no_ambient_recorder_means_none(self):
         with FleetService(_fleet_config()) as fleet:
             assert all(s.service.recorder is None for s in fleet.shards())
 
-    def test_solves_and_events_land_in_the_owning_shard(self):
-        ambient = FlightRecorder(shard="fleet")
-        with use(recorder=ambient):
+    def test_solves_and_events_land_in_fleet_rings(self):
+        recorder = FlightRecorder(shard="fleet")
+        with use(recorder=recorder):
             with FleetService(_fleet_config()) as fleet:
                 tickets = [fleet.submit(r) for r in _requests(8)]
                 fleet.flush()
                 for t in tickets:
                     assert t.result(timeout=30.0).converged
-                busy = [
-                    s for s in fleet.shards() if s.service.recorder.flushes_seen
-                ]
-                assert busy, "no shard recorded a flush"
-                for shard in busy:
-                    snapshot = shard.service.recorder.snapshot()
-                    assert snapshot["flushes"]
-                    assert snapshot["events"]
-        # the fleet-wide ambient box never saw the per-shard flushes
-        assert ambient.flushes_seen == 0
+        solved = [ev for ev in fleet.events.events() if ev.type == "request.solved"]
+        assert len(solved) == 8
+        per_shard = [
+            int(s.service.metrics.counter("serve.flushes").value) for s in fleet.shards()
+        ]
+        assert all(per_shard), per_shard
+        assert recorder.flushes_seen == sum(per_shard)
 
-    def test_dump_recorders_feeds_cross_shard_postmortem(self, tmp_path):
-        ambient = FlightRecorder(shard="fleet")
-        with use(recorder=ambient):
-            with FleetService(_fleet_config()) as fleet:
-                tickets = [fleet.submit(r) for r in _requests(6)]
-                fleet.flush()
-                for t in tickets:
-                    t.result(timeout=30.0)
-                bundles = fleet.dump_recorders(tmp_path, reason="manual")
-                assert len(bundles) == len(fleet.shards())
-        analysis = analyze_bundles(load_bundles([tmp_path]))
-        shard_names = {b["shard"] for b in analysis["bundles"]}
-        assert len(shard_names) == len(bundles)
-        assert analysis["attributed_fraction"] == 1.0  # nothing failed
+    def test_battery_bundle_holds_every_incident(self, tmp_path, capsys):
+        code = main(
+            [
+                "chaos", "battery", "--requests", "40", "--batch-size", "4",
+                "--size", "12", "--shards", "2", "--bundle-dir", str(tmp_path),
+                "--dump-bundle",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert code == 0, out
+        injected = int(re.search(r"PASS: (\d+) faults injected", out).group(1))
+        bundles = load_bundles([tmp_path])
+        assert sum(len(b["flushes"]) for b in bundles) >= 1
+        analysis = analyze_bundles(bundles)
+        assert len(analysis["incidents"]) == injected
+        assert analysis["attributed_fraction"] == 1.0

@@ -1,4 +1,4 @@
-"""Tier-1 wiring for ``scripts/smoke_trace.py`` and ``repro run --with trace``."""
+"""Tier-1 tracing smoke: ``repro run --with trace`` emits a valid Chrome trace."""
 
 from __future__ import annotations
 
@@ -9,19 +9,6 @@ from pathlib import Path
 from repro.observability import validate_chrome_trace
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-
-
-def test_smoke_trace_script_in_process(tmp_path):
-    sys.path.insert(0, str(REPO_ROOT / "scripts"))
-    try:
-        import smoke_trace
-    finally:
-        sys.path.pop(0)
-    out = tmp_path / "trace_smoke.json"
-    assert smoke_trace.main(["--out", str(out)]) == 0
-    counts = validate_chrome_trace(out)
-    assert counts["kernel_spans"] >= 1
-    assert counts["counters"] >= 1
 
 
 def test_trace_cli_subprocess(tmp_path):
