@@ -16,6 +16,8 @@ import time
 from collections.abc import Callable
 from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
 
 def paper_artifacts(quick: bool = False) -> list[tuple[str, Callable[[], str]]]:
     """``(filename, job)`` for every paper table and figure; ``job()`` is its text."""

@@ -21,14 +21,16 @@ from repro.core.counters import TrafficLedger
 from repro.exceptions import DimensionMismatchError
 
 
-def _check_same_shape(x: np.ndarray, y: np.ndarray, op: str) -> None:
-    if x.shape != y.shape:
-        raise DimensionMismatchError(f"{op}: operand shapes differ: {x.shape} vs {y.shape}")
+_F64 = np.dtype(np.float64)
+
+
+def _shape_mismatch(op: str, x: np.ndarray, y: np.ndarray) -> DimensionMismatchError:
+    return DimensionMismatchError(f"{op}: operand shapes differ: {x.shape} vs {y.shape}")
 
 
 def _as_batch_scalar(alpha, num_batch: int) -> np.ndarray:
     """Normalize a scalar or per-system array to float64 ``(num_batch, 1)``."""
-    if isinstance(alpha, np.ndarray) and alpha.dtype == np.float64 and alpha.shape == (num_batch,):
+    if type(alpha) is np.ndarray and alpha.dtype is _F64 and alpha.shape == (num_batch,):
         return alpha[:, None]
     arr = np.asarray(alpha, dtype=np.float64)
     if arr.ndim == 0:
@@ -49,7 +51,8 @@ def dot(
     names: tuple[str, str] = ("x", "y"),
 ) -> np.ndarray:
     """Per-system dot products ``(num_batch,)``."""
-    _check_same_shape(x, y, "dot")
+    if x.shape != y.shape:
+        raise _shape_mismatch("dot", x, y)
     result = np.einsum("bi,bi->b", x, y)
     if ledger is not None:
         ledger.tally_dot(x.shape[0], x.shape[1], names[0], names[1])
@@ -76,7 +79,8 @@ def axpy(
     names: tuple[str, str] = ("x", "y"),
 ) -> np.ndarray:
     """In-place ``y += alpha * x`` with scalar or per-system ``alpha``."""
-    _check_same_shape(x, y, "axpy")
+    if x.shape != y.shape:
+        raise _shape_mismatch("axpy", x, y)
     a = _as_batch_scalar(alpha, x.shape[0])
     y += a * x
     if ledger is not None:
@@ -93,9 +97,10 @@ def axpby(
     names: tuple[str, str] = ("x", "y"),
 ) -> np.ndarray:
     """In-place ``y = alpha * x + beta * y``."""
-    _check_same_shape(x, y, "axpby")
+    if x.shape != y.shape:
+        raise _shape_mismatch("axpby", x, y)
     y *= _as_batch_scalar(beta, x.shape[0])
-    if isinstance(alpha, float) and alpha == 1.0:
+    if type(alpha) is float and alpha == 1.0:
         y += x  # 1.0 * x == x bitwise
     else:
         y += _as_batch_scalar(alpha, x.shape[0]) * x
@@ -127,7 +132,8 @@ def copy(
     names: tuple[str, str] = ("src", "dst"),
 ) -> np.ndarray:
     """In-place ``dst[...] = src``."""
-    _check_same_shape(src, dst, "copy")
+    if src.shape != dst.shape:
+        raise _shape_mismatch("copy", src, dst)
     dst[...] = src
     if ledger is not None:
         ledger.tally_copy(src.shape[0], src.shape[1], names[0], names[1])
@@ -142,8 +148,10 @@ def elementwise_mul(
     names: tuple[str, str, str] = ("x", "y", "out"),
 ) -> np.ndarray:
     """``out = x * y`` elementwise — the scalar-Jacobi apply kernel shape."""
-    _check_same_shape(x, y, "elementwise_mul")
-    _check_same_shape(x, out, "elementwise_mul")
+    if x.shape != y.shape:
+        raise _shape_mismatch("elementwise_mul", x, y)
+    if x.shape != out.shape:
+        raise _shape_mismatch("elementwise_mul", x, out)
     np.multiply(x, y, out=out)
     if ledger is not None:
         nb, n = x.shape

@@ -14,13 +14,16 @@ All byte counts are *logical* (algorithmic) traffic: each operand element
 is counted once per kernel touch. Cache effects are applied later by the
 hardware model.
 
-The CG and BiCGSTAB loops tally their first pass only and add it once per
-pass (:meth:`TrafficLedger.add_scaled`): every pass runs the whole loop
+Every solver loop but GMRES tallies its first pass only and adds it once
+per pass (:meth:`TrafficLedger.add_scaled`): every pass runs the whole loop
 body at the full batch size, so it tallies the same amounts, and the
-totals equal the per-pass sums exactly. Tallies are integer-valued floats
-far below 2^53; the one exception, a fractional per-row preconditioner
-work (ILU, IC(0), ISAI), is within an ulp of an integer, and the running
-sums round that residue away.
+totals equal the per-pass sums exactly. CGS's first pass copies where
+later passes update, so it tallies its first two passes and scales the
+second; GMRES's tallies grow with the Arnoldi step, so it tallies as it
+runs. Tallies are integer-valued floats far below 2^53; the one
+exception, a fractional per-row preconditioner work (ILU, IC(0), ISAI),
+is within an ulp of an integer, and the running sums round that residue
+away.
 """
 
 from __future__ import annotations

@@ -68,19 +68,21 @@ class ConvergenceLogger:
 
         Residuals of inactive (already converged) systems keep their
         converged values; active systems get their counts bumped.
+
+        A curve snapshot is the pass's raw norms. :meth:`residual_curves`
+        reads a system's entry only up to its own last active pass, and
+        activity only ever shrinks, so where a snapshot is read it holds
+        the system's own norm.
         """
-        res_norms = np.asarray(res_norms, dtype=np.float64)
         self.iterations[active] = iteration
-        self.final_residuals[active] = res_norms[active]
+        np.copyto(self.final_residuals, res_norms, where=active)
         if self.keep_history:
+            res_norms = np.asarray(res_norms, dtype=np.float64)
             snapshot = self._history[-1].copy() if self._history else res_norms.copy()
             snapshot[active] = res_norms[active]
             self._history.append(snapshot)
         if iteration % self._curve_stride == 0:
-            base = self._curve[-1] if self._curve else res_norms
-            snapshot = base.copy()
-            snapshot[active] = res_norms[active]
-            self._curve.append(snapshot)
+            self._curve.append(np.array(res_norms, dtype=np.float64))
             self._curve_iters.append(iteration)
             if len(self._curve) > CURVE_LIMIT:
                 # halve the sampling density: keep every other record (the

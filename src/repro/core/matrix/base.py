@@ -153,6 +153,13 @@ class BatchedMatrix(ABC):
 
     def check_vector(self, name: str, x: np.ndarray, length: int | None = None) -> np.ndarray:
         """Validate a batched vector operand against this matrix."""
+        if (
+            type(x) is np.ndarray
+            and x.dtype is self._dtype
+            and x.shape == (self._num_batch, self._num_cols if length is None else length)
+            and x.flags.c_contiguous
+        ):
+            return x  # what ensure_2d_batch returns for it, without the calls
         return ensure_2d_batch(
             name,
             x,

@@ -2,18 +2,23 @@
 
 This is the paper's general-purpose format (Section 3.1): the row-pointer
 and column-index arrays are stored once for the whole batch, the value
-array holds every item's non-zeros. The batched SpMV is one compiled
-sparse product: on first use the matrix builds the whole batch as a
-block-diagonal ``scipy.sparse.csr_array`` (block k is item k; its data is
-a view of the value array) and keeps it. Every row sums its products
-sequentially in stored order, the order of the ``spmv_csr_item_rows``
-kernel.
+array holds every item's non-zeros. The batched SpMV is one call of the
+compiled kernel that SciPy's ``csr_array @ vector`` runs, over the whole
+batch as one block-diagonal matrix: on first use the matrix builds that
+matrix's index arrays (block k is item k; for one system they are the
+pattern itself) and keeps them, and the kernel reads the value array in
+place. Every row sums its products sequentially in stored order, the
+order of the ``spmv_csr_item_rows`` kernel.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+# The kernel behind ``csr_array @ vector``. It adds A x into its output
+# array, which is what lets the product write into a caller's buffer;
+# the public product cannot (tests pin it to ``item_scipy(k) @ x[k]``).
+from scipy.sparse._sparsetools import csr_matvec
 
 from repro.core.counters import TrafficLedger
 from repro.core.matrix.base import BatchedMatrix, as_float_values
@@ -89,7 +94,7 @@ class BatchCsr(BatchedMatrix):
         self._diag_positions = np.full(num_rows, -1, dtype=np.int64)
         on_diagonal = np.flatnonzero(self.col_idxs == self._row_of_nnz)
         self._diag_positions[self._row_of_nnz[on_diagonal]] = on_diagonal
-        self._operator: sp.csr_array | None = None
+        self._block_pattern: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- constructors --------------------------------------------------------------
 
@@ -174,7 +179,24 @@ class BatchCsr(BatchedMatrix):
         y_name: str = "y",
     ) -> np.ndarray:
         x = self.check_vector("x", x)
-        y = (self.block_operator @ x.reshape(-1)).reshape(self._num_batch, self._num_rows)
+        indptr, indices = self.block_pattern
+        shape = (self._num_batch, self._num_rows)
+        # The kernel adds into a zeroed buffer, so it may write into ``out``
+        # only when ``out`` holds the product exactly and cannot alias x.
+        direct = (
+            out is not None
+            and out.shape == shape
+            and out.dtype == self._dtype
+            and out.flags.c_contiguous
+            and not np.may_share_memory(out, x)
+        )
+        if direct:
+            y = out
+            y.fill(0)
+        else:
+            y = np.zeros(shape, dtype=self._dtype)
+        csr_matvec(shape[0] * shape[1], self._num_batch * self._num_cols,
+                   indptr, indices, self.values, x, y)
         if ledger is not None:
             ledger.tally_spmv(
                 self._num_batch,
@@ -185,7 +207,7 @@ class BatchCsr(BatchedMatrix):
                 x_name=x_name,
                 y_name=y_name,
             )
-        if out is None:
+        if out is None or direct:
             return y
         out[...] = y
         return out
@@ -265,33 +287,30 @@ class BatchCsr(BatchedMatrix):
     # -- CSR-specific helpers -----------------------------------------------------------
 
     @property
-    def block_operator(self) -> sp.csr_array:
-        """The whole batch as one block-diagonal CSR matrix, built on first use.
+    def block_pattern(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(indptr, indices)`` of the batch as one block-diagonal CSR matrix.
 
-        Block k is item k: ``data`` is a view of :attr:`values`, ``indices``
-        are the shared column indices offset by ``k * num_cols``. The index
-        arrays are int32 unless the batch needs int64; they are an nb-fold
-        copy of the pattern (4 B per stored value), kept while this matrix
-        lives, because at small sizes one build costs several products.
+        Block k is item k: its column indices are the shared ones offset
+        by ``k * num_cols``, and its values are row k of :attr:`values`,
+        which the SpMV reads in place. Built on first use and kept. For
+        one system the arrays are :attr:`row_ptrs` and :attr:`col_idxs`
+        themselves; otherwise they are an nb-fold copy of the pattern
+        (4 B per stored value), int32 unless the batch needs int64.
         """
-        if self._operator is None:
+        if self._block_pattern is None:
             nb, nnz = self.values.shape
-            largest = nb * max(nnz, self._num_rows, self._num_cols)
-            index = np.int32 if largest <= np.iinfo(np.int32).max else np.int64
-            offsets = np.arange(nb, dtype=index)[:, None]
-            indptr = np.empty(nb * self._num_rows + 1, dtype=index)
-            indptr[:-1] = (self.row_ptrs[:-1] + offsets * nnz).reshape(-1)
-            indptr[-1] = nb * nnz
-            self._operator = sp.csr_array(
-                (
-                    self.values.reshape(-1),
-                    (self.col_idxs + offsets * self._num_cols).reshape(-1),
-                    indptr,
-                ),
-                shape=(nb * self._num_rows, nb * self._num_cols),
-                copy=False,
-            )
-        return self._operator
+            if nb == 1:
+                self._block_pattern = (self.row_ptrs, self.col_idxs)
+            else:
+                largest = nb * max(nnz, self._num_rows, self._num_cols)
+                index = np.int32 if largest <= np.iinfo(np.int32).max else np.int64
+                offsets = np.arange(nb, dtype=index)[:, None]
+                indptr = np.empty(nb * self._num_rows + 1, dtype=index)
+                indptr[:-1] = (self.row_ptrs[:-1] + offsets * nnz).reshape(-1)
+                indptr[-1] = nb * nnz
+                indices = (self.col_idxs + offsets * self._num_cols).reshape(-1)
+                self._block_pattern = (indptr, indices)
+        return self._block_pattern
 
     @property
     def row_of_nnz(self) -> np.ndarray:

@@ -123,11 +123,12 @@ class ConvergenceTracker:
         """Record an iteration and absorb newly converged systems."""
         self.logger.log_iteration(iteration, res_norms, active)
         newly = active & (res_norms <= self.thresholds)
-        if newly.any():
+        if np.count_nonzero(newly):
             self.converged |= newly
             self.logger.mark_converged(newly)
             self.active = ~(self.converged | self._frozen)
-        self._emit_convergence(res_norms)
+        if self._tracer.enabled:
+            self._emit_convergence(res_norms)
 
     def _emit_convergence(self, res_norms: np.ndarray) -> None:
         """Per-iteration counter sample on the installed tracer (if any)."""
@@ -158,15 +159,19 @@ class ConvergenceTracker:
     @property
     def all_done(self) -> bool:
         """True when no system remains active."""
-        return not self.active.any()
+        return not np.count_nonzero(self.active)
 
 
 def guarded_divide(numerator: np.ndarray, denominator: np.ndarray, active: np.ndarray):
     """Per-system division that returns 0 where inactive or denominator is 0.
 
     Returns ``(quotient, breakdown_mask)``; ``breakdown_mask`` flags active
-    systems whose denominator vanished (solver breakdown).
+    systems whose denominator vanished (solver breakdown). While every
+    system is active and no denominator is zero (the common pass), that is
+    one plain division and a fresh all-False mask, with the same bits.
     """
+    if np.count_nonzero(active) == active.size and np.count_nonzero(denominator) == active.size:
+        return numerator / denominator, np.zeros(active.shape, dtype=bool)
     mask = active & (denominator != 0.0)
     quotient = np.zeros(mask.shape, dtype=np.result_type(numerator, denominator))
     np.divide(numerator, denominator, out=quotient, where=mask)
@@ -251,31 +256,31 @@ class BatchIterativeSolver(ABC):
             logger = ConvergenceLogger(matrix.num_batch, self.settings.keep_history)
             from repro.core import blas  # local import to avoid a cycle at module load
 
-            with tr.span(
-                f"solve.{self.solver_name}",
-                category="solver",
+            # a disabled tracer's spans are one shared no-op: build no arguments
+            enabled = tr.enabled
+            solve_args = dict(
                 solver=self.solver_name,
                 preconditioner=self.preconditioner.preconditioner_name,
                 matrix_format=matrix.format_name,
                 precision=str(matrix.dtype),
                 num_batch=matrix.num_batch,
                 num_rows=matrix.num_rows,
-            ) as span:
+            ) if enabled else {}
+            with tr.span(f"solve.{self.solver_name}", category="solver", **solve_args) as span:
                 b_norms = blas.norm2(b, ledger, "b")
                 tracker = ConvergenceTracker(
                     self.settings.criterion, b_norms, logger, tracer=tr
                 )
 
-                kernel_args = (
-                    self._fused_kernel_trace_args() if tr.enabled else {}
-                )
+                kernel_args = self._fused_kernel_trace_args() if enabled else {}
                 with tr.span(
                     f"batch_{self.solver_name}_fused", category="kernel", **kernel_args
                 ) as kspan:
                     self._iterate(b, x, tracker, ledger)
-                    kspan.set("iterations", int(logger.iterations.max()))
+                    if enabled:
+                        kspan.set("iterations", int(logger.iterations.max()))
 
-                if tr.enabled:
+                if enabled:
                     num_converged = int(tracker.converged.sum())
                     span.set_args(
                         converged=num_converged,
@@ -355,7 +360,7 @@ class BatchIterativeSolver(ABC):
         self, b: np.ndarray, x: np.ndarray, ledger: TrafficLedger
     ) -> np.ndarray:
         """``r = b - A x`` (skips the SpMV for an all-zero initial guess)."""
-        if not x.any():
+        if not np.count_nonzero(x):
             return b.copy()
         r = self.matrix.apply(x, ledger=ledger, x_name="x", y_name="r")
         np.subtract(b, r, out=r)

@@ -84,35 +84,41 @@ class BatchBicg(BatchIterativeSolver):
         res_norms = blas.norm2(r, ledger, "r")
         tracker.start(res_norms)
 
+        # every pass tallies the same amounts: tally the first, scale it below
+        one_pass = TrafficLedger(fp_bytes=ledger.fp_bytes)
+        tally, passes = one_pass, 0
         for iteration in range(1, self.settings.max_iterations + 1):
             active = tracker.active
-            if not active.any():
+            if not np.count_nonzero(active):
                 break
+            passes += 1
 
             # t = A p ; t* = A^T p* ; alpha = rho / (p* . t)
-            matrix.apply(p, out=t, ledger=ledger, x_name="p", y_name="t")
+            matrix.apply(p, out=t, ledger=tally, x_name="p", y_name="t")
             transposed.apply(
-                p_star, out=t_star, ledger=ledger, x_name="p_star", y_name="t_star"
+                p_star, out=t_star, ledger=tally, x_name="p_star", y_name="t_star"
             )
-            pt = blas.dot(p_star, t, ledger, ("p_star", "t"))
+            pt = blas.dot(p_star, t, tally, ("p_star", "t"))
             alpha, breakdown = guarded_divide(rho, pt, active)
-            if breakdown.any():
+            if np.count_nonzero(breakdown):
                 tracker.freeze(breakdown)
                 active = active & ~breakdown
 
-            blas.axpy(alpha, p, x, ledger, ("p", "x"))
-            blas.axpy(-alpha, t, r, ledger, ("t", "r"))
-            blas.axpy(-alpha, t_star, r_star, ledger, ("t_star", "r_star"))
+            blas.axpy(alpha, p, x, tally, ("p", "x"))
+            blas.axpy(-alpha, t, r, tally, ("t", "r"))
+            blas.axpy(-alpha, t_star, r_star, tally, ("t_star", "r_star"))
 
-            res_norms = blas.norm2(r, ledger, "r")
+            res_norms = blas.norm2(r, tally, "r")
             tracker.update(iteration, res_norms, active)
 
-            precond.apply(r, out=z, ledger=ledger)
-            precond.apply(r_star, out=z_star, ledger=ledger)
-            rho_new = blas.dot(z, r_star, ledger, ("z", "r_star"))
+            precond.apply(r, out=z, ledger=tally)
+            precond.apply(r_star, out=z_star, ledger=tally)
+            rho_new = blas.dot(z, r_star, tally, ("z", "r_star"))
             beta, breakdown = guarded_divide(rho_new, rho, tracker.active)
-            if breakdown.any():
+            if np.count_nonzero(breakdown):
                 tracker.freeze(breakdown)
-            blas.axpby(1.0, z, beta, p, ledger, ("z", "p"))
-            blas.axpby(1.0, z_star, beta, p_star, ledger, ("z_star", "p_star"))
+            blas.axpby(1.0, z, beta, p, tally, ("z", "p"))
+            blas.axpby(1.0, z_star, beta, p_star, tally, ("z_star", "p_star"))
             rho = rho_new
+            tally = None
+        ledger.add_scaled(one_pass, passes)

@@ -76,7 +76,7 @@ class BatchBicgstab(BatchIterativeSolver):
         tally, passes = one_pass, 0
         for iteration in range(1, self.settings.max_iterations + 1):
             active = tracker.active
-            if not active.any():
+            if not np.count_nonzero(active):
                 break
             passes += 1
 
@@ -122,7 +122,7 @@ class BatchBicgstab(BatchIterativeSolver):
 
             res_norms = blas.norm2(r, tally, "r")
             tracker.update(iteration, res_norms, active)
-            if breakdown.any():
+            if np.count_nonzero(breakdown):
                 # A vanished denominator usually means the residual already
                 # collapsed; only freeze systems that are still above their
                 # threshold after this iteration's update.

@@ -64,7 +64,7 @@ class BatchCg(BatchIterativeSolver):
         tally, passes = one_pass, 0
         for iteration in range(1, self.settings.max_iterations + 1):
             active = tracker.active
-            if not active.any():
+            if not np.count_nonzero(active):
                 break
             passes += 1
 
@@ -72,7 +72,7 @@ class BatchCg(BatchIterativeSolver):
             matrix.apply(p, out=t, ledger=tally, x_name="p", y_name="t")
             pt = blas.dot(p, t, tally, ("p", "t"))
             alpha, breakdown = guarded_divide(rho, pt, active)
-            if breakdown.any():
+            if np.count_nonzero(breakdown):
                 tracker.freeze(breakdown)
                 active = active & ~breakdown
 
@@ -87,7 +87,7 @@ class BatchCg(BatchIterativeSolver):
             precond.apply(r, out=z, ledger=tally)
             rho_new = blas.dot(r, z, tally, ("r", "z"))
             beta, breakdown = guarded_divide(rho_new, rho, tracker.active)
-            if breakdown.any():
+            if np.count_nonzero(breakdown):
                 tracker.freeze(breakdown)
             blas.axpby(1.0, z, beta, p, tally, ("z", "p"))
             rho = rho_new

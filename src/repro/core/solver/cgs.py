@@ -66,47 +66,57 @@ class BatchCgs(BatchIterativeSolver):
         res_norms = blas.norm2(r, ledger, "r")
         tracker.start(res_norms)
 
+        # the first pass copies where later passes update: tally the first
+        # and the second, and scale the second by the passes after the first
+        first = TrafficLedger(fp_bytes=ledger.fp_bytes)
+        later = TrafficLedger(fp_bytes=ledger.fp_bytes)
+        tally, passes = first, 0
         for iteration in range(1, self.settings.max_iterations + 1):
             active = tracker.active
-            if not active.any():
+            if not np.count_nonzero(active):
                 break
+            passes += 1
 
-            rho = blas.dot(r_hat, r, ledger, ("r_hat", "r"))
+            rho = blas.dot(r_hat, r, tally, ("r_hat", "r"))
             if iteration == 1:
-                blas.copy(r, u, ledger, ("r", "u"))
-                blas.copy(r, p, ledger, ("r", "p"))
+                blas.copy(r, u, tally, ("r", "u"))
+                blas.copy(r, p, tally, ("r", "p"))
             else:
                 beta, breakdown = guarded_divide(rho, rho_old, active)
-                if breakdown.any():
+                if np.count_nonzero(breakdown):
                     tracker.freeze(breakdown)
                     active = active & ~breakdown
                 # u = r + beta q ; p = u + beta (q + beta p)
-                blas.copy(r, u, ledger, ("r", "u"))
-                blas.axpy(beta, q, u, ledger, ("q", "u"))
-                blas.axpby(1.0, q, beta, p, ledger, ("q", "p"))
-                blas.axpby(1.0, u, beta, p, ledger, ("u", "p"))
+                blas.copy(r, u, tally, ("r", "u"))
+                blas.axpy(beta, q, u, tally, ("q", "u"))
+                blas.axpby(1.0, q, beta, p, tally, ("q", "p"))
+                blas.axpby(1.0, u, beta, p, tally, ("u", "p"))
 
             # v = A M p ; alpha = rho / (r_hat . v)
-            precond.apply(p, out=hat, ledger=ledger)
-            matrix.apply(hat, out=v, ledger=ledger, x_name="p_hat", y_name="v")
-            sigma = blas.dot(r_hat, v, ledger, ("r_hat", "v"))
+            precond.apply(p, out=hat, ledger=tally)
+            matrix.apply(hat, out=v, ledger=tally, x_name="p_hat", y_name="v")
+            sigma = blas.dot(r_hat, v, tally, ("r_hat", "v"))
             alpha, breakdown = guarded_divide(rho, sigma, active)
-            if breakdown.any():
+            if np.count_nonzero(breakdown):
                 tracker.freeze(breakdown)
                 active = active & ~breakdown
 
             # q = u - alpha v ; correction direction u + q
-            blas.copy(u, q, ledger, ("u", "q"))
-            blas.axpy(-alpha, v, q, ledger, ("v", "q"))
+            blas.copy(u, q, tally, ("u", "q"))
+            blas.axpy(-alpha, v, q, tally, ("v", "q"))
             np.add(u, q, out=t)
-            ledger.tally_axpy(nb, b.shape[1], "u", "q")
+            if tally is not None:
+                tally.tally_axpy(nb, b.shape[1], "u", "q")
 
             # x += alpha M (u + q) ; r -= alpha A M (u + q)
-            precond.apply(t, out=hat, ledger=ledger)
-            blas.axpy(alpha, hat, x, ledger, ("uq_hat", "x"))
-            matrix.apply(hat, out=t, ledger=ledger, x_name="uq_hat", y_name="t")
-            blas.axpy(-alpha, t, r, ledger, ("t", "r"))
+            precond.apply(t, out=hat, ledger=tally)
+            blas.axpy(alpha, hat, x, tally, ("uq_hat", "x"))
+            matrix.apply(hat, out=t, ledger=tally, x_name="uq_hat", y_name="t")
+            blas.axpy(-alpha, t, r, tally, ("t", "r"))
 
-            res_norms = blas.norm2(r, ledger, "r")
+            res_norms = blas.norm2(r, tally, "r")
             tracker.update(iteration, res_norms, active)
             rho_old = np.where(active, rho, rho_old)
+            tally = later if passes == 1 else None
+        ledger.add_scaled(first, min(passes, 1))
+        ledger.add_scaled(later, max(passes - 1, 0))

@@ -56,18 +56,24 @@ class BatchRichardson(BatchIterativeSolver):
 
         z = np.empty_like(b)
         t = np.empty_like(b)
+        # every pass tallies the same amounts: tally the first, scale it below
+        one_pass = TrafficLedger(fp_bytes=ledger.fp_bytes)
+        tally, passes = one_pass, 0
         for iteration in range(1, self.settings.max_iterations + 1):
             active = tracker.active
-            if not active.any():
+            if not np.count_nonzero(active):
                 break
+            passes += 1
 
-            precond.apply(r, out=z, ledger=ledger)
+            precond.apply(r, out=z, ledger=tally)
             step = np.where(active, self.omega, 0.0)
-            blas.axpy(step, z, x, ledger, ("z", "x"))
+            blas.axpy(step, z, x, tally, ("z", "x"))
 
             # r <- b - A x, computed incrementally: r -= omega * A z
-            matrix.apply(z, out=t, ledger=ledger, x_name="z", y_name="t")
-            blas.axpy(-step, t, r, ledger, ("t", "r"))
+            matrix.apply(z, out=t, ledger=tally, x_name="z", y_name="t")
+            blas.axpy(-step, t, r, tally, ("t", "r"))
 
-            res_norms = blas.norm2(r, ledger, "r")
+            res_norms = blas.norm2(r, tally, "r")
             tracker.update(iteration, res_norms, active)
+            tally = None
+        ledger.add_scaled(one_pass, passes)

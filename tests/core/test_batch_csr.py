@@ -83,13 +83,25 @@ class TestMemoryContract:
         assert list(m.col_idxs) == [0, 1, 1]
         assert list(m.values[0]) == [20.0, 10.0, 30.0]
 
-    def test_block_operator_data_is_a_view_of_values(self):
+    def test_block_pattern_is_kept_and_values_are_read_in_place(self):
         m = _small_batch()
-        op = m.block_operator
-        assert op is m.block_operator  # built once, kept
-        assert op.shape == (2 * 3, 2 * 3)
-        assert op.indices.dtype == np.int32
-        assert np.shares_memory(op.data, m.values)
+        indptr, indices = m.block_pattern
+        assert m.block_pattern[0] is indptr  # built once, kept
+        assert indptr.tolist() == [0, 2, 4, 6, 8, 10, 12]
+        assert indices.dtype == np.int32
+        assert indices.tolist() == [0, 1, 1, 2, 0, 2, 3, 4, 4, 5, 3, 5]
+        x = np.array([[1.0, 2.0, 3.0], [3.0, -1.0, 0.5]])
+        before = m.apply(x)
+        # the product reads the value array itself, not a copy taken earlier
+        m.values[1] *= 2.0
+        after = m.apply(x)
+        assert np.array_equal(after[0], before[0])
+        assert np.array_equal(after[1], 2.0 * before[1])
+
+    def test_one_system_block_pattern_is_the_pattern(self):
+        m = _small_batch().take_batch(slice(0, 1))
+        indptr, indices = m.block_pattern
+        assert indptr is m.row_ptrs and indices is m.col_idxs
 
 
 class TestFromDense:
@@ -193,6 +205,94 @@ class TestSpMV:
             for pos in range(m.row_ptrs[row], m.row_ptrs[row + 1]):
                 expected[:, row] += m.values[:, pos] * x[:, m.col_idxs[pos]]
         assert np.array_equal(m.apply(x), expected)
+
+
+def _per_item_product(m, x):
+    """SciPy's public product, one item at a time."""
+    x = np.broadcast_to(x, (m.num_batch, m.num_cols))
+    return np.stack([m.item_scipy(k) @ x[k] for k in range(m.num_batch)])
+
+
+class TestSpmvMatchesScipyPerItem:
+    """Every route through ``apply`` returns the bits of ``item_scipy(k) @ x[k]``."""
+
+    @staticmethod
+    def _batch(nb, dtype=np.float64):
+        return pele_batch("drm19", nb).astype(dtype)
+
+    @staticmethod
+    def _x(m):
+        rng = np.random.default_rng(3)
+        return rng.standard_normal((m.num_batch, m.num_cols)).astype(m.dtype)
+
+    @staticmethod
+    def _assert_bits(y, expected):
+        assert y.dtype == expected.dtype
+        assert y.shape == expected.shape
+        assert y.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("nb", [1, 64])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_out_none(self, nb, dtype):
+        m = self._batch(nb, dtype)
+        x = self._x(m)
+        self._assert_bits(m.apply(x), _per_item_product(m, x))
+
+    @pytest.mark.parametrize("nb", [1, 64])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_contiguous_out_is_written_and_returned(self, nb, dtype):
+        m = self._batch(nb, dtype)
+        x = self._x(m)
+        out = np.full((nb, m.num_rows), np.nan, dtype=dtype)
+        assert m.apply(x, out=out) is out
+        self._assert_bits(out, _per_item_product(m, x))
+
+    @pytest.mark.parametrize("nb", [1, 64])
+    def test_out_that_is_x(self, nb):
+        # the kernel zeroes its output first: writing into x itself would
+        # destroy the operand before the product reads it
+        m = self._batch(nb)
+        x = self._x(m)
+        expected = _per_item_product(m, x)
+        assert m.apply(x, out=x) is x
+        self._assert_bits(x, expected)
+
+    def test_out_overlapping_x(self):
+        m = self._batch(4)
+        buffer = np.random.default_rng(8).standard_normal((5, m.num_cols))
+        x = buffer[:4]
+        expected = _per_item_product(m, x.copy())
+        out = buffer[1:]
+        assert m.apply(x, out=out) is out
+        self._assert_bits(out, expected)
+
+    @pytest.mark.parametrize("nb", [1, 64])
+    def test_non_contiguous_out(self, nb):
+        m = self._batch(nb)
+        x = self._x(m)
+        wide = np.zeros((nb, 2 * m.num_rows))
+        out = wide[:, ::2]
+        assert m.apply(x, out=out) is out
+        self._assert_bits(np.ascontiguousarray(out), _per_item_product(m, x))
+        assert not wide[:, 1::2].any()
+
+    @pytest.mark.parametrize("nb", [1, 64])
+    def test_out_of_another_dtype(self, nb):
+        m = self._batch(nb)
+        x = self._x(m)
+        out = np.zeros((nb, m.num_rows), dtype=np.float32)
+        assert m.apply(x, out=out) is out
+        self._assert_bits(out, _per_item_product(m, x).astype(np.float32))
+
+    @pytest.mark.parametrize("nb", [1, 64])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_broadcast_1d_x(self, nb, dtype):
+        m = self._batch(nb, dtype)
+        x = self._x(m)[0]
+        self._assert_bits(m.apply(x), _per_item_product(m, x))
+        out = np.empty((nb, m.num_rows), dtype=dtype)
+        m.apply(x, out=out)
+        self._assert_bits(out, _per_item_product(m, x))
 
 
 class TestDerivedAfterApply:
