@@ -1,15 +1,23 @@
 #!/usr/bin/env python
-"""Benchmark the fleet layer: shard scale-out, graceful drain, ring remap.
+"""Benchmark the fleet layer: fault isolation, graceful drain, ring remap.
 
-Drives ``repro.fleet.FleetService`` with the shared Poisson arrival
-process over a key-diverse stencil workload and records:
+Drives ``repro.fleet.FleetService`` and records:
 
-* a sweep over shard count (1, 2, 4) at a fixed arrival rate, compute
-  only. Every in-process shard runs under the same interpreter lock, so
-  the sweep reports what extra shards buy and gates nothing. That
-  shards can flush at the same time is checked by
-  ``tests/fleet/test_fleet_service.py::TestScaling::
-  test_shards_flush_concurrently``;
+* an isolation A/B, what a fleet buys over one service. A healthy batch
+  key (24-row SPD tridiagonal systems, CG + Jacobi, Poisson at 100 req/s)
+  shares the service with a sick one (32-row tridiagonal systems with
+  diagonal 0.3 and a +-1 % nonsymmetric perturbation, CG + Jacobi at
+  tolerance 1e-10 and 200 iterations, which never converge; 25 req/s),
+  so every sick request takes the direct-LU fallback until a breaker
+  opens. One ``SolverService`` with two workers serves the same traffic
+  as a fleet of two one-worker shards whose ring puts the keys on
+  different shards, in interleaved pairs with the run order alternating.
+  Each mode reports the medians and quartiles over its runs of the
+  healthy key's p50, p90 and p99 (from each ``request.solved`` event's
+  ``latency_ms``), the healthy failures and the sick fallbacks and sheds;
+  ``fleet_p99_wins`` counts the pairs in which the fleet's healthy p99
+  is lower. ``tests/fleet/test_isolation.py`` pins the two mechanisms
+  behind the number (a breaker and workers per shard) deterministically;
 * a graceful scale-down under load: the drain must begin with requests
   in flight, and every request admitted before it must complete (zero
   lost in-flight requests);
@@ -17,25 +25,29 @@ process over a key-diverse stencil workload and records:
   ~1/N of the key space (gated at ≤ 1.5/N), and removal must not move
   any key between surviving shards.
 
-Writes ``BENCH_fleet_scaling.json`` (see ``--out``).
+Writes ``BENCH_fleet_scaling.json`` (see ``--out``). Exits 1 when a
+healthy request fails in either mode, when the fleet's median healthy
+p99 is not below one service's lower quartile (its median with
+``--quick``), or when the drain or the ring checks fail.
 
 Usage: python scripts/bench_fleet_scaling.py [--out BENCH_fleet_scaling.json]
-       [--quick] [--rate 2000] [--requests 256]
+       [--quick] [--seed 17] [--size 16] [--backend sycl]
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.workloads.arrivals import (
     keyed_requests,
+    make_request,
     pace,
     poisson_offsets,
     stencil_pattern,
@@ -44,92 +56,180 @@ from repro.workloads.arrivals import (
 #: Remap-factor gate: moved fraction x shard count must stay under this.
 REMAP_GATE = 1.5
 
+#: Isolation A/B: interleaved pairs and seconds per run (``--quick``: 2 of 3 s).
+ISOLATION_PAIRS, ISOLATION_RUN_S = 10, 8.0
+QUICK_PAIRS, QUICK_RUN_S = 2, 3.0
+HEALTHY_ROWS, HEALTHY_RPS = 24, 100.0
+SICK_ROWS, SICK_RPS = 32, 25.0
+MODES = ("one_service", "fleet")
 
-def _fleet_config(num_shards: int, *, num_requests: int, max_batch_size: int,
-                  backend: str):
-    from repro.fleet import FleetConfig
+
+def _sick_request(rng):
+    """A system Jacobi CG never solves to 1e-10 in 200 iterations."""
+    from repro.serve import SolveRequest
+
+    n = SICK_ROWS
+    lower = -1.0 - 0.01 * rng.uniform(-1.0, 1.0, n - 1)
+    upper = -1.0 - 0.01 * rng.uniform(-1.0, 1.0, n - 1)
+    matrix = sp.diags([lower, np.full(n, 0.3), upper], [-1, 0, 1], format="csr")
+    return SolveRequest(
+        matrix, rng.standard_normal(n), solver="cg", preconditioner="jacobi",
+        tolerance=1e-10, max_iterations=200,
+    )
+
+
+def _healthy_iterations() -> int:
+    """The healthy key's ``max_iterations``: the first from 500 that a
+    two-shard fleet's ring routes away from the sick key."""
+    from repro.fleet import FleetConfig, HashRing
+
+    ring = HashRing(FleetConfig().virtual_nodes)
+    ring.add("shard-0")
+    ring.add("shard-1")
+    rng = np.random.default_rng(0)
+    pattern = stencil_pattern(HEALTHY_ROWS)
+    sick_owner = ring.node_for(_sick_request(rng).batch_key)
+    return next(
+        iters
+        for iters in range(500, 564)
+        if ring.node_for(
+            make_request(pattern, rng, HEALTHY_ROWS, "cg", max_iterations=iters).batch_key
+        )
+        != sick_owner
+    )
+
+
+def isolation_traffic(seed: int, run_s: float, healthy_iterations: int):
+    """One run's arrivals: (offsets, requests, healthy flags), time-ordered."""
+    rng = np.random.default_rng(seed)
+    arrivals = sorted(
+        [(t, True) for t in poisson_offsets(HEALTHY_RPS, int(HEALTHY_RPS * run_s), rng)]
+        + [(t, False) for t in poisson_offsets(SICK_RPS, int(SICK_RPS * run_s), rng)]
+    )
+    pattern = stencil_pattern(HEALTHY_ROWS)
+    requests = [
+        make_request(pattern, rng, HEALTHY_ROWS, "cg", max_iterations=healthy_iterations)
+        if healthy
+        else _sick_request(rng)
+        for _, healthy in arrivals
+    ]
+    return [t for t, _ in arrivals], requests, [healthy for _, healthy in arrivals]
+
+
+def run_isolation_mode(mode: str, traffic, backend: str) -> dict:
+    """Serve one run's traffic with ``mode``; the healthy key's latencies
+    and failures, the sick key's fallbacks and sheds."""
+    from repro.exceptions import CircuitOpenError
+    from repro.fleet import FleetConfig, FleetService
+    from repro.instruments import use
+    from repro.serve import ServeConfig, SolverService
+    from repro.telemetry.events import REQUEST_SOLVED, EventLog
+
+    offsets, requests, healthy = traffic
+    events = EventLog(capacity=8 * len(requests))  # keeps every event
+    with use(events=events):
+        if mode == "fleet":
+            service = FleetService(
+                FleetConfig(serve=ServeConfig(num_workers=1, backend=backend),
+                            initial_replicas=2)
+            )
+            owners = {service.ring.node_for(r.batch_key) for r in requests}
+            assert len(owners) == 2, "the ring must put the two keys on two shards"
+        else:
+            service = SolverService(ServeConfig(num_workers=2, backend=backend))
+    with service:
+        tickets = pace(offsets, lambda i: service.submit(requests[i]))
+        errors = [ticket.exception(timeout=120.0) for ticket in tickets]
+    healthy_ids = {r.request_id for r, h in zip(requests, healthy) if h}
+    latencies = [
+        ev.fields["latency_ms"]
+        for ev in events.events()
+        if ev.type == REQUEST_SOLVED and ev.request_id in healthy_ids
+    ]
+    p50, p90, p99 = np.percentile(latencies, [50, 90, 99])
+    sick = [(t, e) for t, e, h in zip(tickets, errors, healthy) if not h]
+    return {
+        "healthy_p50_ms": round(float(p50), 3),
+        "healthy_p90_ms": round(float(p90), 3),
+        "healthy_p99_ms": round(float(p99), 3),
+        "healthy_requests": len(healthy_ids),
+        "healthy_failed": sum(1 for e, h in zip(errors, healthy) if h and e is not None),
+        "sick_fallbacks": sum(1 for t, e in sick if e is None and t.result().used_fallback),
+        "sick_shed": sum(1 for _, e in sick if isinstance(e, CircuitOpenError)),
+    }
+
+
+def _quartiles(values) -> dict:
+    q1, median, q3 = np.percentile(values, [25, 50, 75])
+    return {"median": round(float(median), 3), "q1": round(float(q1), 3),
+            "q3": round(float(q3), 3)}
+
+
+def run_isolation_ab(*, pairs: int, run_s: float, seed: int, backend: str) -> dict:
+    """Interleaved pairs of both modes on the same traffic, order alternating."""
+    healthy_iterations = _healthy_iterations()
+    runs: dict[str, list[dict]] = {mode: [] for mode in MODES}
+    for k in range(pairs):
+        order = MODES if k % 2 == 0 else MODES[::-1]
+        for mode in order:
+            traffic = isolation_traffic(seed + k, run_s, healthy_iterations)
+            runs[mode].append(run_isolation_mode(mode, traffic, backend))
+        print(
+            f"isolation pair {k + 1}/{pairs} (seed {seed + k}): healthy p99 "
+            f"one service {runs['one_service'][-1]['healthy_p99_ms']:.2f} ms, "
+            f"fleet {runs['fleet'][-1]['healthy_p99_ms']:.2f} ms"
+        )
+    summary = {
+        "offered": {
+            "pairs": pairs,
+            "run_s": run_s,
+            "seeds": [seed + k for k in range(pairs)],
+            "healthy": {"rows": HEALTHY_ROWS, "rate_rps": HEALTHY_RPS, "solver": "cg",
+                        "preconditioner": "jacobi", "tolerance": 1e-8,
+                        "max_iterations": healthy_iterations},
+            "sick": {"rows": SICK_ROWS, "rate_rps": SICK_RPS, "solver": "cg",
+                     "preconditioner": "jacobi", "tolerance": 1e-10,
+                     "max_iterations": 200},
+            "one_service": "one SolverService, 2 workers",
+            "fleet": "FleetService, 2 shards of 1 worker",
+        },
+    }
+    for mode in MODES:
+        summary[mode] = {
+            **{
+                name: _quartiles([run[name] for run in runs[mode]])
+                for name in ("healthy_p50_ms", "healthy_p90_ms", "healthy_p99_ms")
+            },
+            **{
+                name: sum(run[name] for run in runs[mode])
+                for name in ("healthy_requests", "healthy_failed", "sick_fallbacks",
+                             "sick_shed")
+            },
+            "runs": runs[mode],
+        }
+    summary["fleet_p99_wins"] = sum(
+        fleet["healthy_p99_ms"] < one["healthy_p99_ms"]
+        for fleet, one in zip(runs["fleet"], runs["one_service"])
+    )
+    return summary
+
+
+def run_drain_test(*, size: int, num_requests: int, seed: int, backend: str) -> dict:
+    """Scale down under load; count every admitted request to completion."""
+    from repro.fleet import FleetConfig, FleetService
     from repro.serve import ServeConfig
 
-    return FleetConfig(
+    config = FleetConfig(
         serve=ServeConfig(
-            max_batch_size=max_batch_size,
+            max_batch_size=4,
             max_wait_ms=5.0,
             max_pending=max(4 * num_requests, 64),
             num_workers=1,
             backend=backend,
         ),
-        initial_replicas=num_shards,
-        max_replicas=max(num_shards, 8),
-        # many vnodes: per-shard ring arcs within a few % of 1/N, so the
-        # busiest shard's key share — the scale-out ceiling — stays low
+        initial_replicas=2,
         virtual_nodes=256,
         max_pending=max(8 * num_requests, 256),
-    )
-
-
-def run_scaling_point(
-    *,
-    num_shards: int,
-    arrival_rate: float,
-    num_requests: int,
-    num_keys: int,
-    size: int,
-    max_batch_size: int,
-    seed: int,
-    backend: str,
-) -> dict:
-    """One fleet lifecycle at ``num_shards``: paced submission, full drain."""
-    from repro.fleet import FleetService
-
-    config = _fleet_config(
-        num_shards,
-        num_requests=num_requests,
-        max_batch_size=max_batch_size,
-        backend=backend,
-    )
-    pattern = stencil_pattern(size)
-    rng = np.random.default_rng(seed)
-    requests = keyed_requests(
-        pattern, rng, size, num_requests, num_keys,
-        solver="cg", layout="grouped", tolerance=1e-5,
-    )
-    offsets = poisson_offsets(arrival_rate, num_requests, rng)
-
-    with FleetService(config) as fleet:
-        start = time.perf_counter()
-        tickets = pace(offsets, lambda i: fleet.submit(requests[i]))
-        fleet.flush()
-        outcomes = [t.result(timeout=120.0) for t in tickets]
-        makespan_s = time.perf_counter() - start
-        stats = fleet.shard_stats()
-        hdr = fleet.latency_histogram()
-        per_shard_served = {row["shard"]: row["served"] for row in stats}
-        busiest = max(per_shard_served.values())
-
-    assert all(o.converged for o in outcomes), "fleet workload must converge"
-    return {
-        "shards": num_shards,
-        "arrival_rate_rps": arrival_rate,
-        "requests": num_requests,
-        "distinct_keys": num_keys,
-        "makespan_s": round(makespan_s, 4),
-        "throughput_rps": round(num_requests / makespan_s, 1),
-        "latency_p50_ms": round(hdr.percentile(50.0), 3),
-        "latency_p99_ms": round(hdr.percentile(99.0), 3),
-        "per_shard_served": per_shard_served,
-        "busiest_shard_fraction": round(busiest / num_requests, 4),
-    }
-
-
-def run_drain_test(*, size: int, num_requests: int, seed: int, backend: str) -> dict:
-    """Scale down under load; count every admitted request to completion."""
-    from repro.fleet import FleetService
-
-    config = _fleet_config(
-        2,
-        num_requests=num_requests,
-        max_batch_size=4,
-        backend=backend,
     )
     pattern = stencil_pattern(size)
     rng = np.random.default_rng(seed)
@@ -205,55 +305,31 @@ def run_ring_remap(*, num_keys: int, num_shards: int, virtual_nodes: int) -> dic
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="BENCH_fleet_scaling.json")
-    parser.add_argument("--rate", type=float, default=2000.0, help="arrival rate (req/s)")
-    parser.add_argument("--requests", type=int, default=256)
-    parser.add_argument("--keys", type=int, default=64, help="distinct BatchKeys")
-    parser.add_argument("--size", type=int, default=16, help="rows per system")
-    parser.add_argument("--batch-size", type=int, default=4)
-    parser.add_argument("--shard-counts", type=int, nargs="+", default=[1, 2, 4])
+    parser.add_argument("--size", type=int, default=16, help="rows per drain system")
     parser.add_argument("--backend", choices=["sycl", "cuda", "cudasim", "wide"],
                         default="sycl")
-    parser.add_argument("--quick", action="store_true", help="smaller workload")
+    parser.add_argument("--quick", action="store_true",
+                        help=f"{QUICK_PAIRS} isolation pairs of {QUICK_RUN_S:g} s")
     parser.add_argument("--seed", type=int, default=17)
     args = parser.parse_args(argv)
 
-    if args.quick:
-        args.requests = min(args.requests, 128)
-        args.keys = min(args.keys, 32)
-
-    sweep = []
-    for num_shards in args.shard_counts:
-        point = run_scaling_point(
-            num_shards=num_shards,
-            arrival_rate=args.rate,
-            num_requests=args.requests,
-            num_keys=args.keys,
-            size=args.size,
-            max_batch_size=args.batch_size,
-            seed=args.seed,
-            backend=args.backend,
-        )
-        sweep.append(point)
-        print(
-            f"shards={num_shards}: {point['throughput_rps']:8.1f} req/s, "
-            f"p50 {point['latency_p50_ms']:7.2f} ms, "
-            f"p99 {point['latency_p99_ms']:7.2f} ms, "
-            f"busiest shard {point['busiest_shard_fraction']:.0%}"
-        )
-
-    one = next((p for p in sweep if p["shards"] == 1), None)
-    four = next((p for p in sweep if p["shards"] == 4), None)
-    scaling = None
-    if one and four:
-        scaling = {
-            "throughput_1_shard_rps": one["throughput_rps"],
-            "throughput_4_shard_rps": four["throughput_rps"],
-            "speedup_4x": round(four["throughput_rps"] / one["throughput_rps"], 2),
-        }
-        print(
-            f"\n4 shards vs 1: {scaling['speedup_4x']}x throughput "
-            f"({one['throughput_rps']:.0f} -> {four['throughput_rps']:.0f} req/s)"
-        )
+    isolation = run_isolation_ab(
+        pairs=QUICK_PAIRS if args.quick else ISOLATION_PAIRS,
+        run_s=QUICK_RUN_S if args.quick else ISOLATION_RUN_S,
+        seed=args.seed,
+        backend=args.backend,
+    )
+    one, fleet = isolation["one_service"], isolation["fleet"]
+    print(
+        f"\nisolation: healthy p99 median (IQR) one service "
+        f"{one['healthy_p99_ms']['median']:.2f} ({one['healthy_p99_ms']['q1']:.2f}-"
+        f"{one['healthy_p99_ms']['q3']:.2f}) ms, fleet "
+        f"{fleet['healthy_p99_ms']['median']:.2f} ({fleet['healthy_p99_ms']['q1']:.2f}-"
+        f"{fleet['healthy_p99_ms']['q3']:.2f}) ms; fleet won "
+        f"{isolation['fleet_p99_wins']} of {len(fleet['runs'])} pairs; sick fallbacks/"
+        f"sheds one service {one['sick_fallbacks']}/{one['sick_shed']}, fleet "
+        f"{fleet['sick_fallbacks']}/{fleet['sick_shed']}"
+    )
 
     drain = run_drain_test(
         size=args.size,
@@ -280,19 +356,17 @@ def main(argv: list[str] | None = None) -> int:
     report = bench_payload(
         "fleet_scaling",
         workload={
-            "system_rows": args.size,
-            "requests_per_point": args.requests,
-            "distinct_keys": args.keys,
-            "arrival_rate_rps": args.rate,
-            "arrival": "poisson",
-            "max_batch_size": args.batch_size,
+            "isolation": "healthy + sick batch key, one service vs two shards "
+                         "(metrics.isolation.offered)",
+            "drain_system_rows": args.size,
+            "drain_max_batch_size": 4,
             "solver": "cg",
             "preconditioner": "jacobi",
             "backend": args.backend,
+            "quick": args.quick,
         },
         metrics={
-            "sweep": sweep,
-            "scaling": scaling,
+            "isolation": isolation,
             "drain": drain,
             "ring": ring,
         },
@@ -302,6 +376,16 @@ def main(argv: list[str] | None = None) -> int:
 
     # acceptance checks (return non-zero so CI can gate on them)
     failures = []
+    for mode in MODES:
+        if isolation[mode]["healthy_failed"]:
+            failures.append(
+                f"{isolation[mode]['healthy_failed']} healthy requests failed ({mode})"
+            )
+    bar = "median" if args.quick else "q1"
+    if not fleet["healthy_p99_ms"]["median"] < one["healthy_p99_ms"][bar]:
+        failures.append(
+            f"the fleet's median healthy p99 is not below one service's {bar}"
+        )
     if drain["in_flight_at_drain"] == 0:
         failures.append("no request was in flight at the drain")
     if drain["lost_requests"] != 0:

@@ -7,7 +7,8 @@
 # paper tables and figures in results/ regenerate byte for byte; and
 # tests/serve/test_service.py::TestPerFlushAccounting::
 # test_a_full_size_flush_writes_each_kind_once, which guards the serving
-# layer's per-flush accounting by count, not by time), the
+# layer's per-flush accounting by count, not by time), the paper-claim
+# benches under benchmarks/ passing their assertions, the
 # lint gate clean, the tracing pipeline producing valid Chrome
 # traces through `repro run --with trace` (whose observer options never
 # reach the wrapped command), the fused kernels sanitizer-clean and agreeing with the reference at
@@ -30,6 +31,12 @@ export PYTHONPATH="${PWD}/src${PYTHONPATH:+:${PYTHONPATH}}"
 
 echo "== tier-1 tests =="
 python -m pytest -x -q
+
+echo
+echo "== paper-claim benches =="
+# benchmarks/ (Tables 1-5, the Fig. 4-8 shapes, the ablations) is outside
+# tier-1's testpaths; run its assertions once, without timing rounds
+python -m pytest benchmarks --benchmark-disable -q
 
 echo
 echo "== lint =="

@@ -92,8 +92,8 @@ def main(argv=None) -> int:
         f"({time.perf_counter() - start:.1f} s)"
     )
 
-    # fleet benchmark: the compute-only shard sweep, the drain and the
-    # ring remap factors
+    # fleet benchmark: the isolation A/B (one service against two shards
+    # with one batch key sick), the drain and the ring remap factors
     import bench_fleet_scaling
 
     start = time.perf_counter()

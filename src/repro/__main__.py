@@ -288,7 +288,6 @@ def _cmd_fleet_demo(args) -> int:
             backend=args.backend,
         ),
         initial_replicas=args.shards,
-        max_replicas=max(args.shards + 2, 4),
         virtual_nodes=128,
         max_pending=max(8 * args.requests, 256),
     )
@@ -317,15 +316,10 @@ def _cmd_fleet_demo(args) -> int:
 
         # lifecycle demo: add a replica (~1/N of keys remap to it), then
         # drain one gracefully with the fleet still open
-        added = fleet.scale_up(1)
-        if added:
-            print(f"scale-up: started {', '.join(added)}")
+        print(f"scale-up: started {', '.join(fleet.scale_up(1))}")
         peak_replicas = fleet.num_replicas
-        drained = fleet.scale_down(1)
-        if drained:
-            print(f"scale-down: drained {', '.join(drained)} (zero drops)")
+        print(f"scale-down: drained {', '.join(fleet.scale_down(1))} (zero drops)")
 
-        fleet.refresh_metrics()
         stats = fleet.shard_stats()
         occupancy = fleet.ring_occupancy()
         hdr = fleet.latency_histogram()
@@ -692,11 +686,7 @@ def _cmd_top(args) -> int:
             max(16, 2 * args.shards), solver=args.solver,
         )
         service = fleet = FleetService(
-            FleetConfig(
-                serve=config,
-                initial_replicas=args.shards,
-                max_replicas=max(args.shards, 8),
-            )
+            FleetConfig(serve=config, initial_replicas=args.shards)
         )
         title = "repro top — fleet"
     else:
@@ -735,8 +725,6 @@ def _cmd_top(args) -> int:
             for frame in range(args.frames):
                 if frame:
                     _time.sleep(args.interval)
-                if fleet is not None:
-                    fleet.refresh_metrics()
                 print(
                     dashboard_text(
                         service.metrics,
@@ -805,11 +793,7 @@ def _chaos_trace_and_factory(args, chaos):
     if args.shards > 1:
         from repro.fleet import FleetConfig, FleetService
 
-        fleet_config = FleetConfig(
-            serve=serve_config,
-            initial_replicas=args.shards,
-            max_replicas=max(args.shards, 8),
-        )
+        fleet_config = FleetConfig(serve=serve_config, initial_replicas=args.shards)
         return items, (lambda: FleetService(fleet_config, chaos=chaos))
     return items, (lambda: SolverService(serve_config, chaos=chaos))
 

@@ -4,10 +4,13 @@ The production-hardening layer: prove the serving stack degrades
 *gracefully* — structured 4xx/5xx outcomes, zero lost tickets, SLOs
 scored — rather than merely working on clean benches.
 
-* :mod:`repro.chaos.plan` — :class:`FaultPlan`: a seeded, fully
-  deterministic schedule of faults (worker death mid-flush, poisoned /
-  singularized batches, device delays, sanitizer trips) keyed on the
-  flush sequence number, so a chaos run replays bit-identically.
+* :mod:`repro.chaos.plan` — :class:`FaultPlan`: a seeded schedule of
+  faults (worker death mid-flush, poisoned / singularized batches,
+  device delays, sanitizer trips) that is a pure function of the flush
+  sequence number. Which requests share a flush depends on thread
+  timing, so the same seed does not replay the same faulted requests,
+  nor always the same number of faults (ROADMAP item 11 keys faults to
+  requests instead).
 * :mod:`repro.chaos.injector` — :class:`ChaosInjector`: the hook the
   serving layer calls once per flush; fires the plan's faults as
   mutations and typed exceptions, counts them on ``chaos.injected``

@@ -1,13 +1,18 @@
-"""Seeded, deterministic fault plans for the chaos harness.
+"""Seeded fault plans for the chaos harness.
 
 A :class:`FaultPlan` is a *pure function* from the flush sequence number
-to the set of faults that fire on that flush. Determinism matters twice:
-the CI fault battery must reproduce bit-identically across runs, and a
-failure found under chaos must be replayable from nothing but the seed.
-Probabilistic specs therefore draw from a keyed hash of
-``(seed, spec index, flush index)`` — no shared RNG stream, so the
-decision for flush 17 does not depend on which thread asked about
-flush 16 first.
+to the set of faults that fire on that flush. Probabilistic specs draw
+from a keyed hash of ``(seed, spec index, flush index)`` — no shared RNG
+stream, so the decision for flush 17 does not depend on which thread
+asked about flush 16 first, and every firing can be re-derived from the
+seed during incident review.
+
+What the seed does not fix is which requests a faulted flush carries:
+flush formation depends on thread timing, so two runs of one seeded
+battery fault different requests and may inject a different number of
+faults (one seed injected 22 to 31 over 20 quick runs of
+``scripts/bench_chaos_slo.py``). ROADMAP item 11 keys faults to requests
+so that the marked set replays exactly.
 """
 
 from __future__ import annotations

@@ -1,16 +1,21 @@
 """The fleet: consistent-hash routing over N shard replicas + lifecycle.
 
-:class:`FleetService` is Layer 11 — the scale-*out* counterpart of the
-paper's scale-*up* argument. Each shard replica is a full
+:class:`FleetService` is Layer 11. Each shard replica is a full
 :class:`~repro.serve.service.SolverService` (own device queue(s), own
-micro-batcher, own :class:`~repro.serve.plan_cache.PlanCache`); the
-fleet routes every request to the shard that owns its
-:class:`~repro.serve.request.BatchKey` on a consistent-hash ring, so one
-compatibility class coalesces in one shard's batcher and that shard's
-plan cache stays hot for exactly the keys it owns.
+micro-batcher, own :class:`~repro.serve.plan_cache.PlanCache`, own
+circuit breaker); the fleet routes every request to the shard that owns
+its :class:`~repro.serve.request.BatchKey` on a consistent-hash ring, so
+one compatibility class coalesces in one shard's batcher and that
+shard's plan cache stays hot for exactly the keys it owns.
 
 Control-plane behaviours:
 
+* **Fault isolation** — a key whose requests all need the direct-LU
+  fallback opens its own shard's breaker and occupies its own shard's
+  workers; keys on other shards keep their fallback path and their
+  workers (``tests/fleet/test_isolation.py``). One service shares both
+  between every key. In-process shards share one interpreter lock, so
+  this, not throughput, is what a shard buys.
 * **Fleet admission** — past ``FleetConfig.max_pending`` total in-flight
   requests the fleet rejects with
   :class:`~repro.exceptions.ServiceSaturatedError` *before* any shard is
@@ -99,9 +104,10 @@ class FleetService:
         chaos: object | None = None,
     ) -> None:
         self.config = config if config is not None else FleetConfig()
-        # one injector is shared by every shard: the fault plan's flush
-        # sequence is fleet-global, so a seeded battery hits the same
-        # schedule whether it runs against 1 shard or 8
+        # one injector is shared by every shard, so the fault plan's flush
+        # index counts the fleet's flushes, not one shard's; which requests
+        # share a faulted flush still depends on thread timing, so a seed
+        # does not replay the same faults (ROADMAP item 11)
         explicit = {"tracer": tracer, "chaos": chaos}
         instruments = dc_replace(
             current(), **{k: v for k, v in explicit.items() if v is not None}
@@ -253,28 +259,20 @@ class FleetService:
     # -- scaling -------------------------------------------------------------
 
     def scale_up(self, count: int = 1) -> list[str]:
-        """Start ``count`` new replicas (bounded by ``max_replicas``).
-
-        Returns the new shard names; an empty list means the fleet is
-        already at its maximum.
-        """
-        added: list[str] = []
+        """Start ``count`` new replicas; returns their shard names."""
         with self._lock:
             if self._closed:
                 raise ServiceClosedError("fleet is closed")
-            for _ in range(count):
-                if self.num_replicas >= self.config.max_replicas:
-                    break
-                added.append(self._start_shard(reason="scale_up").name)
-                self.metrics.counter("fleet.scale_ups").inc()
+            added = [self._start_shard(reason="scale_up").name for _ in range(count)]
+            self.metrics.counter("fleet.scale_ups").inc(len(added))
         return added
 
     def scale_down(self, count: int = 1, timeout: float | None = None) -> list[str]:
-        """Gracefully drain ``count`` replicas (bounded by ``min_replicas``).
+        """Gracefully drain up to ``count`` of the least-loaded active shards.
 
-        Victims are the least-loaded active shards. Returns the drained
-        shard names; an empty list means the fleet is already at its
-        minimum.
+        The last active shard is never drained (the ring needs an owner).
+        Returns the drained shard names; an empty list means only one
+        shard is left.
         """
         drained: list[str] = []
         for _ in range(count):
@@ -282,7 +280,7 @@ class FleetService:
                 if self._closed:
                     raise ServiceClosedError("fleet is closed")
                 candidates = self.active_shards()
-                if len(candidates) <= self.config.min_replicas:
+                if len(candidates) <= 1:
                     break
                 victim = min(candidates, key=lambda s: (s.service.pending, s.name))
                 name = victim.name
@@ -337,15 +335,14 @@ class FleetService:
     # -- observation ---------------------------------------------------------
 
     def shard_stats(self) -> list[dict]:
-        """One row per replica (and refresh the labeled fleet gauges)."""
+        """One row per replica, read from each shard's own registry."""
         rows = []
         for shard in self.shards():
             m = shard.service.metrics
-            pending = shard.service.pending
             row = {
                 "shard": shard.name,
                 "state": shard.state,
-                "pending": pending,
+                "pending": shard.service.pending,
                 "accepted": int(m.counter("serve.accepted").value),
                 "served": int(m.counter("serve.served").value),
                 "rejected": int(m.counter("serve.rejected").value),
@@ -356,12 +353,6 @@ class FleetService:
                 "breaker": shard.service.breaker.state,
             }
             rows.append(row)
-            self.metrics.gauge("fleet.shard_pending").labels(shard=shard.name).set(
-                pending
-            )
-            self.metrics.gauge("fleet.shard_served").labels(shard=shard.name).set(
-                row["served"]
-            )
         return rows
 
     def ring_occupancy(self) -> dict[str, float]:
@@ -380,15 +371,6 @@ class FleetService:
                     shard.service.metrics.log_histogram("serve.latency_hdr_ms")
                 )
         return rollup
-
-    def refresh_metrics(self) -> None:
-        """Refresh the fleet gauges (for exporters polling ``metrics``)."""
-        self.shard_stats()
-        self.metrics.gauge("fleet.pending").set(self.pending)
-        open_breakers = sum(
-            1 for shard in self.shards() if shard.service.breaker.state != "closed"
-        )
-        self.metrics.gauge("fleet.breakers_open").set(open_breakers)
 
     # -- lifecycle -----------------------------------------------------------
 

@@ -57,7 +57,7 @@ _TENANT_METRIC = re.compile(r'^serve\.(tenant_pending|quota_rejected)\{tenant="(
 
 
 def _breaker_rows(registry: MetricsRegistry) -> list[dict]:
-    """One row per breaker-bearing scope (local service + fleet rollup)."""
+    """The local service's breaker row (a fleet's are in its shard panel)."""
     rows = []
     if "serve.breaker_state" in registry:
         state = registry.gauge("serve.breaker_state").value
@@ -76,18 +76,6 @@ def _breaker_rows(registry: MetricsRegistry) -> list[dict]:
                 else 0,
             }
         )
-    if "fleet.breakers_open" in registry:
-        open_count = registry.gauge("fleet.breakers_open").value
-        if open_count == open_count:  # skip never-set NaN gauge
-            rows.append(
-                {
-                    "breaker": "fleet",
-                    "state": f"{int(open_count)} open",
-                    "opens": "-",
-                    "closes": "-",
-                    "fast_fails": "-",
-                }
-            )
     return rows
 
 
@@ -225,6 +213,8 @@ def dashboard_text(
                 "served": row["served"],
                 "rejected": row["rejected"],
                 "flushes": row["flushes"],
+                "fallbacks": row["fallbacks"],
+                "breaker": row["breaker"],
                 "p99_ms": f"{row['p99_ms']:.3g}" if row["p99_ms"] == row["p99_ms"] else "-",
             }
             for row in fleet.shard_stats()

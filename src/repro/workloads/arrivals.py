@@ -71,8 +71,7 @@ def bursty_offsets(
     rate, burst phases at ``burst_factor`` times the quiet rate, with
     ``burst_fraction`` of requests landing in bursts on average. The
     long-run rate stays ``rate_rps``; the tails do not — exactly the
-    traffic shape that makes admission control and autoscaling earn
-    their keep.
+    traffic shape that makes admission control earn its keep.
     """
     _check(rate_rps, num_requests)
     if burst_factor <= 1.0:

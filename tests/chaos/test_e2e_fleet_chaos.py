@@ -54,7 +54,6 @@ def _run_fleet(plan, num_requests=64, num_keys=8, fallback=True):
             max_batch_size=4, max_wait_ms=60_000.0, num_workers=1, fallback=fallback
         ),
         initial_replicas=4,
-        max_replicas=8,
     )
     rng = np.random.default_rng(0)
     with use(hub=hub, events=hub.event_log):

@@ -134,14 +134,28 @@ class FlushHold:
     ``FleetService(config, chaos=hold)``): the service calls ``on_flush``
     on the worker thread once the batch is assembled. It sets ``entered``
     and waits on ``release``, so a worker stays busy with a flush for as
-    long as the test chooses.
+    long as the test chooses. With a batch ``key`` it holds only that
+    key's flushes; ``wait_held(n)`` blocks until ``n`` flushes are held.
     """
 
-    def __init__(self, timeout: float = 30.0) -> None:
+    def __init__(self, timeout: float = 30.0, key=None) -> None:
         self.entered = threading.Event()
         self.release = threading.Event()
         self.timeout = timeout
+        self.key = key
+        self.held = 0
+        self._held_changed = threading.Condition()
 
     def on_flush(self, service, flush, worker, matrix, b) -> None:
+        if self.key is not None and flush.key != self.key:
+            return
+        with self._held_changed:
+            self.held += 1
+            self._held_changed.notify_all()
         self.entered.set()
         self.release.wait(self.timeout)
+
+    def wait_held(self, count: int, timeout: float = 10.0) -> bool:
+        """Block until ``count`` flushes are held (False on timeout)."""
+        with self._held_changed:
+            return self._held_changed.wait_for(lambda: self.held >= count, timeout)

@@ -38,8 +38,8 @@ class TestFleetDemo:
         assert sum(ev["type"] == "request.solved" for ev in events) == 12
 
     def test_autoscale_flag_removed(self, capsys):
-        # the Autoscaler is a library class (tests/fleet/test_autoscaler.py);
-        # the demo's paced run ends before a control loop could act
+        # the fleet has no autoscaler: scale_up and scale_down are called
+        # by hand, and the demo calls each once
         with pytest.raises(SystemExit) as exit_info:
             main(["fleet-demo", "--autoscale"])
         assert exit_info.value.code == 2
@@ -85,14 +85,14 @@ class TestTopFleetPanel:
                     {
                         "shard": "shard-0", "state": "active", "pending": 1,
                         "accepted": 5, "served": 4, "rejected": 0,
-                        "failed": 0, "flushes": 2, "fallbacks": 0,
-                        "p99_ms": 12.5,
+                        "failed": 0, "flushes": 2, "fallbacks": 3,
+                        "p99_ms": 12.5, "breaker": "open",
                     },
                     {
                         "shard": "shard-1", "state": "draining", "pending": 0,
                         "accepted": 2, "served": 2, "rejected": 0,
                         "failed": 0, "flushes": 1, "fallbacks": 0,
-                        "p99_ms": float("nan"),
+                        "p99_ms": float("nan"), "breaker": "closed",
                     },
                 ]
 
@@ -103,6 +103,7 @@ class TestTopFleetPanel:
         assert "fleet shards" in frame
         assert "shard-0" in frame and "draining" in frame
         assert "12.5" in frame
+        assert "breaker" in frame and "open" in frame
         # NaN p99 (no samples yet) renders as a dash, not 'nan'
         assert "nan" not in frame
         assert "ring occupancy: shard-0 60.0%, shard-1 40.0%" in frame

@@ -136,17 +136,13 @@ class TestAdmission:
 
 
 class TestScaling:
-    def test_scale_up_bounded_by_max_replicas(self):
-        with FleetService(_config(initial_replicas=2, max_replicas=3)) as fleet:
-            assert fleet.scale_up(5) == ["shard-2"]
-            assert fleet.num_replicas == 3
-            assert fleet.scale_up() == []
-            assert fleet.metrics.counter("fleet.scale_ups").value == 1
-
-    def test_scale_down_bounded_by_min_replicas(self):
-        with FleetService(_config(initial_replicas=2, min_replicas=2)) as fleet:
+    def test_scale_down_never_drains_the_last_shard(self):
+        with FleetService(_config(initial_replicas=2)) as fleet:
+            assert len(fleet.scale_down(5)) == 1
+            assert fleet.num_replicas == 1
             assert fleet.scale_down() == []
-            assert fleet.num_replicas == 2
+            assert fleet.num_replicas == 1
+            assert fleet.metrics.counter("fleet.scale_downs").value == 1
 
     def test_scale_up_emits_rebalance_and_reroutes(self):
         rng = np.random.default_rng(5)
@@ -285,7 +281,6 @@ class TestObservability:
             fleet.flush()
             for ticket in tickets:
                 ticket.result(timeout=60.0)
-            fleet.refresh_metrics()
             text = render_prometheus(fleet.metrics)
         assert 'shard="shard-0"' in text
         assert "fleet_replicas" in text
